@@ -7,7 +7,9 @@ passthrough square terms, with every triple satisfying 2ab >= c^2.  The
 numeric solution is snapped to dyadic rationals and the equality rows are
 repaired exactly by spreading each row's residual uniformly over the
 slots touching it; since every slot appears in exactly one row the repair
-is exact in one pass and idempotent.
+is exact in one pass and idempotent.  When the rounded point misses a
+cone, the feasibility solve is carried on to a 100 times tighter tolerance
+from where it stopped, and rounded once more on a finer grid.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .polyring import (
 )
 from .socp import (
     SocpProblem,
+    SocpSolution,
     SolverFailure,
     assemble,
     build_plan,
@@ -169,14 +172,16 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: object) -> "Certificate":
-        if not isinstance(data, dict):
-            raise ValueError("certificate must be a JSON object")
-        try:
-            n = int(data["n"])
-            xi = parse_rational(data["xi"])
-            sha = str(data["poly_sha256"])
-        except KeyError as missing:
-            raise ValueError(f"certificate misses field {missing}") from None
+        def get(obj: object, key: str, where: str) -> object:
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where} must be a JSON object")
+            if key not in obj:
+                raise ValueError(f"{where} misses field '{key}'")
+            return obj[key]
+
+        n = int(get(data, "n", "certificate"))
+        xi = parse_rational(get(data, "xi", "certificate"))
+        sha = str(get(data, "poly_sha256", "certificate"))
 
         def parse_point(obj: object) -> Point:
             if not isinstance(obj, list) or len(obj) != n:
@@ -185,30 +190,34 @@ class Certificate:
             for pair in obj:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ValueError(f"coordinate must be a [num, den] pair: {pair!r}")
-                coords.append(Fraction(int(pair[0]), int(pair[1])))
+                num, den = int(pair[0]), int(pair[1])
+                if den == 0:
+                    raise ValueError(f"coordinate has a zero denominator: {pair!r}")
+                coords.append(Fraction(num, den))
             return tuple(coords)
 
         circuits = []
         for group in data.get("circuits", []):
             triples = []
-            for t in group["triples"]:
+            for t in get(group, "triples", "circuit"):
+                u, v, w, a, b, c = (get(t, key, "triple") for key in "uvwabc")
                 triples.append(
                     CertTriple(
-                        u=parse_point(t["u"]),
-                        v=parse_point(t["v"]),
-                        w=parse_point(t["w"]),
-                        a=parse_rational(t["a"]),
-                        b=parse_rational(t["b"]),
-                        c=parse_rational(t["c"]),
+                        u=parse_point(u),
+                        v=parse_point(v),
+                        w=parse_point(w),
+                        a=parse_rational(a),
+                        b=parse_rational(b),
+                        c=parse_rational(c),
                     )
                 )
             circuits.append(tuple(triples))
         passthrough = []
         for item in data.get("passthrough", []):
-            exp = tuple(int(x) for x in item["exp"])
+            exp = tuple(int(x) for x in get(item, "exp", "passthrough term"))
             if len(exp) != n or any(x < 0 for x in exp):
                 raise ValueError(f"bad passthrough exponent {exp}")
-            passthrough.append((exp, parse_rational(item["coef"])))
+            passthrough.append((exp, parse_rational(get(item, "coef", "passthrough term"))))
         return cls(
             n=n,
             xi=xi,
@@ -326,11 +335,13 @@ def exact_sobs(
     """Certify a rational lower bound for f exactly.
 
     With xi omitted the bound is computed first and backed off by margin
-    so the decomposition sits strictly inside the cones.  The numeric
-    solution is rounded to precision delta_round, projected back onto the
-    equality rows exactly, and accepted only if every cone inequality
-    holds strictly; one retry at sharply higher precision is attempted
-    before reporting BoundaryFailure.
+    so the decomposition sits strictly inside the cones.  The feasibility
+    problem at xi is assembled and solved to accuracy delta_socp; the
+    numeric solution is rounded to precision delta_round, projected back
+    onto the equality rows exactly, and accepted only if every cone
+    inequality holds strictly.  On failure the same solve is continued to
+    delta_socp/100 and rounded on a 2^10 times finer grid, once, before
+    BoundaryFailure is reported.
     """
 
     sha = poly_sha256(f)
@@ -355,9 +366,9 @@ def exact_sobs(
         cover = simplex_cover(lam, part.gamma_set)
         plan = build_plan(cover, odd_mode=odd_mode)
 
-    def attempt(dr: float, ds: float) -> Optional[Certificate]:
-        problem = assemble(plan, tilde, mode="feasibility", xi=xi_exact)
-        solution = solve_problem(problem, delta=ds)
+    problem = assemble(plan, tilde, mode="feasibility", xi=xi_exact)
+
+    def attempt(dr: float, solution: SocpSolution) -> Optional[Certificate]:
         if solution.status == "infeasible":
             raise BoundaryFailure(
                 f"no decomposition exists at bound {xi_exact}"
@@ -391,9 +402,11 @@ def exact_sobs(
         assert _reconstruct(cert) == _companion_target(f, xi_exact)
         return cert
 
-    cert = attempt(delta_round, delta_socp)
+    solution = solve_problem(problem, delta=delta_socp)
+    cert = attempt(delta_round, solution)
     if cert is None:
-        cert = attempt(delta_round / 2**10, delta_socp / 100)
+        finer = solve_problem(problem, delta=delta_socp / 100, resume=solution)
+        cert = attempt(delta_round / 2**10, finer)
     if cert is None:
         raise BoundaryFailure(
             f"bound {xi_exact} is not strictly certifiable at this precision"

@@ -8,11 +8,16 @@ method with Nesterov-Todd scaling, so it detects infeasibility as well as
 optimality.  Internally each rotated cone is mapped to a standard Lorentz
 cone by an orthogonal change of coordinates; all reported quantities are
 in the caller's rotated-cone coordinates.
+
+The iterates do not depend on the tolerance, which only decides where the
+solve stops.  An optimal result therefore keeps its last iterate, and a
+later call with a tighter tolerance can carry the same trajectory on
+(solve_socp's resume argument) instead of replaying it from the start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +42,22 @@ _DENSE_LIMIT = 600
 
 
 @dataclass
+class _Iterate:
+    """Solver state at the start of the iteration where an optimal solve
+    stopped: enough to carry that trajectory on to a tighter tolerance."""
+
+    tol: float
+    iteration: int
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    tau: float
+    kappa: float
+    best: Optional[Tuple[float, "ConeSolve"]]
+    stall: int
+
+
+@dataclass
 class ConeSolve:
     """Result of a conic solve, reported in rotated-cone coordinates."""
 
@@ -47,6 +68,7 @@ class ConeSolve:
     objective: float
     iterations: int
     residuals: Dict[str, float] = field(default_factory=dict)
+    _resume: Optional[_Iterate] = field(default=None, repr=False, compare=False)
 
     @property
     def optimal(self) -> bool:
@@ -130,25 +152,28 @@ def _apply_winv(s: _Scaling, u: np.ndarray) -> np.ndarray:
 
 
 def cone_max_step(p: np.ndarray, d: np.ndarray) -> float:
-    """Largest step t with p + t*d on or inside all Lorentz cones (rowwise)."""
+    """Largest step t with p + t*d on or inside all Lorentz cones (rowwise).
+
+    Per cone, the residual of p + t*d is the quadratic a t^2 + b t + c; its
+    first positive root is taken in closed form, for all cones at once.
+    """
 
     aq = _cone_residual(d)
     bq = 2.0 * (p[:, 0] * d[:, 0] - p[:, 1] * d[:, 1] - p[:, 2] * d[:, 2])
     cq = _cone_residual(p)
-    best = np.inf
-    for a, b, c in zip(aq, bq, cq):
-        if abs(a) < 1e-300:
-            if b < 0.0:
-                best = min(best, -c / b)
-            continue
-        disc = b * b - 4.0 * a * c
-        if a < 0.0:
-            # Opens downward with q(0) > 0: exactly one positive root.
-            root = (-b - np.sqrt(max(disc, 0.0))) / (2.0 * a)
-            best = min(best, root)
-        elif disc > 0.0 and b < 0.0:
-            # Opens upward, both roots positive; numerically stable smaller root.
-            best = min(best, 2.0 * c / (-b + np.sqrt(disc)))
+    disc = bq * bq - 4.0 * aq * cq
+    linear = np.abs(aq) < 1e-300
+    # Linear: a root only when the residual decreases.
+    hit = linear & (bq < 0.0)
+    roots = [-cq[hit] / bq[hit]]
+    # Opens downward with q(0) > 0: exactly one positive root.
+    hit = ~linear & (aq < 0.0)
+    roots.append((-bq[hit] - np.sqrt(np.maximum(disc[hit], 0.0))) / (2.0 * aq[hit]))
+    # Opens upward, both roots positive; numerically stable smaller root.
+    hit = ~linear & (aq > 0.0) & (disc > 0.0) & (bq < 0.0)
+    roots.append(2.0 * cq[hit] / (-bq[hit] + np.sqrt(disc[hit])))
+    # fmin skips NaN roots, as a running min() starting from inf does.
+    best = float(np.fmin.reduce(np.concatenate(roots), initial=np.inf))
     # First coordinate must also stay nonnegative when the quadratic allows it.
     neg = d[:, 0] < 0.0
     if np.any(neg):
@@ -216,13 +241,22 @@ def solve_socp(
     *,
     tol: float = 1e-8,
     max_iter: int = 200,
-    verbose: bool = False,
+    resume: Optional[ConeSolve] = None,
 ) -> ConeSolve:
     """Solve min c'x s.t. A x = b over a product of rotated quadratic cones.
 
     The matrix is given in triplet form over columns grouped in consecutive
     triples (a, b, c), one rotated cone per triple.  Returns slot values,
     dual values, and residuals in the caller's coordinates.
+
+    resume takes an earlier result on the same data and max_iter.  If it
+    is optimal at a looser tolerance, the solve carries its trajectory on
+    from where it stopped, and the result equals a fresh solve at tol.
+    A result that is not optimal is returned as it is, because a fresh
+    solve at tol would stop at the same iterate: the iterates, the stall
+    count and the infeasibility and breakdown tests do not depend on tol.
+    So is an optimal result at tol or tighter, which already meets tol.
+    A problem without cones is always solved afresh.
     """
 
     m = len(b)
@@ -240,6 +274,13 @@ def solve_socp(
             iterations=0,
             residuals={"primal": 0.0 if m == 0 else float(np.max(np.abs(b_ext), initial=0.0))},
         )
+
+    if resume is not None:
+        state = resume._resume
+        if state is None or tol >= state.tol:
+            return resume
+        if state.x.size != n or state.y.size != m:
+            raise ValueError("resume belongs to a problem of another shape")
 
     a_ext = scipy.sparse.csr_matrix(
         (np.asarray(a_vals, dtype=float), (np.asarray(a_rows), np.asarray(a_cols))),
@@ -274,8 +315,10 @@ def solve_socp(
         comp = float(x_c @ z_c)
         return pres, dres, pobj, dobj, comp
 
-    b_tol = tol * (1.0 + float(np.max(np.abs(b_ext), initial=0.0)))
-    c_tol = tol * (1.0 + float(np.max(np.abs(c_ext), initial=0.0)))
+    b_norm = 1.0 + float(np.max(np.abs(b_ext), initial=0.0))
+    c_norm = 1.0 + float(np.max(np.abs(c_ext), initial=0.0))
+    b_tol = tol * b_norm
+    c_tol = tol * c_norm
 
     # Homogeneous self-dual start: unit cone points, tau = kappa = 1.
     x = np.tile(np.array([1.0, 0.0, 0.0]), num_cones)
@@ -288,10 +331,16 @@ def solve_socp(
 
     best: Optional[Tuple[float, ConeSolve]] = None
     status = "max-iterations"
-    iteration = 0
+    start = 1
     stall = 0
+    if resume is not None:
+        start, best, stall = state.iteration, state.best, state.stall
+        x, y, z = state.x.copy(), state.y.copy(), state.z.copy()
+        tau, kappa = state.tau, state.kappa
+    iteration = start - 1
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(start, max_iter + 1):
+        entry = (best, stall)
         r_p = a_s @ x - b_s * tau
         r_d = -(a_st @ y) + c_s * tau - z
         r_g = float(b_s @ y - c_s @ x - kappa)
@@ -300,13 +349,11 @@ def solve_socp(
         x_c, y_c, z_c = to_caller(x, y, z, tau)
         pres, dres, pobj, dobj, comp = caller_residuals(x_c, y_c, z_c)
         gap = abs(pobj - dobj)
-        gap_tol = tol * (1.0 + abs(pobj) + abs(dobj))
-        metric = max(pres / b_tol, dres / c_tol, gap / gap_tol)
-        if verbose:
-            print(
-                f"iter {iteration:3d}  mu {mu:9.2e}  tau {tau:8.2e}  kappa {kappa:8.2e}"
-                f"  pres {pres:9.2e}  dres {dres:9.2e}  gap {gap:9.2e}  comp {comp:9.2e}"
-            )
+        gap_norm = 1.0 + abs(pobj) + abs(dobj)
+        gap_tol = tol * gap_norm
+        # Relative accuracy, free of tol, so that the stall count and the
+        # best point are the same at every tolerance.
+        metric = max(pres / b_norm, dres / c_norm, gap / gap_norm)
         candidate = ConeSolve(
             status="optimal",
             x=x_c,
@@ -435,6 +482,7 @@ def solve_socp(
                 "tau": tau,
                 "kappa": kappa,
             },
+            _resume=_Iterate(tol, iteration, x, y, z, tau, kappa, *entry),
         )
     if status == "infeasible":
         # Certificate direction: b'y > 0 rules out primal feasibility,
@@ -452,7 +500,4 @@ def solve_socp(
             residuals={"certificate": detail, "tau": tau, "kappa": kappa},
         )
     assert best is not None
-    fallback = best[1]
-    fallback.status = "max-iterations"
-    fallback.iterations = iteration
-    return fallback
+    return replace(best[1], status="max-iterations", iterations=iteration)

@@ -260,6 +260,7 @@ class SocpSolution:
     objective: float
     iterations: int
     residuals: Dict[str, float]
+    _cone: Optional[ConeSolve] = field(default=None, repr=False, compare=False)
 
     @property
     def optimal(self) -> bool:
@@ -270,9 +271,15 @@ class SocpSolution:
 
 
 def solve_problem(
-    problem: SocpProblem, delta: float = 1e-8, max_iter: int = 200
+    problem: SocpProblem,
+    delta: float = 1e-8,
+    max_iter: int = 200,
+    resume: Optional[SocpSolution] = None,
 ) -> SocpSolution:
-    """Run the interior-point solver on an assembled system."""
+    """Run the interior-point solver on an assembled system.
+
+    resume takes an earlier solution of the same problem; see solve_socp.
+    """
 
     rows = [e[0] for e in problem.entries]
     cols = [e[1] for e in problem.entries]
@@ -286,6 +293,7 @@ def solve_problem(
         problem.plan.num_triples,
         tol=delta,
         max_iter=max_iter,
+        resume=None if resume is None else resume._cone,
     )
     xi: Optional[float] = None
     if result.status == "optimal":
@@ -300,6 +308,7 @@ def solve_problem(
         objective=result.objective,
         iterations=result.iterations,
         residuals=result.residuals,
+        _cone=result,
     )
 
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+import soncert.certify
+import soncert.ipm
 from soncert.certify import (
     BoundaryFailure,
     Certificate,
@@ -22,7 +24,7 @@ from soncert.certify import (
 from soncert.cover import simplex_cover
 from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, poly_sha256
-from soncert.socp import assemble, build_plan, pn_companion
+from soncert.socp import assemble, build_plan, pn_companion, solve_problem
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 EX6 = SparsePoly(
@@ -212,3 +214,44 @@ def test_random_instances_certify_and_verify():
                 for exp, c in inst.poly.terms.items()
             )
             assert val - float(cert.xi) >= -1e-9 * (1 + scale)
+
+
+def test_retry_continues_the_feasibility_solve(monkeypatch):
+    # Seed 504's first rounding fails, so the retry at delta_socp/100 runs.
+    poly = random_instance(
+        n=3, degree=6, terms=10, poly_class="standard-simplex", interior=True, seed=504
+    ).poly
+    problems, solutions = [], []
+    steps = [0]
+    nt_scaling = soncert.ipm.nt_scaling
+
+    def counting_nt_scaling(x, z):
+        steps[0] += 1  # one call per interior-point step
+        return nt_scaling(x, z)
+
+    def recording_assemble(*args, **kwargs):
+        problems.append(assemble(*args, **kwargs))
+        return problems[-1]
+
+    def recording_solve(*args, **kwargs):
+        # Counts only the feasibility steps: the bound solve calls
+        # soncert.socp.solve_problem, not this name.
+        with monkeypatch.context() as patch:
+            patch.setattr(soncert.ipm, "nt_scaling", counting_nt_scaling)
+            solutions.append(solve_problem(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(soncert.certify, "assemble", recording_assemble)
+    monkeypatch.setattr(soncert.certify, "solve_problem", recording_solve)
+    cert = exact_sobs(poly)
+    assert verify_certificate(poly, cert).ok
+    assert len(problems) == 1 and len(solutions) == 2
+
+    feasibility_steps = steps[0]
+    steps[0] = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(soncert.ipm, "nt_scaling", counting_nt_scaling)
+        fresh = solve_problem(problems[0], delta=1e-10)
+    assert feasibility_steps == steps[0]
+    assert solutions[1].iterations == fresh.iterations
+    assert solutions[1].slots == fresh.slots

@@ -158,3 +158,25 @@ def test_error_exit_on_missing_file(capsys):
     code = cli.main(["bound", "/nonexistent/nope.json"])
     assert code == cli.EXIT_ERROR
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "damage, field",
+    [
+        (lambda data: data["circuits"][0].pop("triples"), "triples"),
+        (lambda data: data["circuits"][0]["triples"][0].pop("b"), "'b'"),
+        (lambda data: data["circuits"][0]["triples"][0]["u"][0].__setitem__(1, "0"), "denominator"),
+    ],
+    ids=["group-without-triples", "triple-without-b", "zero-denominator"],
+)
+def test_verify_malformed_certificate_exits_1(motzkin_file, tmp_path, capsys, damage, field):
+    cert_path = tmp_path / "cert.json"
+    assert cli.main(["certify", motzkin_file, "-o", str(cert_path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    data = json.loads(cert_path.read_text())
+    damage(data)
+    cert_path.write_text(json.dumps(data))
+    code = cli.main(["verify", motzkin_file, str(cert_path)])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
 
 from soncert.ipm import (
+    ConeSolve,
     _apply_w,
     _apply_winv,
+    _cone_residual,
     cone_max_step,
     jordan_product,
     jordan_solve,
@@ -64,6 +67,105 @@ def test_cone_max_step_hits_boundary():
         assert np.all(res_in >= -1e-9) and np.all(inside[:, 0] >= -1e-9)
         res_out = outside[:, 0] ** 2 - outside[:, 1] ** 2 - outside[:, 2] ** 2
         assert np.min(np.minimum(res_out, outside[:, 0])) < 1e-9
+
+
+def _scalar_cone_max_step(p: np.ndarray, d: np.ndarray) -> float:
+    # Reference: the per-cone loop that cone_max_step vectorizes.
+    aq = _cone_residual(d)
+    bq = 2.0 * (p[:, 0] * d[:, 0] - p[:, 1] * d[:, 1] - p[:, 2] * d[:, 2])
+    cq = _cone_residual(p)
+    best = np.inf
+    for a, b, c in zip(aq, bq, cq):
+        if abs(a) < 1e-300:
+            if b < 0.0:
+                best = min(best, -c / b)
+            continue
+        disc = b * b - 4.0 * a * c
+        if a < 0.0:
+            best = min(best, (-b - np.sqrt(max(disc, 0.0))) / (2.0 * a))
+        elif disc > 0.0 and b < 0.0:
+            best = min(best, 2.0 * c / (-b + np.sqrt(disc)))
+    neg = d[:, 0] < 0.0
+    if np.any(neg):
+        best = min(best, float(np.min(-p[neg, 0] / d[neg, 0])))
+    return float(best)
+
+
+def test_cone_max_step_matches_scalar_loop_exactly():
+    rng = np.random.default_rng(14)
+    rows = 0
+    while rows < 1000:
+        count = int(rng.integers(1, 8))
+        # points outside the cones too, on every other draw
+        p = rng.normal(size=(count, 3)) if rows % 2 else _interior_points(rng, count)
+        d = rng.normal(size=(count, 3)) * rng.choice([1e-3, 1.0, 1e3])
+        assert cone_max_step(p, d) == _scalar_cone_max_step(p, d)
+        rows += count
+
+
+def test_cone_max_step_crafted_rows():
+    def quad(p, d):
+        a = d[0] ** 2 - d[1] ** 2 - d[2] ** 2
+        b = 2.0 * (p[0] * d[0] - p[1] * d[1] - p[2] * d[2])
+        c = p[0] ** 2 - p[1] ** 2 - p[2] ** 2
+        return a, b, b * b - 4.0 * a * c
+
+    cases = [
+        # (p, d, branch condition on (a, b, disc), expected step)
+        ((2.0, 1.0, 0.0), (-1.0, -1.0, 0.0), lambda a, b, q: a == 0 and b < 0, 1.5),
+        ((2.0, 1.0, 0.0), (1.0, 1.0, 0.0), lambda a, b, q: a == 0 and b >= 0, np.inf),
+        ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), lambda a, b, q: a < 0 and q < 0, 0.0),
+        ((1.0, 0.0, 0.0), (-1.0, 2.0, 0.0), lambda a, b, q: a < 0 and q > 0, 1.0 / 3.0),
+        # the upward quadratic only touches zero; the d0 < 0 clamp binds
+        ((1.0, 0.0, 0.0), (-2.0, 0.0, 0.0), lambda a, b, q: a > 0 and q == 0, 0.5),
+        ((1.0, 0.0, 0.0), (2.0, 0.0, 0.0), lambda a, b, q: a > 0 and q == 0, np.inf),
+        ((1.0, 0.0, 0.0), (-1.0, 0.5, 0.0), lambda a, b, q: a > 0 and q > 0 and b < 0, 2.0 / 3.0),
+        # nothing binds: the point moves deeper into the cone
+        ((1.0, 0.5, 0.0), (1.0, 0.0, 0.0), lambda a, b, q: a > 0 and b > 0, np.inf),
+    ]
+    for p_row, d_row, branch, expected in cases:
+        p = np.array([p_row])
+        d = np.array([d_row])
+        assert branch(*quad(p[0], d[0])), (p_row, d_row)
+        step = cone_max_step(p, d)
+        assert step == _scalar_cone_max_step(p, d)
+        assert np.isclose(step, expected, rtol=1e-15, atol=0.0), (p_row, d_row, step)
+    # all rows at once: the smallest binding step wins
+    p = np.array([c[0] for c in cases])
+    d = np.array([c[1] for c in cases])
+    assert cone_max_step(p, d) == _scalar_cone_max_step(p, d) == 0.0
+
+
+def _assert_same_solve(got: ConeSolve, want: ConeSolve) -> None:
+    for f in dataclasses.fields(ConeSolve):
+        if not f.compare:
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b or (a != a and b != b), (f.name, a, b)
+
+
+# Motzkin's feasibility system at xi = -1/10^6: optimal at tol 1e-8, but the
+# solve stalls short of 1e-10.
+_STALL_ROWS = [0, 2, 1, 1, 4, 2, 3, 5, 4]
+_STALL_VALS = [2.0, 1.0, -2.0, 2.0, 1.0, -2.0, 2.0, 1.0, -2.0]
+_STALL_B = [1.000001, 0.0, -3.0, 1.0, 0.0, 1.0]
+
+
+def test_resume_equals_fresh_tighter_solve_on_stall():
+    args = (_STALL_ROWS, list(range(9)), _STALL_VALS, _STALL_B, [0.0] * 9, 3)
+    loose = solve_socp(*args, tol=1e-8)
+    assert loose.optimal
+    fresh = solve_socp(*args, tol=1e-10)
+    assert fresh.status == "max-iterations" and fresh.iterations > loose.iterations
+    _assert_same_solve(solve_socp(*args, tol=1e-10, resume=loose), fresh)
+    # a stalled result is final: a tighter solve stops at the same point
+    assert solve_socp(*args, tol=1e-12, resume=fresh) is fresh
+    _assert_same_solve(fresh, solve_socp(*args, tol=1e-12))
+    # resuming at the same or a looser tolerance changes nothing
+    assert solve_socp(*args, tol=1e-8, resume=loose) is loose
 
 
 def test_min_over_single_cone():
@@ -125,10 +227,11 @@ def test_random_feasible_instances():
             sstar[3 * k : 3 * k + 3] = (2 * b, 2 * a, -2 * c)
         c_vec = dense.T @ ystar + sstar
         rows, cols = np.nonzero(dense)
-        res = solve_socp(
-            rows, cols, dense[rows, cols], b_vec, c_vec, cones, tol=1e-8
-        )
+        args = (rows, cols, dense[rows, cols], b_vec, c_vec, cones)
+        res = solve_socp(*args, tol=1e-8)
         assert res.optimal, (trial, res.status, res.residuals)
+        tight = solve_socp(*args, tol=1e-10)
+        _assert_same_solve(solve_socp(*args, tol=1e-10, resume=res), tight)
         scale = 1.0 + float(np.max(np.abs(b_vec)))
         assert res.residuals["primal"] <= 1e-8 * scale
         upper = float(c_vec @ xstar)
