@@ -172,14 +172,24 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: object) -> "Certificate":
-        def get(obj: object, key: str, where: str) -> object:
+        def get(obj: object, key: str, where: str, kind: type = object, default=None):
             if not isinstance(obj, dict):
                 raise ValueError(f"{where} must be a JSON object")
+            if key not in obj and default is not None:
+                return default
             if key not in obj:
                 raise ValueError(f"{where} misses field '{key}'")
+            if not isinstance(obj[key], kind):
+                raise ValueError(f"{where} field '{key}' must be a {kind.__name__}")
             return obj[key]
 
-        n = int(get(data, "n", "certificate"))
+        def integer(value: object, where: str) -> int:
+            try:
+                return int(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{where} must be an integer, got {value!r}") from None
+
+        n = integer(get(data, "n", "certificate"), "certificate field 'n'")
         xi = parse_rational(get(data, "xi", "certificate"))
         sha = str(get(data, "poly_sha256", "certificate"))
 
@@ -190,16 +200,16 @@ class Certificate:
             for pair in obj:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ValueError(f"coordinate must be a [num, den] pair: {pair!r}")
-                num, den = int(pair[0]), int(pair[1])
+                num, den = (integer(v, f"coordinate {pair!r}") for v in pair)
                 if den == 0:
                     raise ValueError(f"coordinate has a zero denominator: {pair!r}")
                 coords.append(Fraction(num, den))
             return tuple(coords)
 
         circuits = []
-        for group in data.get("circuits", []):
+        for group in get(data, "circuits", "certificate", list, []):
             triples = []
-            for t in get(group, "triples", "circuit"):
+            for t in get(group, "triples", "circuit", list):
                 u, v, w, a, b, c = (get(t, key, "triple") for key in "uvwabc")
                 triples.append(
                     CertTriple(
@@ -213,8 +223,9 @@ class Certificate:
                 )
             circuits.append(tuple(triples))
         passthrough = []
-        for item in data.get("passthrough", []):
-            exp = tuple(int(x) for x in get(item, "exp", "passthrough term"))
+        for item in get(data, "passthrough", "certificate", list, []):
+            raw = get(item, "exp", "passthrough term", list)
+            exp = tuple(integer(x, "passthrough exponent") for x in raw)
             if len(exp) != n or any(x < 0 for x in exp):
                 raise ValueError(f"bad passthrough exponent {exp}")
             passthrough.append((exp, parse_rational(get(item, "coef", "passthrough term"))))

@@ -1,117 +1,28 @@
-"""Simplex covers: exact rational LP and the covering sweep.
+"""Simplex covers: exact LP and the covering sweep.
 
 Each negative-support point beta must be written as a convex combination of
 even positive-support points (Lambda). ``sim_sel`` maximizes the weight of a
-chosen anchor point via an exact simplex method; the support of the optimal
-basic solution is affinely independent, hence a trellis. ``simplex_cover``
-sweeps all beta points, then recycles them to absorb leftover Lambda points,
-and reports Lambda points no circuit can use (they pass through as plain
-monomial squares).
+chosen anchor point with the exact simplex method of ``exact.Tableau``; the
+support of the optimal basic solution is affinely independent, hence a
+trellis. ``simplex_cover`` sweeps all beta points, keeping one tableau per
+beta whose phase one runs once and which each anchor re-optimizes, then
+recycles the betas to absorb leftover Lambda points, and reports Lambda
+points no circuit can use (they pass through as plain monomial squares).
+The cover is a pure function of the two point sets and is not cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .exact import LpInfeasible, LpUnbounded, Tableau
 from .polyring import Circuit, Exponent
-
-
-class LpInfeasible(Exception):
-    """The equality system has no nonnegative solution."""
-
-
-class LpUnbounded(Exception):
-    """The objective is unbounded over the feasible region."""
 
 
 class CoverInfeasible(Exception):
     """Some beta lies outside conv(Lambda); no circuit decomposition exists."""
-
-
-def _pivot(tab: List[List[Fraction]], basis: List[int], row: int, col: int) -> None:
-    inv = tab[row][col]
-    tab[row] = [v / inv for v in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            factor = tab[i][col]
-            tab[i] = [a - factor * b for a, b in zip(tab[i], tab[row])]
-    basis[row] = col
-
-
-def _minimize(tab: List[List[Fraction]], basis: List[int], cost: List[Fraction]) -> None:
-    # primal simplex with Bland's rule; tab rows are [coeffs | rhs]
-    ncols = len(tab[0]) - 1
-    while True:
-        duals = [cost[basis[i]] for i in range(len(tab))]
-        entering = -1
-        for j in range(ncols):
-            reduced = cost[j] - sum(duals[i] * tab[i][j] for i in range(len(tab)))
-            if reduced < 0:
-                entering = j
-                break
-        if entering < 0:
-            return
-        leaving = -1
-        best: Fraction | None = None
-        for i in range(len(tab)):
-            if tab[i][entering] > 0:
-                ratio = tab[i][-1] / tab[i][entering]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            raise LpUnbounded(f"column {entering} is unbounded")
-        _pivot(tab, basis, leaving, entering)
-
-
-def _phase_one(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: int
-) -> Tuple[List[List[Fraction]], List[int]]:
-    """Feasible tableau for matrix x = rhs, x >= 0, artificials removed.
-
-    Rows that turn out redundant in phase one are dropped. Raises
-    LpInfeasible when no nonnegative solution exists.
-    """
-    m = len(matrix)
-    tab: List[List[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(v) for v in matrix[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        art = [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        tab.append(row + art + [b])
-    basis = [n + i for i in range(m)]
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
-    _minimize(tab, basis, cost1)
-    if sum(tab[i][-1] for i in range(m) if basis[i] >= n) != 0:
-        raise LpInfeasible("no nonnegative solution to the equality system")
-    # pivot artificials out of the basis; a row with only zero original
-    # coefficients is redundant and gets dropped
-    for i in reversed(range(len(tab))):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
-            if col is None:
-                tab.pop(i)
-                basis.pop(i)
-            else:
-                _pivot(tab, basis, i, col)
-    tab = [row[:n] + [row[-1]] for row in tab]
-    return tab, basis
-
-
-def _solution(tab: List[List[Fraction]], basis: List[int], n: int) -> List[Fraction]:
-    x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        x[bv] = tab[i][-1]
-    return x
 
 
 def lp_solve_exact(
@@ -127,10 +38,11 @@ def lp_solve_exact(
     m, n = len(matrix), len(objective)
     if any(len(row) != n for row in matrix) or len(rhs) != m:
         raise ValueError("inconsistent LP dimensions")
-    tab, basis = _phase_one(matrix, rhs, n)
-    cost2 = [-Fraction(v) for v in objective]
-    _minimize(tab, basis, cost2)
-    x = _solution(tab, basis, n)
+    tab = Tableau(
+        [[Fraction(v) for v in row] for row in matrix], [Fraction(b) for b in rhs]
+    )
+    tab.minimize([-Fraction(v) for v in objective])
+    x = tab.solution()
     value = sum(Fraction(c) * xi for c, xi in zip(objective, x))
     return value, x
 
@@ -144,24 +56,17 @@ def sim_sel(
     points = sorted(lambda_set)
     if alpha0 not in points:
         raise ValueError(f"anchor {alpha0} is not a candidate square point")
-    n = len(beta)
-    matrix = [[Fraction(pt[i]) for pt in points] for i in range(n)]
-    matrix.append([Fraction(1)] * len(points))
-    rhs = [Fraction(b) for b in beta] + [Fraction(1)]
-    objective = [
-        Fraction(1) if pt == alpha0 else Fraction(0) for pt in points
-    ]
-    _, x = lp_solve_exact(matrix, rhs, objective)
+    objective = [int(pt == alpha0) for pt in points]
+    _, x = lp_solve_exact(*_barycentric(points, beta), objective)
     return dict(zip(points, x))
 
 
-def _circuit_from_weights(
-    beta: Exponent, weights: Dict[Exponent, Fraction]
-) -> Circuit:
-    support = sorted(pt for pt, w in weights.items() if w > 0)
-    return Circuit(
-        tuple(support), tuple(beta), tuple(weights[pt] for pt in support)
-    )
+def _barycentric(
+    points: Sequence[Exponent], beta: Exponent
+) -> Tuple[List[List[int]], List[int]]:
+    """matrix, rhs of: weights on points that sum to one and write beta."""
+    matrix = [[pt[i] for pt in points] for i in range(len(beta))]
+    return matrix + [[1] * len(points)], [*beta, 1]
 
 
 class _AnchorSolver:
@@ -169,30 +74,29 @@ class _AnchorSolver:
     objectives re-optimize the same feasible basis."""
 
     def __init__(self, points: Sequence[Exponent], beta: Exponent):
-        self.points = list(points)
-        n = len(beta)
-        matrix = [[Fraction(pt[i]) for pt in self.points] for i in range(n)]
-        matrix.append([Fraction(1)] * len(self.points))
-        rhs = [Fraction(b) for b in beta] + [Fraction(1)]
-        self.tab, self.basis = _phase_one(matrix, rhs, len(self.points))
+        self.points = points
+        self.beta = beta
+        self.tab = Tableau(*_barycentric(points, beta))
 
-    def maximize(self, col: int) -> List[Fraction]:
-        cost = [Fraction(0)] * len(self.points)
-        cost[col] = Fraction(-1)
-        _minimize(self.tab, self.basis, cost)
-        return _solution(self.tab, self.basis, len(self.points))
+    def circuit(self, col: int) -> Optional[Circuit]:
+        """The circuit of an optimal basic solution maximizing the weight of
+        points[col], or None when that weight is zero."""
+        cost = [0] * len(self.points)
+        cost[col] = -1
+        self.tab.minimize(cost)
+        x = self.tab.solution()
+        if not x[col]:
+            return None
+        support = [i for i, w in enumerate(x) if w]
+        return Circuit(
+            tuple(self.points[i] for i in support), self.beta, tuple(x[i] for i in support)
+        )
 
 
 @dataclass(frozen=True)
 class CoverResult:
     circuits: Tuple[Circuit, ...]
     uncovered: Tuple[Exponent, ...]  # Lambda points usable only as monomial squares
-
-
-# The cover is a pure function of the two point sets, and pipelines tend to
-# recompute it for the same support (instance generation, then bounding).
-_COVER_CACHE: Dict[Tuple[Tuple[Exponent, ...], Tuple[Exponent, ...]], CoverResult] = {}
-_COVER_CACHE_LIMIT = 256
 
 
 def simplex_cover(
@@ -209,10 +113,6 @@ def simplex_cover(
     """
     lam = sorted(set(map(tuple, lambda_set)))
     gam = sorted(set(map(tuple, gamma_set)))
-    cache_key = (tuple(lam), tuple(gam))
-    cached = _COVER_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
     if not gam:
         raise ValueError("no interior points to cover")
     if not lam:
@@ -220,7 +120,7 @@ def simplex_cover(
     circuits: List[Circuit] = []
     uncovered: List[Exponent] = []
     remaining = set(lam)
-    solvers: Dict[Exponent, _AnchorSolver] = {}
+    solvers: List[_AnchorSolver] = []
     for beta in gam:
         try:
             solver = _AnchorSolver(lam, beta)
@@ -228,38 +128,23 @@ def simplex_cover(
             raise CoverInfeasible(
                 f"{beta} lies outside the convex hull of the square points"
             ) from None
-        solvers[beta] = solver
-        chosen = None
-        for col, alpha0 in enumerate(lam):
-            x = solver.maximize(col)
-            if x[col] > 0:
-                chosen = dict(zip(lam, x))
-                break
-        if chosen is None:
+        solvers.append(solver)
+        circuit = next(filter(None, map(solver.circuit, range(len(lam)))), None)
+        if circuit is None:
             raise CoverInfeasible(
                 f"no anchor admits positive weight for {beta}"
             )
-        circuit = _circuit_from_weights(beta, chosen)
         circuits.append(circuit)
         remaining -= set(circuit.trellis)
     # recycle betas to absorb Lambda points missed by the first sweep
     while remaining:
         alpha0 = min(remaining)
         col = lam.index(alpha0)
-        placed = False
-        for beta in gam:
-            x = solvers[beta].maximize(col)
-            if x[col] > 0:
-                circuit = _circuit_from_weights(beta, dict(zip(lam, x)))
-                circuits.append(circuit)
-                remaining -= set(circuit.trellis)
-                placed = True
-                break
-        if not placed:
+        circuit = next(filter(None, (solver.circuit(col) for solver in solvers)), None)
+        if circuit is None:
             uncovered.append(alpha0)
             remaining.discard(alpha0)
-    result = CoverResult(tuple(circuits), tuple(uncovered))
-    if len(_COVER_CACHE) >= _COVER_CACHE_LIMIT:
-        _COVER_CACHE.pop(next(iter(_COVER_CACHE)))
-    _COVER_CACHE[cache_key] = result
-    return result
+        else:
+            circuits.append(circuit)
+            remaining -= set(circuit.trellis)
+    return CoverResult(tuple(circuits), tuple(uncovered))

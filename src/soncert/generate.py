@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import exact
 from .cover import simplex_cover
 from .polyring import Exponent, SparsePoly, affinely_independent, is_even
 
@@ -90,21 +91,6 @@ def _affine_basis(lam: Sequence[Exponent]) -> List[Exponent]:
     return basis
 
 
-def _invert_exact(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    k = len(rows)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(rows)]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
 class _SimplexScreen:
     """Exact hull-membership test for an affinely independent point set.
 
@@ -118,20 +104,11 @@ class _SimplexScreen:
         n = len(basis[0])
         k = len(basis)
         self.k = k
-        self.rows = [[Fraction(pt[i]) for pt in basis] for i in range(n)]
-        self.rows.append([Fraction(1)] * k)
-        # greedy full-rank row subset, then its exact inverse
-        idx: List[int] = []
-        tall: List[List[Fraction]] = []
-        for r, row in enumerate(self.rows):
-            trial = tall + [list(row)]
-            if _row_rank(trial) == len(trial):
-                idx.append(r)
-                tall.append(list(row))
-            if len(idx) == k:
-                break
-        self.row_idx = idx
-        self.inv = _invert_exact([list(self.rows[r]) for r in idx])
+        self.rows = [[pt[i] for pt in basis] for i in range(n)] + [[1] * k]
+        # the first full-rank row subset (the pivot columns of the
+        # transpose), then its exact inverse
+        self.row_idx = exact.eliminate(list(zip(*self.rows)), n + 1)[1]
+        self.inv = exact.inverse([self.rows[r] for r in self.row_idx])
         self.mat_f = np.array([[float(v) for v in row] for row in self.rows])
         self.pinv_f = np.linalg.pinv(self.mat_f)
         self.scale = max(1.0, float(np.abs(self.mat_f).max()))
@@ -152,27 +129,6 @@ class _SimplexScreen:
             sum(row[c] * w[c] for c in range(self.k)) == r
             for row, r in zip(self.rows, rhs)
         )
-
-
-def _row_rank(rows: List[List[Fraction]]) -> int:
-    work = [list(r) for r in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col]
-        work[rank] = [v / inv for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
 
 
 def _hull_proposal(rng: random.Random, lam: Sequence[Exponent]) -> Exponent:

@@ -23,8 +23,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
+
+from . import exact
 
 Exponent = Tuple[int, ...]
 
@@ -151,71 +153,13 @@ def to_pn(f: SparsePoly) -> SparsePoly:
     return SparsePoly(f.n, terms)
 
 
-def substitute_power(f: SparsePoly, r: int) -> SparsePoly:
-    """Substitute x_i -> x_i^r, i.e. multiply every exponent by r."""
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("power must be a positive integer")
-    return SparsePoly(f.n, {tuple(e * r for e in exp): c for exp, c in f.terms.items()})
-
-
 # ---------------------------------------------------------------------------
 # circuits
 
 
-def _gauss_solve(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve rows * x = rhs exactly; None when inconsistent or underdetermined."""
-    m = len(rows)
-    cols = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c]
-        aug[r] = [v / inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][cols] != 0:
-            return None  # inconsistent
-    if len(pivot_cols) < cols:
-        return None  # underdetermined
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][cols]
-    return x
-
-
 def affinely_independent(points: Sequence[Sequence[Fraction | int]]) -> bool:
     """Exact rank test on the lifted vectors (1, point)."""
-    vecs = [[Fraction(1)] + [Fraction(v) for v in p] for p in points]
-    m = len(vecs)
-    cols = len(vecs[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, m) if vecs[i][c] != 0), None)
-        if pivot is None:
-            continue
-        vecs[rank], vecs[pivot] = vecs[pivot], vecs[rank]
-        inv = vecs[rank][c]
-        vecs[rank] = [v / inv for v in vecs[rank]]
-        for i in range(m):
-            if i != rank and vecs[i][c] != 0:
-                f = vecs[i][c]
-                vecs[i] = [a - f * b for a, b in zip(vecs[i], vecs[rank])]
-        rank += 1
-    return rank == m
+    return exact.rank([[1, *p] for p in points]) == len(points)
 
 
 @dataclass(frozen=True)
@@ -240,11 +184,14 @@ class Circuit:
                 raise ValueError(f"trellis point {alpha} is not even")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        if sum(self.weights) != 1:
+        # the weights over their common denominator, as integers
+        den = lcm(*(w.denominator for w in self.weights))
+        nums = [w.numerator * (den // w.denominator) for w in self.weights]
+        if sum(nums) != den:
             raise ValueError("weights must sum to one")
         for i in range(n):
-            acc = sum(w * alpha[i] for w, alpha in zip(self.weights, self.trellis))
-            if acc != self.beta[i]:
+            acc = sum(q * alpha[i] for q, alpha in zip(nums, self.trellis))
+            if acc != self.beta[i] * den:
                 raise ValueError("weights do not reproduce beta")
         if not affinely_independent(self.trellis):
             raise ValueError("trellis points are affinely dependent")
@@ -258,13 +205,8 @@ def circuit_weights(
     Raises ValueError when beta is not in the relative interior.
     """
     pts = list(trellis)
-    n = len(beta)
-    rows = [[Fraction(1)] * len(pts)]
-    rhs = [Fraction(1)]
-    for i in range(n):
-        rows.append([Fraction(p[i]) for p in pts])
-        rhs.append(Fraction(beta[i]))
-    sol = _gauss_solve(rows, rhs)
+    rows = [[1] * len(pts)] + [[p[i] for p in pts] for i in range(len(beta))]
+    sol = exact.solve(rows, [1, *beta])
     if sol is None:
         raise ValueError(f"{tuple(beta)} has no barycentric representation over {pts}")
     if any(w <= 0 for w in sol):

@@ -166,8 +166,20 @@ def test_error_exit_on_missing_file(capsys):
         (lambda data: data["circuits"][0].pop("triples"), "triples"),
         (lambda data: data["circuits"][0]["triples"][0].pop("b"), "'b'"),
         (lambda data: data["circuits"][0]["triples"][0]["u"][0].__setitem__(1, "0"), "denominator"),
+        (lambda data: data.__setitem__("circuits", 5), "'circuits'"),
+        (lambda data: data.__setitem__("n", None), "'n'"),
+        (lambda data: data["circuits"][0]["triples"][0]["u"].__setitem__(0, [1, None]), "coordinate"),
+        (lambda data: data.__setitem__("passthrough", [{"exp": 5, "coef": "1"}]), "'exp'"),
     ],
-    ids=["group-without-triples", "triple-without-b", "zero-denominator"],
+    ids=[
+        "group-without-triples",
+        "triple-without-b",
+        "zero-denominator",
+        "circuits-not-a-list",
+        "n-null",
+        "coordinate-null",
+        "passthrough-exp-not-a-list",
+    ],
 )
 def test_verify_malformed_certificate_exits_1(motzkin_file, tmp_path, capsys, damage, field):
     cert_path = tmp_path / "cert.json"

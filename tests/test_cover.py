@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from conftest import ref_simplex_cover
 from soncert.cover import (
     CoverInfeasible,
     LpInfeasible,
@@ -17,6 +18,8 @@ from soncert.cover import (
     sim_sel,
     simplex_cover,
 )
+from soncert.generate import POLY_CLASSES, random_instance
+from soncert.polyring import SparsePoly, support_partition
 
 LAM8 = [(0, 0), (4, 0), (0, 4), (4, 4)]
 
@@ -173,3 +176,19 @@ def test_simplex_cover_random_properties():
         # determinism
         again = simplex_cover(lam, sorted(gam))
         assert again == result
+
+
+@pytest.mark.parametrize("poly_class", POLY_CLASSES)
+def test_simplex_cover_matches_fraction_engine(poly_class):
+    # the supports lower_bound covers, on seeded generator instances
+    for seed in range(20):
+        n = 1 + seed % 6
+        inst = random_instance(
+            n=n, degree=4 + 2 * (seed % 5), terms=n + 8 + seed % 7,
+            poly_class=poly_class, seed=900 + seed,
+        )
+        zero = (0,) * n
+        rest = SparsePoly(n, {e: c for e, c in inst.poly.terms.items() if e != zero})
+        part = support_partition(rest)
+        lam = sorted(set(part.lambda_set) | {zero})
+        assert simplex_cover(lam, part.gamma_set) == ref_simplex_cover(lam, part.gamma_set)

@@ -22,7 +22,6 @@ from soncert.polyring import (
     poly_loads,
     poly_sha256,
     poly_to_json,
-    substitute_power,
     support_partition,
     to_pn,
 )
@@ -104,16 +103,6 @@ def test_to_pn_flips_and_is_idempotent():
     assert g.coefficient((0, 2)) == -1
     assert g.coefficient((2, 0)) == 2
     assert to_pn(g) == g
-
-
-def test_substitute_power():
-    f = motzkin()
-    g = substitute_power(f, 3)
-    assert g.coefficient((12, 6)) == 1
-    assert g.coefficient((6, 6)) == -3
-    assert substitute_power(f, 1) == f
-    with pytest.raises(ValueError):
-        substitute_power(f, 0)
 
 
 def test_affinely_independent():
