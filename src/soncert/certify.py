@@ -8,8 +8,7 @@ numeric solution is snapped to dyadic rationals and the equality rows are
 repaired exactly by spreading each row's residual uniformly over the
 slots touching it; since every slot appears in exactly one row the repair
 is exact in one pass and idempotent.  When the rounded point misses a
-cone, the feasibility solve is carried on to a 100 times tighter tolerance
-from where it stopped, and rounded once more on a finer grid.
+cone, the same numeric point is rounded once more on a finer grid.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .polyring import (
 )
 from .socp import (
     SocpProblem,
-    SocpSolution,
     SolverFailure,
     assemble,
     build_plan,
@@ -350,9 +348,9 @@ def exact_sobs(
     problem at xi is assembled and solved to accuracy delta_socp; the
     numeric solution is rounded to precision delta_round, projected back
     onto the equality rows exactly, and accepted only if every cone
-    inequality holds strictly.  On failure the same solve is continued to
-    delta_socp/100 and rounded on a 2^10 times finer grid, once, before
-    BoundaryFailure is reported.
+    inequality holds strictly.  On failure the same numeric solution is
+    rounded once more on a 2^10 times finer grid before BoundaryFailure is
+    reported.
     """
 
     sha = poly_sha256(f)
@@ -378,16 +376,15 @@ def exact_sobs(
         plan = build_plan(cover, odd_mode=odd_mode)
 
     problem = assemble(plan, tilde, mode="feasibility", xi=xi_exact)
+    solution = solve_problem(problem, delta=delta_socp)
+    if solution.status == "infeasible":
+        raise BoundaryFailure(f"no decomposition exists at bound {xi_exact}")
 
-    def attempt(dr: float, solution: SocpSolution) -> Optional[Certificate]:
-        if solution.status == "infeasible":
-            raise BoundaryFailure(
-                f"no decomposition exists at bound {xi_exact}"
-            )
+    def attempt(dr: float) -> Optional[Certificate]:
         # A stalled solve still yields a numeric seed; the exact projection
         # and strict cone checks below are what decide acceptance.
         slots = project_slots(
-            problem, [round_to_rational(s, dr) for s in solution.slots]
+            problem, [round_to_rational(s, dr) for s in solution.x]
         )
         groups: List[Tuple[CertTriple, ...]] = []
         pos = 0
@@ -413,13 +410,10 @@ def exact_sobs(
         assert _reconstruct(cert) == _companion_target(f, xi_exact)
         return cert
 
-    solution = solve_problem(problem, delta=delta_socp)
-    cert = attempt(delta_round, solution)
-    if cert is None:
-        finer = solve_problem(problem, delta=delta_socp / 100, resume=solution)
-        cert = attempt(delta_round / 2**10, finer)
-    if cert is None:
-        raise BoundaryFailure(
-            f"bound {xi_exact} is not strictly certifiable at this precision"
-        )
-    return cert
+    for dr in (delta_round, delta_round / 2**10):
+        cert = attempt(dr)
+        if cert is not None:
+            return cert
+    raise BoundaryFailure(
+        f"bound {xi_exact} is not strictly certifiable at this precision"
+    )

@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 boundary failure (no strict certificate at the
 requested precision), 3 solver failure (numeric solve did not converge),
 1 any other error.  --batch treats the input as a directory of .json
 files, or as JSON lines with one polynomial per line, and fans the work
-out over a bounded process pool.
+out over a bounded process pool.  Every batch item gets its own report, an
+item that fails does not stop the others, and the exit code is the worst
+one seen.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .certify import BoundaryFailure, Certificate, exact_sobs, verify_certificat
 from .cover import CoverInfeasible
 from .generate import POLY_CLASSES, random_instance
 from .polyring import SparsePoly, format_rational, poly_dumps, poly_loads
-from .socp import SolverFailure, UncoveredSupport, lower_bound
+from .socp import SolverFailure, lower_bound
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -84,15 +86,15 @@ def _batch_items(path: str) -> List[str]:
 def _bound_work(text: str, delta: float, odd_mode: bool, dump: Optional[str]) -> RunReport:
     report = RunReport(command="bound", status="ok")
     t0 = time.perf_counter()
-    poly = poly_loads(text)
-    report.phases["parse"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
     try:
+        poly = poly_loads(text)
+        report.phases["parse"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
         result = lower_bound(poly, delta=delta, odd_mode=odd_mode)
     except SolverFailure as err:
         report.status, report.reason = "solver-failure", str(err)
         return report
-    except (CoverInfeasible, UncoveredSupport) as err:
+    except (CoverInfeasible, ValueError, OverflowError) as err:
         report.status, report.reason = "error", str(err)
         return report
     report.phases["solve"] = time.perf_counter() - t0
@@ -117,10 +119,10 @@ def _certify_work(
 ) -> tuple:
     report = RunReport(command="certify", status="ok")
     t0 = time.perf_counter()
-    poly = poly_loads(text)
-    report.phases["parse"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
     try:
+        poly = poly_loads(text)
+        report.phases["parse"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
         cert = exact_sobs(
             poly,
             xi=xi,
@@ -135,7 +137,7 @@ def _certify_work(
     except SolverFailure as err:
         report.status, report.reason = "solver-failure", str(err)
         return report, None
-    except (CoverInfeasible, UncoveredSupport, ValueError) as err:
+    except (CoverInfeasible, ValueError, OverflowError) as err:
         report.status, report.reason = "error", str(err)
         return report, None
     report.phases["certify"] = time.perf_counter() - t0
@@ -166,6 +168,8 @@ def _emit_report(report: RunReport, as_json: bool) -> None:
     else:
         for line in report.lines():
             print(line)
+    if report.status == "error":
+        print(f"error: {report.reason}", file=sys.stderr)
 
 
 def _batch_bound(args) -> int:

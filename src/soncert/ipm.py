@@ -8,11 +8,6 @@ method with Nesterov-Todd scaling, so it detects infeasibility as well as
 optimality.  Internally each rotated cone is mapped to a standard Lorentz
 cone by an orthogonal change of coordinates; all reported quantities are
 in the caller's rotated-cone coordinates.
-
-The iterates do not depend on the tolerance, which only decides where the
-solve stops.  An optimal result therefore keeps its last iterate, and a
-later call with a tighter tolerance can carry the same trajectory on
-(solve_socp's resume argument) instead of replaying it from the start.
 """
 
 from __future__ import annotations
@@ -40,21 +35,8 @@ _ROTATION = np.array(
 # Dense factorization is used below this row count, sparse LU above it.
 _DENSE_LIMIT = 600
 
-
-@dataclass
-class _Iterate:
-    """Solver state at the start of the iteration where an optimal solve
-    stopped: enough to carry that trajectory on to a tighter tolerance."""
-
-    tol: float
-    iteration: int
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    tau: float
-    kappa: float
-    best: Optional[Tuple[float, "ConeSolve"]]
-    stall: int
+# Interior-point iterations before a solve gives up with max-iterations.
+_MAX_ITER = 200
 
 
 @dataclass
@@ -68,7 +50,6 @@ class ConeSolve:
     objective: float
     iterations: int
     residuals: Dict[str, float] = field(default_factory=dict)
-    _resume: Optional[_Iterate] = field(default=None, repr=False, compare=False)
 
     @property
     def optimal(self) -> bool:
@@ -240,23 +221,12 @@ def solve_socp(
     num_cones: int,
     *,
     tol: float = 1e-8,
-    max_iter: int = 200,
-    resume: Optional[ConeSolve] = None,
 ) -> ConeSolve:
     """Solve min c'x s.t. A x = b over a product of rotated quadratic cones.
 
     The matrix is given in triplet form over columns grouped in consecutive
     triples (a, b, c), one rotated cone per triple.  Returns slot values,
     dual values, and residuals in the caller's coordinates.
-
-    resume takes an earlier result on the same data and max_iter.  If it
-    is optimal at a looser tolerance, the solve carries its trajectory on
-    from where it stopped, and the result equals a fresh solve at tol.
-    A result that is not optimal is returned as it is, because a fresh
-    solve at tol would stop at the same iterate: the iterates, the stall
-    count and the infeasibility and breakdown tests do not depend on tol.
-    So is an optimal result at tol or tighter, which already meets tol.
-    A problem without cones is always solved afresh.
     """
 
     m = len(b)
@@ -274,13 +244,6 @@ def solve_socp(
             iterations=0,
             residuals={"primal": 0.0 if m == 0 else float(np.max(np.abs(b_ext), initial=0.0))},
         )
-
-    if resume is not None:
-        state = resume._resume
-        if state is None or tol >= state.tol:
-            return resume
-        if state.x.size != n or state.y.size != m:
-            raise ValueError("resume belongs to a problem of another shape")
 
     a_ext = scipy.sparse.csr_matrix(
         (np.asarray(a_vals, dtype=float), (np.asarray(a_rows), np.asarray(a_cols))),
@@ -331,16 +294,8 @@ def solve_socp(
 
     best: Optional[Tuple[float, ConeSolve]] = None
     status = "max-iterations"
-    start = 1
     stall = 0
-    if resume is not None:
-        start, best, stall = state.iteration, state.best, state.stall
-        x, y, z = state.x.copy(), state.y.copy(), state.z.copy()
-        tau, kappa = state.tau, state.kappa
-    iteration = start - 1
-
-    for iteration in range(start, max_iter + 1):
-        entry = (best, stall)
+    for iteration in range(1, _MAX_ITER + 1):
         r_p = a_s @ x - b_s * tau
         r_d = -(a_st @ y) + c_s * tau - z
         r_g = float(b_s @ y - c_s @ x - kappa)
@@ -482,7 +437,6 @@ def solve_socp(
                 "tau": tau,
                 "kappa": kappa,
             },
-            _resume=_Iterate(tol, iteration, x, y, z, tau, kappa, *entry),
         )
     if status == "infeasible":
         # Certificate direction: b'y > 0 rules out primal feasibility,

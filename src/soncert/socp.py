@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cover import CoverResult, simplex_cover
 from .ipm import ConeSolve, solve_socp
@@ -250,41 +250,14 @@ def assemble(
     )
 
 
-@dataclass
-class SocpSolution:
-    """Numeric solve outcome in slot coordinates."""
-
-    status: str
-    slots: Tuple[float, ...]
-    xi: Optional[float]
-    objective: float
-    iterations: int
-    residuals: Dict[str, float]
-    _cone: Optional[ConeSolve] = field(default=None, repr=False, compare=False)
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
-
-    def slot_triples(self) -> List[Tuple[float, float, float]]:
-        return [tuple(self.slots[3 * t : 3 * t + 3]) for t in range(len(self.slots) // 3)]
-
-
-def solve_problem(
-    problem: SocpProblem,
-    delta: float = 1e-8,
-    max_iter: int = 200,
-    resume: Optional[SocpSolution] = None,
-) -> SocpSolution:
-    """Run the interior-point solver on an assembled system.
-
-    resume takes an earlier solution of the same problem; see solve_socp.
-    """
+def solve_problem(problem: SocpProblem, delta: float = 1e-8) -> ConeSolve:
+    """Run the interior-point solver on an assembled system; the slot
+    values are the result's x."""
 
     rows = [e[0] for e in problem.entries]
     cols = [e[1] for e in problem.entries]
     vals = [float(e[2]) for e in problem.entries]
-    result: ConeSolve = solve_socp(
+    return solve_socp(
         rows,
         cols,
         vals,
@@ -292,23 +265,6 @@ def solve_problem(
         [float(c) for c in problem.objective],
         problem.plan.num_triples,
         tol=delta,
-        max_iter=max_iter,
-        resume=None if resume is None else resume._cone,
-    )
-    xi: Optional[float] = None
-    if result.status == "optimal":
-        if problem.mode == "bound":
-            xi = float(problem.constant) - result.objective
-        else:
-            xi = float(problem.xi)
-    return SocpSolution(
-        status=result.status,
-        slots=tuple(result.x),
-        xi=xi,
-        objective=result.objective,
-        iterations=result.iterations,
-        residuals=result.residuals,
-        _cone=result,
     )
 
 
@@ -330,7 +286,7 @@ class LowerBoundResult:
     cover: Optional[CoverResult] = None
     plan: Optional[ConeTriplePlan] = None
     problem: Optional[SocpProblem] = None
-    solution: Optional[SocpSolution] = None
+    solution: Optional[ConeSolve] = None
 
 
 def pn_companion(f: SparsePoly) -> SparsePoly:
@@ -346,9 +302,7 @@ def pn_companion(f: SparsePoly) -> SparsePoly:
     return SparsePoly(f.n, terms)
 
 
-def lower_bound(
-    f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False, max_iter: int = 200
-) -> LowerBoundResult:
+def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> LowerBoundResult:
     """Best bound xi with the companion of f - xi matched by cone triples.
 
     Raises SolverFailure when the numeric solver stalls, and propagates
@@ -372,7 +326,7 @@ def lower_bound(
     cover = simplex_cover(lam, part.gamma_set)
     plan = build_plan(cover, odd_mode=odd_mode)
     problem = assemble(plan, tilde, mode="bound")
-    solution = solve_problem(problem, delta=delta, max_iter=max_iter)
+    solution = solve_problem(problem, delta=delta)
     if solution.status == "infeasible":
         xi = float("-inf")
     elif solution.status != "optimal":
@@ -381,7 +335,7 @@ def lower_bound(
             f"(residuals {solution.residuals})"
         )
     else:
-        xi = solution.xi
+        xi = float(f0) - solution.objective
     return LowerBoundResult(
         xi=xi,
         constant=f0,

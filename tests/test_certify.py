@@ -216,8 +216,8 @@ def test_random_instances_certify_and_verify():
             assert val - float(cert.xi) >= -1e-9 * (1 + scale)
 
 
-def test_retry_continues_the_feasibility_solve(monkeypatch):
-    # Seed 504's first rounding fails, so the retry at delta_socp/100 runs.
+def test_retry_rounds_the_same_solution_finer(monkeypatch):
+    # Seed 504's first rounding fails, so the retry on the finer grid runs.
     poly = random_instance(
         n=3, degree=6, terms=10, poly_class="standard-simplex", interior=True, seed=504
     ).poly
@@ -245,13 +245,16 @@ def test_retry_continues_the_feasibility_solve(monkeypatch):
     monkeypatch.setattr(soncert.certify, "solve_problem", recording_solve)
     cert = exact_sobs(poly)
     assert verify_certificate(poly, cert).ok
-    assert len(problems) == 1 and len(solutions) == 2
+    assert len(problems) == 1 and len(solutions) == 1
 
     feasibility_steps = steps[0]
     steps[0] = 0
     with monkeypatch.context() as patch:
         patch.setattr(soncert.ipm, "nt_scaling", counting_nt_scaling)
-        fresh = solve_problem(problems[0], delta=1e-10)
+        fresh = solve_problem(problems[0], delta=1e-8)
     assert feasibility_steps == steps[0]
-    assert solutions[1].iterations == fresh.iterations
-    assert solutions[1].slots == fresh.slots
+    # the first rounding misses a cone, the finer one of the same x is the certificate
+    coarse = project_slots(problems[0], [round_to_rational(s, 1e-5) for s in fresh.x])
+    assert not all(check_cone_strict(*coarse[i : i + 3]) for i in range(0, len(coarse), 3))
+    finer = project_slots(problems[0], [round_to_rational(s, 1e-5 / 2**10) for s in fresh.x])
+    assert [v for t in cert.triples for v in (t.a, t.b, t.c)] == finer

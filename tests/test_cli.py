@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -135,6 +136,28 @@ def test_batch_bound_directory(tmp_path, capsys):
     assert code == cli.EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("command", ["bound", "certify"])
+def test_batch_reports_every_item_past_a_bad_line(tmp_path, capsys, command):
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(poly_dumps(MOTZKIN) + "\nnot json\n" + poly_dumps(EX6) + "\n")
+    code = cli.main([command, str(batch), "--batch"])
+    assert code == cli.EXIT_ERROR
+    reports = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+    assert [r["status"] for r in reports] == ["ok", "error", "ok"]
+    assert "Expecting value" in reports[1]["reason"]
+
+
+@pytest.mark.parametrize("command", ["bound", "certify"])
+def test_out_of_float_range_coefficient_is_an_error(tmp_path, capsys, command):
+    big = tmp_path / "big.json"
+    big.write_text(poly_dumps(SparsePoly(2, {**MOTZKIN.terms, (0, 0): Fraction("1e400")})))
+    code = cli.main([command, str(big), "--json"])
+    assert code == cli.EXIT_ERROR
+    out = capsys.readouterr()
+    assert json.loads(out.out)["status"] == "error"
+    assert out.err.startswith("error:")
 
 
 def test_stdin_input(motzkin_file, capsys, monkeypatch):

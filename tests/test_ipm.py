@@ -138,8 +138,6 @@ def test_cone_max_step_crafted_rows():
 
 def _assert_same_solve(got: ConeSolve, want: ConeSolve) -> None:
     for f in dataclasses.fields(ConeSolve):
-        if not f.compare:
-            continue
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b), f.name
@@ -154,18 +152,14 @@ _STALL_VALS = [2.0, 1.0, -2.0, 2.0, 1.0, -2.0, 2.0, 1.0, -2.0]
 _STALL_B = [1.000001, 0.0, -3.0, 1.0, 0.0, 1.0]
 
 
-def test_resume_equals_fresh_tighter_solve_on_stall():
+def test_stalled_solve_is_the_same_at_tighter_tolerances():
     args = (_STALL_ROWS, list(range(9)), _STALL_VALS, _STALL_B, [0.0] * 9, 3)
     loose = solve_socp(*args, tol=1e-8)
     assert loose.optimal
-    fresh = solve_socp(*args, tol=1e-10)
-    assert fresh.status == "max-iterations" and fresh.iterations > loose.iterations
-    _assert_same_solve(solve_socp(*args, tol=1e-10, resume=loose), fresh)
-    # a stalled result is final: a tighter solve stops at the same point
-    assert solve_socp(*args, tol=1e-12, resume=fresh) is fresh
-    _assert_same_solve(fresh, solve_socp(*args, tol=1e-12))
-    # resuming at the same or a looser tolerance changes nothing
-    assert solve_socp(*args, tol=1e-8, resume=loose) is loose
+    stalled = solve_socp(*args, tol=1e-10)
+    assert stalled.status == "max-iterations" and stalled.iterations > loose.iterations
+    # the stall test does not depend on tol: a tighter solve stops at the same point
+    _assert_same_solve(stalled, solve_socp(*args, tol=1e-12))
 
 
 def test_min_over_single_cone():
@@ -227,11 +221,10 @@ def test_random_feasible_instances():
             sstar[3 * k : 3 * k + 3] = (2 * b, 2 * a, -2 * c)
         c_vec = dense.T @ ystar + sstar
         rows, cols = np.nonzero(dense)
-        args = (rows, cols, dense[rows, cols], b_vec, c_vec, cones)
-        res = solve_socp(*args, tol=1e-8)
+        res = solve_socp(
+            rows, cols, dense[rows, cols], b_vec, c_vec, cones, tol=1e-8
+        )
         assert res.optimal, (trial, res.status, res.residuals)
-        tight = solve_socp(*args, tol=1e-10)
-        _assert_same_solve(solve_socp(*args, tol=1e-10, resume=res), tight)
         scale = 1.0 + float(np.max(np.abs(b_vec)))
         assert res.residuals["primal"] <= 1e-8 * scale
         upper = float(c_vec @ xstar)
