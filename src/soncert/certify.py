@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cover import simplex_cover
-from .mediated import Point, as_point
+from .mediated import Point
 from .polyring import (
     Exponent,
     SparsePoly,
@@ -240,6 +240,10 @@ class Certificate:
         return cls.from_json(json.loads(text))
 
 
+def _as_point(exp: Exponent) -> Point:
+    return tuple(Fraction(x) for x in exp)
+
+
 def _reconstruct(cert: Certificate) -> Dict[Point, Fraction]:
     total: Dict[Point, Fraction] = {}
 
@@ -255,7 +259,7 @@ def _reconstruct(cert: Certificate) -> Dict[Point, Fraction]:
         add(t.w, t.b)
         add(t.u, -2 * t.c)
     for exp, coef in cert.passthrough:
-        add(as_point(exp), coef)
+        add(_as_point(exp), coef)
     return total
 
 
@@ -266,10 +270,10 @@ def _companion_target(f: SparsePoly, xi: Fraction) -> Dict[Point, Fraction]:
     for exp, coef in tilde.terms.items():
         if exp == zero:
             continue
-        target[as_point(exp)] = coef
+        target[_as_point(exp)] = coef
     constant = tilde.constant() - xi
     if constant:
-        target[as_point(zero)] = constant
+        target[_as_point(zero)] = constant
     return target
 
 
@@ -407,7 +411,10 @@ def exact_sobs(
             circuits=tuple(groups),
             passthrough=tuple(sorted(problem.passthrough_terms.items())),
         )
-        assert _reconstruct(cert) == _companion_target(f, xi_exact)
+        if _reconstruct(cert) != _companion_target(f, xi_exact):
+            raise RuntimeError(
+                f"projected slots do not reconstruct the companion of f - {xi_exact}"
+            )
         return cert
 
     for dr in (delta_round, delta_round / 2**10):

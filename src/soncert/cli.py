@@ -94,7 +94,7 @@ def _bound_work(text: str, delta: float, odd_mode: bool, dump: Optional[str]) ->
     except SolverFailure as err:
         report.status, report.reason = "solver-failure", str(err)
         return report
-    except (CoverInfeasible, ValueError, OverflowError) as err:
+    except (CoverInfeasible, ValueError) as err:
         report.status, report.reason = "error", str(err)
         return report
     report.phases["solve"] = time.perf_counter() - t0
@@ -137,7 +137,7 @@ def _certify_work(
     except SolverFailure as err:
         report.status, report.reason = "solver-failure", str(err)
         return report, None
-    except (CoverInfeasible, ValueError, OverflowError) as err:
+    except (CoverInfeasible, ValueError) as err:
         report.status, report.reason = "error", str(err)
         return report, None
     report.phases["certify"] = time.perf_counter() - t0

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,6 +34,12 @@ Exponent = Tuple[int, ...]
 # Hard cap for the common weight denominator in the exact circuit test; the
 # comparison raises both sides to the power p, so huge p means huge integers.
 MAX_CIRCUIT_DENOMINATOR = 2**32
+
+# Largest decimal exponent magnitude parse_rational accepts, Python's default
+# int-string digit limit: Fraction("1e<exp>") builds 10^|exp| before any
+# other check, so an unchecked exponent is an unbounded allocation.
+MAX_DECIMAL_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*\Z")
 
 
 def is_even(exp: Exponent) -> bool:
@@ -51,7 +58,10 @@ def _check_exponent(exp: Sequence[int], n: int) -> Exponent:
 
 
 def parse_rational(value: object) -> Fraction:
-    """Parse an int, a decimal string, or a 'p/q' string into a Fraction."""
+    """Parse an int, a decimal string, or a 'p/q' string into a Fraction.
+
+    A decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude is a
+    ValueError."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
@@ -63,6 +73,14 @@ def parse_rational(value: object) -> Fraction:
         # intended decimal, which Fraction parses exactly.
         return Fraction(repr(value))
     if isinstance(value, str):
+        exponent = _DECIMAL_EXPONENT.search(value)
+        if exponent:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+            if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

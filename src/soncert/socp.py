@@ -17,11 +17,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from math import gcd, lcm, log10
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cover import CoverResult, simplex_cover
 from .ipm import ConeSolve, solve_socp
-from .mediated import Point, PointTriple, as_point, med_set, med_set_odd
+from .mediated import (
+    IntPoint,
+    IntTriple,
+    Point,
+    PointTriple,
+    fraction_points,
+    med_set,
+    med_set_odd,
+)
 from .polyring import (
     Exponent,
     SparsePoly,
@@ -44,59 +53,75 @@ class SolverFailure(RuntimeError):
 class ConeTriplePlan:
     """Mediated triples for a circuit cover, with row bookkeeping.
 
-    points holds every distinct u/v/w as a tuple of Fractions in lex
-    order; index maps each point to its row.  passthrough lists square
-    points outside every trellis: they never enter the conic system and
-    their coefficients must stay nonnegative on their own.
+    The plan runs on integer points over one plan-wide denominator den: the
+    integer vector X stands for X / den, and den is the lcm of all reduced
+    coordinate denominators.  int_triples lists every triple in circuit
+    order, int_points every distinct u/v/w in lex order (the order of the
+    rational points, as den > 0), and index maps each integer point to its
+    row.  triples, circuit_triples and points are the same data as tuples
+    of Fractions, one per distinct point, for certificates and JSON.
+    passthrough lists square points outside every trellis: they never enter
+    the conic system and their coefficients must stay nonnegative on their
+    own.
     """
 
     circuits: Tuple
+    den: int
+    int_triples: Tuple[IntTriple, ...]
+    int_points: Tuple[IntPoint, ...]
+    index: Dict[IntPoint, int]
     circuit_triples: Tuple[Tuple[PointTriple, ...], ...]
     triples: Tuple[PointTriple, ...]
     points: Tuple[Point, ...]
-    index: Dict[Point, int]
     passthrough: Tuple[Exponent, ...]
     odd_mode: bool
 
     @property
     def num_triples(self) -> int:
-        return len(self.triples)
+        return len(self.int_triples)
 
     @property
     def max_denominator(self) -> int:
-        best = 1
-        for u, v, w in self.triples:
-            for pt in (u, v, w):
-                for x in pt:
-                    best = max(best, x.denominator)
-        return best
+        coords = {x for pt in self.int_points for x in pt}
+        return max((self.den // gcd(x, self.den) for x in coords), default=1)
+
+    def int_point(self, exp: Sequence[int]) -> IntPoint:
+        """A lattice point as an integer point over den."""
+        return tuple(x * self.den for x in exp)
 
 
 def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
     """Expand every circuit of a cover into mediated triples."""
 
     lift = med_set_odd if odd_mode else med_set
-    circuit_triples: List[Tuple[PointTriple, ...]] = []
-    flat: List[PointTriple] = []
+    sets = [lift(c.trellis, c.beta, c.weights) for c in cover.circuits]
+    den = lcm(*(ms.den for ms in sets))
+    groups = [ms.over(den) for ms in sets]
+    int_triples = tuple(t for group in groups for t in group)
+    int_points = tuple(sorted({pt for t in int_triples for pt in t}))
+    index = {pt: i for i, pt in enumerate(int_points)}
     for circuit in cover.circuits:
-        triples = tuple(lift(circuit.trellis, circuit.beta, circuit.weights))
-        circuit_triples.append(triples)
-        flat.extend(triples)
-    seen = set()
-    for u, v, w in flat:
-        seen.update((u, v, w))
-    points = tuple(sorted(seen))
-    index = {pt: i for i, pt in enumerate(points)}
-    for circuit in cover.circuits:
-        assert as_point(circuit.beta) in index
-        assert all(as_point(a) in index for a in circuit.trellis)
-    passthrough = tuple(pt for pt in cover.uncovered if as_point(pt) not in index)
+        for pt in (circuit.beta, *circuit.trellis):
+            if tuple(x * den for x in pt) not in index:
+                raise RuntimeError(
+                    f"mediated triples of the circuit at {circuit.beta} miss its point {pt}"
+                )
+    passthrough = tuple(
+        pt for pt in cover.uncovered if tuple(x * den for x in pt) not in index
+    )
+    view = fraction_points(int_points, den)
+    circuit_triples = tuple(
+        tuple((view[u], view[v], view[w]) for u, v, w in group) for group in groups
+    )
     return ConeTriplePlan(
         circuits=tuple(cover.circuits),
-        circuit_triples=tuple(circuit_triples),
-        triples=tuple(flat),
-        points=points,
+        den=den,
+        int_triples=int_triples,
+        int_points=int_points,
         index=index,
+        circuit_triples=circuit_triples,
+        triples=tuple(t for group in circuit_triples for t in group),
+        points=tuple(view[pt] for pt in int_points),
         passthrough=passthrough,
         odd_mode=odd_mode,
     )
@@ -186,7 +211,7 @@ def assemble(
     for exp, coef in poly.sorted_terms():
         if exp == zero:
             continue
-        row = plan.index.get(as_point(exp))
+        row = plan.index.get(plan.int_point(exp))
         if row is not None:
             rhs_full[row] = coef
         elif exp in passthrough_set:
@@ -201,7 +226,7 @@ def assemble(
                 "not a free square point; the cover misses it"
             )
 
-    zero_row = plan.index.get(as_point(zero))
+    zero_row = plan.index.get(plan.int_point(zero))
     drop = zero_row if mode == "bound" else None
     if mode == "feasibility":
         if zero_row is not None:
@@ -227,7 +252,7 @@ def assemble(
 
     entries: List[Tuple[int, int, int]] = []
     objective = [0] * (3 * plan.num_triples)
-    for t, (u, v, w) in enumerate(plan.triples):
+    for t, (u, v, w) in enumerate(plan.int_triples):
         for offset, pt, coef in ((0, v, 2), (1, w, 1), (2, u, -2)):
             i = plan.index[pt]
             col = 3 * t + offset
@@ -250,19 +275,33 @@ def assemble(
     )
 
 
+def to_float(value: Fraction | int) -> float:
+    """float(value), with a ValueError naming a value outside float range."""
+
+    try:
+        return float(value)
+    except OverflowError:
+        # named by its power of ten: the exact digits may be too many to print
+        bits = abs(value.numerator).bit_length() - value.denominator.bit_length()
+        sign = "-" if value < 0 else ""
+        raise ValueError(
+            f"{sign}10^{round(bits * log10(2))} (about) is outside the float range"
+        ) from None
+
+
 def solve_problem(problem: SocpProblem, delta: float = 1e-8) -> ConeSolve:
     """Run the interior-point solver on an assembled system; the slot
     values are the result's x."""
 
     rows = [e[0] for e in problem.entries]
     cols = [e[1] for e in problem.entries]
-    vals = [float(e[2]) for e in problem.entries]
+    vals = [to_float(e[2]) for e in problem.entries]
     return solve_socp(
         rows,
         cols,
         vals,
-        [float(r) for r in problem.rhs_exact],
-        [float(c) for c in problem.objective],
+        [to_float(r) for r in problem.rhs_exact],
+        [to_float(c) for c in problem.objective],
         problem.plan.num_triples,
         tol=delta,
     )
@@ -317,7 +356,7 @@ def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> L
     lam = tuple(sorted(set(part.lambda_set) | {zero}))
     if not part.gamma_set:
         return LowerBoundResult(
-            xi=float(f0),
+            xi=to_float(f0),
             constant=f0,
             pn=tilde,
             lambda_set=lam,
@@ -335,7 +374,7 @@ def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> L
             f"(residuals {solution.residuals})"
         )
     else:
-        xi = float(f0) - solution.objective
+        xi = to_float(f0) - solution.objective
     return LowerBoundResult(
         xi=xi,
         constant=f0,

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, Sequence, Tuple
 
+from soncert.mediated import med_seq
 from soncert.polyring import Exponent, circuit_weights
 
 
@@ -53,8 +55,6 @@ def random_segment_circuit(
         b = tuple(2 * rng.randint(0, 5) for _ in range(n))
         if a == b:
             continue
-        from math import gcd
-
         g = 0
         for x, y in zip(a, b):
             g = gcd(g, abs(x - y))
@@ -234,3 +234,314 @@ def ref_reduce(rows: List[List[Fraction]], ncols: int) -> Tuple[List[List[Fracti
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         pivots.append(c)
     return work, pivots
+
+
+# ---------------------------------------------------------------------------
+# Reference mediated sets: the Fraction lifts that soncert.mediated's integer
+# core replaced, and build_plan + assemble + SocpProblem.to_json on them,
+# kept to compare against.
+
+Point = Tuple[Fraction, ...]
+PointTriple = Tuple[Point, Point, Point]
+
+
+def ref_as_point(pt: Sequence) -> Point:
+    return tuple(Fraction(x) for x in pt)
+
+
+def _ref_segment_parameter(a1: Point, a2: Point, b: Point) -> Fraction:
+    # b = a1 + t (a2 - a1); raises unless b is strictly inside the segment
+    if len({len(a1), len(a2), len(b)}) != 1:
+        raise ValueError("dimension mismatch")
+    if a1 == a2:
+        raise ValueError("segment endpoints coincide")
+    t = None
+    for x1, x2, xb in zip(a1, a2, b):
+        if x1 != x2:
+            t = (xb - x1) / (x2 - x1)
+            break
+    for x1, x2, xb in zip(a1, a2, b):
+        if xb != x1 + t * (x2 - x1):
+            raise ValueError(f"{b} is not on the line through {a1} and {a2}")
+    if not 0 < t < 1:
+        raise ValueError(f"{b} is not strictly between {a1} and {a2}")
+    return t
+
+
+def ref_l_med_set(a1: Sequence, a2: Sequence, b: Sequence) -> List[PointTriple]:
+    """Mediated set on the segment [a1, a2] containing b.
+
+    Writes b = a1 + (q/p)(a2 - a1) in lowest terms and maps the scalar
+    sequence for (p, q) through s -> a1 + (s/p)(a2 - a1). Endpoint order
+    inside each returned triple follows the scalar order (lo -> v, hi -> w).
+    """
+    e1, e2, pt = ref_as_point(a1), ref_as_point(a2), ref_as_point(b)
+    t = _ref_segment_parameter(e1, e2, pt)
+    p, q = t.denominator, t.numerator
+
+    # phi(s) = e1 + (s/p)(e2 - e1), coordinatewise (base + s*diff) / den with
+    # integer base/diff/den so each coordinate costs a single normalization;
+    # scalars recur across triples, so points are cached per s.
+    coords = []
+    for x1, x2 in zip(e1, e2):
+        den = lcm(x1.denominator, x2.denominator)
+        n1 = x1.numerator * (den // x1.denominator)
+        n2 = x2.numerator * (den // x2.denominator)
+        coords.append((p * n1, n2 - n1, p * den))
+    cache: Dict[int, Point] = {}
+
+    def phi(s: int) -> Point:
+        got = cache.get(s)
+        if got is None:
+            got = cache[s] = tuple(
+                Fraction(base + s * diff, den) for base, diff, den in coords
+            )
+        return got
+
+    return [(phi(s), phi(lo), phi(hi)) for (s, lo, hi) in med_seq(p, q)]
+
+
+def _ref_dedupe(triples: Iterable[PointTriple]) -> List[PointTriple]:
+    seen = set()
+    out: List[PointTriple] = []
+    for trip in triples:
+        if trip[0] not in seen:
+            seen.add(trip[0])
+            out.append(trip)
+    return out
+
+
+def _ref_prepare(
+    trellis: Sequence[Sequence], beta: Sequence, weights
+) -> Tuple[List[Point], Point, Tuple[Fraction, ...]]:
+    pts = [ref_as_point(a) for a in trellis]
+    target = ref_as_point(beta)
+    if len(pts) < 2:
+        raise ValueError("need at least two trellis points")
+    if weights is None:
+        weights = circuit_weights(trellis, beta)
+    ws = tuple(Fraction(w) for w in weights)
+    if len(ws) != len(pts):
+        raise ValueError("one weight per trellis point")
+    if any(w <= 0 for w in ws) or sum(ws) != 1:
+        raise ValueError("weights must be positive and sum to one")
+    for i in range(len(target)):
+        if sum(w * pt[i] for w, pt in zip(ws, pts)) != target[i]:
+            raise ValueError("weights do not reproduce the target point")
+    return pts, target, ws
+
+
+def ref_med_set(
+    trellis: Sequence[Sequence], beta: Sequence, weights=None
+) -> List[PointTriple]:
+    """Rational mediated set for beta over a trellis, by chaining segment
+    lifts: peel trellis points off one at a time, each step connecting the
+    current point to the weighted combination of the remaining ones."""
+    pts, target, ws = _ref_prepare(trellis, beta, weights)
+    m = len(pts)
+    if m == 2:
+        return _ref_dedupe(ref_l_med_set(pts[0], pts[1], target))
+    p = lcm(*(w.denominator for w in ws))
+    qs = [int(w * p) for w in ws]
+    out: List[PointTriple] = []
+    prev = target
+    rem = p
+    for k in range(m - 2):
+        rem -= qs[k]
+        beta_k = tuple(
+            sum(Fraction(qs[j], rem) * pts[j][i] for j in range(k + 1, m))
+            for i in range(len(target))
+        )
+        out += ref_l_med_set(pts[k], beta_k, prev)
+        prev = beta_k
+    out += ref_l_med_set(pts[m - 2], pts[m - 1], prev)
+    return _ref_dedupe(out)
+
+
+# odd-denominator mode
+
+
+def _ref_is_even_rational(x: Fraction) -> bool:
+    return x.numerator % 2 == 0 and x.denominator % 2 == 1
+
+
+def _ref_point_denominator_lcm(pts: Iterable[Point]) -> int:
+    r = 1
+    for pt in pts:
+        for x in pt:
+            r = lcm(r, x.denominator)
+    return r
+
+
+def ref_l_med_set_odd(a1: Sequence, a2: Sequence, b: Sequence) -> List[PointTriple]:
+    """Segment mediated set whose endpoint coordinates are even rationals
+    with odd denominators. Requires a1, a2 already of that form and b with
+    odd coordinate denominators."""
+    e1, e2, pt = ref_as_point(a1), ref_as_point(a2), ref_as_point(b)
+    for e in (e1, e2):
+        if not all(_ref_is_even_rational(x) for x in e):
+            raise ValueError(f"{e} is not an even point with odd denominators")
+    if any(x.denominator % 2 == 0 for x in pt):
+        raise ValueError(f"{pt} has an even coordinate denominator")
+    _ref_segment_parameter(e1, e2, pt)
+    mid = tuple((x1 + x2) / 2 for x1, x2 in zip(e1, e2))
+    if pt == mid:
+        return [(pt, e1, e2)]
+    r = _ref_point_denominator_lcm([e1, e2, pt])
+
+    def half_scale(point: Point) -> Point:
+        return tuple(Fraction(r, 2) * x for x in point)
+
+    def scale_back(trip: PointTriple) -> PointTriple:
+        return tuple(
+            tuple(Fraction(2, r) * x for x in point) for point in trip
+        )  # type: ignore[return-value]
+
+    if all((r * x).numerator % 2 == 0 for x in pt):
+        inner = ref_l_med_set(half_scale(e1), half_scale(e2), half_scale(pt))
+        return [scale_back(trip) for trip in inner]
+    # odd numerator somewhere: reflect the nearer endpoint through b, build
+    # the even instance for the reflection, then justify b by one extra triple
+    t = _ref_segment_parameter(e1, e2, pt)
+    near = e1 if t <= Fraction(1, 2) else e2
+    reflected = tuple(2 * xb - xn for xb, xn in zip(pt, near))
+    inner = ref_l_med_set(half_scale(e1), half_scale(e2), half_scale(reflected))
+    out = [scale_back(trip) for trip in inner]
+    out.append((pt, near, reflected))
+    return out
+
+
+def ref_med_set_odd(
+    trellis: Sequence[Sequence], beta: Sequence, weights=None
+) -> List[PointTriple]:
+    """Rational mediated set with odd-denominator points throughout.
+
+    Splitting keeps every intermediate combination point at odd denominator:
+    with an even total weight pick an odd part, with an odd total pick an
+    even part, and when every part is odd merge the first two, which makes
+    their sum even for the next level.
+    """
+    pts, target, ws = _ref_prepare(trellis, beta, weights)
+    for pt in pts:
+        if not all(_ref_is_even_rational(x) for x in pt):
+            raise ValueError(f"{pt} is not an even point with odd denominators")
+    if any(x.denominator % 2 == 0 for x in target):
+        raise ValueError(f"{target} has an even coordinate denominator")
+    p = lcm(*(w.denominator for w in ws))
+    qs = [int(w * p) for w in ws]
+    return _ref_dedupe(_ref_med_set_odd(pts, qs, p, target))
+
+
+def _ref_combine(pts: Sequence[Point], qs: Sequence[int], total: int) -> Point:
+    return tuple(
+        sum(Fraction(q, total) * pt[i] for q, pt in zip(qs, pts))
+        for i in range(len(pts[0]))
+    )
+
+
+def _ref_med_set_odd(
+    pts: List[Point], qs: List[int], p: int, b: Point
+) -> List[PointTriple]:
+    g = gcd(p, *qs)
+    p //= g
+    qs = [q // g for q in qs]
+    if len(pts) == 2:
+        return ref_l_med_set_odd(pts[0], pts[1], b)
+    if p % 2 == 0:
+        sel = next(i for i, q in enumerate(qs) if q % 2 == 1)
+    elif any(q % 2 == 0 for q in qs):
+        sel = next(i for i, q in enumerate(qs) if q % 2 == 0)
+    else:
+        # all parts odd: merge the first two so their combined weight is even
+        rest_pts, rest_qs = pts[2:], qs[2:]
+        q12 = qs[0] + qs[1]
+        b1 = _ref_combine([pts[0]] + rest_pts, [q12] + rest_qs, p)
+        b2 = _ref_combine([pts[1]] + rest_pts, [q12] + rest_qs, p)
+        out = ref_l_med_set_odd(b1, b2, b)
+        out += _ref_med_set_odd([pts[0]] + rest_pts, [q12] + rest_qs, p, b1)
+        out += _ref_med_set_odd([pts[1]] + rest_pts, [q12] + rest_qs, p, b2)
+        return out
+    rest_pts = pts[:sel] + pts[sel + 1 :]
+    rest_qs = qs[:sel] + qs[sel + 1 :]
+    p_rest = p - qs[sel]
+    b1 = _ref_combine(rest_pts, rest_qs, p_rest)
+    out = ref_l_med_set_odd(pts[sel], b1, b)
+    out += _ref_med_set_odd(rest_pts, rest_qs, p_rest, b1)
+    return out
+
+
+def ref_plan(cover, odd_mode: bool = False):
+    """build_plan on the reference lifts: (circuit_triples, triples, points,
+    index, passthrough), all in Fractions."""
+    lift = ref_med_set_odd if odd_mode else ref_med_set
+    circuit_triples = tuple(
+        tuple(lift(c.trellis, c.beta, c.weights)) for c in cover.circuits
+    )
+    triples = tuple(t for group in circuit_triples for t in group)
+    points = tuple(sorted({pt for t in triples for pt in t}))
+    index = {pt: i for i, pt in enumerate(points)}
+    for c in cover.circuits:
+        assert ref_as_point(c.beta) in index
+        assert all(ref_as_point(a) in index for a in c.trellis)
+    passthrough = tuple(pt for pt in cover.uncovered if ref_as_point(pt) not in index)
+    return circuit_triples, triples, points, index, passthrough
+
+
+def ref_problem_json(plan, poly, mode: str = "bound", xi=None) -> str:
+    """SocpProblem.to_json of assemble on a ref_plan, computed with Fraction
+    points throughout."""
+    import json
+
+    from soncert.polyring import format_rational
+
+    _, triples, points, index, passthrough = plan
+    zero = (0,) * poly.n
+    f0 = poly.constant()
+    xi = None if xi is None else Fraction(xi)
+    rhs_full = [Fraction(0)] * len(points)
+    terms = {}
+    for exp, coef in poly.sorted_terms():
+        if exp == zero:
+            continue
+        row = index.get(ref_as_point(exp))
+        if row is not None:
+            rhs_full[row] = coef
+        else:
+            assert exp in passthrough and coef >= 0
+            terms[exp] = coef
+    zero_row = index.get(ref_as_point(zero))
+    drop = zero_row if mode == "bound" else None
+    if mode == "feasibility":
+        if zero_row is not None:
+            rhs_full[zero_row] = f0 - xi
+        elif f0 != xi:
+            terms[zero] = f0 - xi
+    renumber = {}
+    rows = []
+    for i, pt in enumerate(points):
+        if i != drop:
+            renumber[i] = len(rows)
+            rows.append({"point": [format_rational(x) for x in pt], "rhs": format_rational(rhs_full[i])})
+    entries = []
+    objective = [0] * (3 * len(triples))
+    for t, (u, v, w) in enumerate(triples):
+        for offset, pt, coef in ((0, v, 2), (1, w, 1), (2, u, -2)):
+            i = index[pt]
+            if i == drop:
+                objective[3 * t + offset] = coef
+            else:
+                entries.append([renumber[i], 3 * t + offset, coef])
+    data = {
+        "mode": mode,
+        "num_cones": len(triples),
+        "cone_block": 3,
+        "constant": format_rational(f0),
+        "xi": None if xi is None else format_rational(xi),
+        "objective": objective,
+        "rows": rows,
+        "entries": entries,
+        "passthrough": [
+            {"exp": list(exp), "coef": format_rational(coef)} for exp, coef in sorted(terms.items())
+        ],
+    }
+    return json.dumps(data, indent=2, sort_keys=True)

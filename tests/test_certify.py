@@ -258,3 +258,14 @@ def test_retry_rounds_the_same_solution_finer(monkeypatch):
     assert not all(check_cone_strict(*coarse[i : i + 3]) for i in range(0, len(coarse), 3))
     finer = project_slots(problems[0], [round_to_rational(s, 1e-5 / 2**10) for s in fresh.x])
     assert [v for t in cert.triples for v in (t.a, t.b, t.c)] == finer
+
+
+def test_reconstruction_check_raises(monkeypatch):
+    # doubled slots stay strictly inside the cones but no longer match the
+    # rows; a plain raise, not an assert, so it also holds under python -O
+    def doubled(problem, slots):
+        return [2 * s for s in project_slots(problem, slots)]
+
+    monkeypatch.setattr(soncert.certify, "project_slots", doubled)
+    with pytest.raises(RuntimeError, match="do not reconstruct"):
+        exact_sobs(MOTZKIN, xi=Fraction(-1, 100))

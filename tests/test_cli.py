@@ -193,6 +193,7 @@ def test_error_exit_on_missing_file(capsys):
         (lambda data: data.__setitem__("n", None), "'n'"),
         (lambda data: data["circuits"][0]["triples"][0]["u"].__setitem__(0, [1, None]), "coordinate"),
         (lambda data: data.__setitem__("passthrough", [{"exp": 5, "coef": "1"}]), "'exp'"),
+        (lambda data: data["circuits"][0]["triples"][0].__setitem__("a", "1e100000"), "exponent"),
     ],
     ids=[
         "group-without-triples",
@@ -202,6 +203,7 @@ def test_error_exit_on_missing_file(capsys):
         "n-null",
         "coordinate-null",
         "passthrough-exp-not-a-list",
+        "huge-decimal-exponent",
     ],
 )
 def test_verify_malformed_certificate_exits_1(motzkin_file, tmp_path, capsys, damage, field):

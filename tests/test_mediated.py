@@ -8,9 +8,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_segment_circuit, random_simplex_circuit
+from conftest import (
+    random_segment_circuit,
+    random_simplex_circuit,
+    ref_l_med_set,
+    ref_l_med_set_odd,
+    ref_med_set,
+    ref_med_set_odd,
+)
 from soncert.mediated import (
+    MediatedSet,
     brute_min_med_seq,
     is_mediated_sequence,
     is_valid_mediated_set,
@@ -29,6 +39,12 @@ def F(x) -> Fraction:
 
 def pt(*coords):
     return tuple(Fraction(c) for c in coords)
+
+
+def fr(mediated):
+    # the goldens are written in Fractions; the lifts return integer points
+    # over a denominator
+    return mediated.fractions()
 
 
 def test_med_seq_goldens():
@@ -91,11 +107,11 @@ def test_brute_never_beats_algorithm_and_is_valid():
 
 
 def test_l_med_set_goldens():
-    assert l_med_set((0, 0), (3, 3), (2, 2)) == [
+    assert fr(l_med_set((0, 0), (3, 3), (2, 2))) == [
         (pt(1, 1), pt(0, 0), pt(2, 2)),
         (pt(2, 2), pt(1, 1), pt(3, 3)),
     ]
-    assert l_med_set((2, 4), (4, 2), (3, 3)) == [(pt(3, 3), pt(2, 4), pt(4, 2))]
+    assert fr(l_med_set((2, 4), (4, 2), (3, 3))) == [(pt(3, 3), pt(2, 4), pt(4, 2))]
 
 
 def test_l_med_set_rejects_bad_points():
@@ -111,14 +127,14 @@ def test_l_med_set_rejects_bad_points():
 
 def test_med_set_segment_and_chain_goldens():
     # the lex-ordered trellis of the running example
-    triples = med_set(((0, 0), (2, 4), (4, 2)), (2, 2))
+    triples = fr(med_set(((0, 0), (2, 4), (4, 2)), (2, 2)))
     assert triples == [
         (pt(1, 1), pt(0, 0), pt(2, 2)),
         (pt(2, 2), pt(1, 1), pt(3, 3)),
         (pt(3, 3), pt(2, 4), pt(4, 2)),
     ]
     # alternative trellis order keeps the same contract, different points
-    alt = med_set(((4, 2), (2, 4), (0, 0)), (2, 2))
+    alt = fr(med_set(((4, 2), (2, 4), (0, 0)), (2, 2)))
     assert alt == [
         (pt(3, 2), pt(4, 2), pt(2, 2)),
         (pt(2, 2), pt(3, 2), pt(1, 2)),
@@ -143,14 +159,14 @@ def test_med_set_random_circuits_are_valid():
         triples = med_set(trellis, beta, weights)
         assert is_valid_mediated_set(triples, trellis, beta)
         # the target always shows up as a justified midpoint
-        mids = {trip[0] for trip in triples}
+        mids = {trip[0] for trip in fr(triples)}
         assert tuple(Fraction(b) for b in beta) in mids
 
 
 def test_med_set_odd_goldens():
     triples = med_set_odd(((0, 0), (2, 4), (4, 2)), (2, 2))
     assert len(triples) == 5
-    mids = {trip[0] for trip in triples}
+    mids = {trip[0] for trip in fr(triples)}
     assert mids == {
         pt(2, 2),
         pt(F("8/3"), F("4/3")),
@@ -160,7 +176,7 @@ def test_med_set_odd_goldens():
     }
     alt = med_set_odd(((4, 2), (2, 4), (0, 0)), (2, 2))
     assert len(alt) == 5
-    alt_points = {p for trip in alt for p in trip}
+    alt_points = {p for trip in fr(alt) for p in trip}
     for expected in (
         pt(F("8/3"), F("4/3")),
         pt(F("4/3"), F("8/3")),
@@ -174,8 +190,8 @@ def test_l_med_set_odd_reflection_case():
     # target off the midpoint with an odd scaled numerator forces the
     # reflect-and-justify step
     triples = l_med_set_odd((0,), (4,), (1,))
-    assert (pt(1), pt(0), pt(2)) in triples
-    assert (pt(2), pt(0), pt(4)) in triples
+    assert (pt(1), pt(0), pt(2)) in fr(triples)
+    assert (pt(2), pt(0), pt(4)) in fr(triples)
     assert is_valid_mediated_set(triples, [(0,), (4,)], (1,))
 
 
@@ -188,7 +204,7 @@ def test_med_set_odd_parity_and_validity():
         assert is_valid_mediated_set(triples, trellis, beta)
         beta_pt = tuple(Fraction(b) for b in beta)
         denom = 1
-        for u, v, w in triples:
+        for u, v, w in fr(triples):
             for point in (v, w):
                 for x in point:
                     assert x.denominator % 2 == 1
@@ -198,7 +214,7 @@ def test_med_set_odd_parity_and_validity():
         # substituting the odd root takes every square point to an even
         # lattice point
         assert denom % 2 == 1
-        for u, v, w in triples:
+        for u, v, w in fr(triples):
             for point in (v, w):
                 scaled = tuple(x * denom for x in point)
                 assert all(s.denominator == 1 and s.numerator % 2 == 0 for s in scaled)
@@ -212,3 +228,91 @@ def test_med_set_rejects_bad_weights():
         med_set(trellis, (2, 2), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
     with pytest.raises(ValueError):
         med_set_odd(((1, 1), (3, 3)), (2, 2))  # odd trellis point
+
+
+# ---------------------------------------------------------------------------
+# the integer core against the Fraction lifts it replaced (conftest)
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def outcome(lift, *args):
+    """A lift's triples in Fractions, or the error it raised."""
+    try:
+        result = lift(*args)
+    except ValueError:
+        return "ValueError"
+    if isinstance(result, MediatedSet):
+        # den is the least common denominator of the coordinates
+        dens = {x.denominator for trip in result.fractions() for p in trip for x in p}
+        assert result.den == lcm(1, *dens)
+        return result.fractions()
+    return result
+
+
+def rational_point(draw, n: int, k: int, step: int) -> tuple:
+    # multiples of step over the odd denominator k; plain ints when k == 1
+    coords = [Fraction(step * draw(st.integers(0, 12 // step)), k) for _ in range(n)]
+    return tuple(int(x) if k == 1 else x for x in coords)
+
+
+@st.composite
+def circuits(draw, odd: bool):
+    """Trellis points, a target and weights reproducing it.  In odd mode the
+    points are even rationals and the weight total is odd; all-odd weights
+    make med_set_odd merge two parts."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 4))
+    k = draw(st.sampled_from([1, 1, 3, 5]))
+    pts = [rational_point(draw, n, k, 2 if odd else 1) for _ in range(m)]
+    if draw(st.booleans()):
+        qs = [2 * draw(st.integers(0, 4)) + 1 for _ in range(m)]
+    else:
+        qs = [draw(st.integers(1, 9)) for _ in range(m)]
+    if odd and sum(qs) % 2 == 0:
+        qs[0] += 1
+    total = sum(qs)
+    beta = tuple(
+        sum(Fraction(q, total) * Fraction(pt[i]) for q, pt in zip(qs, pts)) for i in range(n)
+    )
+    return tuple(pts), beta, tuple(Fraction(q, total) for q in qs)
+
+
+@st.composite
+def segments(draw, odd: bool):
+    """Two endpoints and a point q/p of the way from one to the other; now
+    and then moved off the line."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([1, 1, 3, 5]))
+    a1 = rational_point(draw, n, k, 2 if odd else 1)
+    a2 = rational_point(draw, n, k, 2 if odd else 1)
+    p = draw(st.integers(2, 40))
+    t = Fraction(draw(st.integers(1, p - 1)), p)
+    b = [Fraction(x1) + t * (Fraction(x2) - Fraction(x1)) for x1, x2 in zip(a1, a2)]
+    if draw(st.integers(0, 9)) == 0:
+        b[0] += Fraction(2, k)
+    return a1, a2, tuple(b)
+
+
+@SETTINGS
+@given(circuits(odd=False))
+def test_med_set_matches_fraction_reference(circuit):
+    assert outcome(med_set, *circuit) == outcome(ref_med_set, *circuit)
+
+
+@SETTINGS
+@given(circuits(odd=True))
+def test_med_set_odd_matches_fraction_reference(circuit):
+    assert outcome(med_set_odd, *circuit) == outcome(ref_med_set_odd, *circuit)
+
+
+@SETTINGS
+@given(segments(odd=False))
+def test_l_med_set_matches_fraction_reference(segment):
+    assert outcome(l_med_set, *segment) == outcome(ref_l_med_set, *segment)
+
+
+@SETTINGS
+@given(segments(odd=True))
+def test_l_med_set_odd_matches_fraction_reference(segment):
+    assert outcome(l_med_set_odd, *segment) == outcome(ref_l_med_set_odd, *segment)

@@ -52,6 +52,19 @@ def test_parse_rational_forms():
             parse_rational(bad)
 
 
+def test_parse_rational_bounds_decimal_exponents():
+    # the exponent is checked before Fraction builds 10^|exp|
+    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("-25E-4300") == Fraction(-25, 10**4300)
+    assert parse_rational(" 3.5e+0_04300 ") == Fraction(35, 10) * 10**4300
+    for bad in ("1e4301", "1e100000", "-2.5E-100000", "1e1_000_000", "7e" + "9" * 5000):
+        with pytest.raises(ValueError, match="decimal exponent") as err:
+            parse_rational(bad)
+        assert repr(bad)[:40] in str(err.value)
+    with pytest.raises(ValueError, match="decimal exponent"):
+        poly_loads(json.dumps({"n": 1, "terms": [{"exp": [2], "coef": "1e100000"}]}))
+
+
 def test_format_rational_round_trip():
     rng = random.Random(7)
     for _ in range(200):

@@ -9,9 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+import soncert.socp
+from conftest import ref_plan, ref_problem_json
 from soncert.cover import simplex_cover
-from soncert.generate import random_instance
-from soncert.polyring import SparsePoly
+from soncert.generate import POLY_CLASSES, random_instance
+from soncert.mediated import MediatedSet, med_set
+from soncert.polyring import SparsePoly, support_partition
 from soncert.socp import (
     UncoveredSupport,
     assemble,
@@ -19,6 +22,7 @@ from soncert.socp import (
     lower_bound,
     pn_companion,
     solve_problem,
+    to_float,
 )
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
@@ -104,6 +108,18 @@ def test_assemble_rejects_missing_support():
     stray = SparsePoly(2, stray_terms)
     with pytest.raises(UncoveredSupport):
         assemble(plan, stray, mode="bound")
+
+
+def test_plan_raises_when_mediated_triples_miss_a_circuit_point(monkeypatch):
+    # a plain raise, not an assert, so it also holds under python -O
+    def without_beta(trellis, beta, weights):
+        ms = med_set(trellis, beta, weights)
+        mid = tuple(ms.den * x for x in beta)
+        return MediatedSet(ms.den, tuple(t for t in ms.triples if mid not in t))
+
+    monkeypatch.setattr(soncert.socp, "med_set", without_beta)
+    with pytest.raises(RuntimeError, match=r"miss its point \(2, 2\)"):
+        _motzkin_plan()
 
 
 def test_assemble_passthrough_collects_free_squares():
@@ -208,3 +224,68 @@ def test_random_bounds_are_sound():
             )
             assert val >= result.xi - 1e-6 * (1 + scale)
     assert checked >= 8
+
+
+def _seed0_sample():
+    """Every sixth polynomial of the seed-0 bound-c6-simplex corpus (the
+    standard-simplex third of criterion 6's) and every fourth of the
+    certify-c7 corpus (criterion 7's)."""
+    polys = []
+    rng = random.Random(2024)
+    for i in range(198):
+        n, d = rng.randint(1, 10), rng.choice([4, 10, 20, 30])
+        t = rng.randint(n + 6, 50)
+        if POLY_CLASSES[i % 3] == "standard-simplex" and i % 18 == 0:
+            polys.append(random_instance(n=n, degree=d, terms=t, seed=60_000 + i).poly)
+    rng = random.Random(7)
+    for i in range(40):
+        n, d = (4, 8)[i % 2], (10, 20)[(i // 2) % 2]
+        t = rng.randint(n + 8, 50)
+        if i % 4 == 0:
+            polys.append(random_instance(n=n, degree=d, terms=t, interior=True, seed=70_000 + i).poly)
+    return polys
+
+
+@pytest.mark.parametrize("odd_mode", [False, True])
+def test_plan_and_assembly_match_fraction_reference(odd_mode):
+    checked = 0
+    for poly in _seed0_sample():
+        zero = (0,) * poly.n
+        part = support_partition(SparsePoly(poly.n, {e: c for e, c in poly.terms.items() if e != zero}))
+        if not part.gamma_set:
+            continue
+        cover = simplex_cover(sorted(set(part.lambda_set) | {zero}), part.gamma_set)
+        tilde = pn_companion(poly)
+        plan = build_plan(cover, odd_mode=odd_mode)
+        ref = ref_plan(cover, odd_mode)
+        assert (plan.circuit_triples, plan.triples, plan.points, plan.passthrough) == (
+            ref[0], ref[1], ref[2], ref[4]
+        )
+        assert plan.max_denominator == max(
+            (x.denominator for trip in ref[1] for pt in trip for x in pt), default=1
+        )
+        assert assemble(plan, tilde).to_json() == ref_problem_json(ref, tilde)
+        xi = tilde.constant() - 1
+        assert assemble(plan, tilde, "feasibility", xi).to_json() == ref_problem_json(
+            ref, tilde, "feasibility", xi
+        )
+        checked += 1
+    assert checked == 21
+
+
+def test_float_conversion_names_out_of_range_values():
+    assert to_float(Fraction(1, 4)) == 0.25
+    assert to_float(-3) == -3.0
+    with pytest.raises(ValueError, match=r"^-10\^400 \(about\) is outside the float range"):
+        to_float(Fraction(-(10**400), 1))
+    # more digits than Python prints by default
+    with pytest.raises(ValueError, match=r"^10\^4300 "):
+        to_float(Fraction(10**4300))
+    # a constant out of float range: with interior points (the bound path)
+    # and without (the bound is the constant itself)
+    for poly in (
+        SparsePoly(2, {**MOTZKIN.terms, (0, 0): Fraction("-1e400")}),
+        SparsePoly(2, {(4, 2): 1, (0, 0): Fraction("1e400")}),
+    ):
+        with pytest.raises(ValueError, match="outside the float range"):
+            lower_bound(poly)
