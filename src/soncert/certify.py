@@ -26,6 +26,7 @@ from .polyring import (
     SparsePoly,
     format_rational,
     is_even,
+    load_json,
     parse_rational,
     poly_sha256,
     support_partition,
@@ -237,7 +238,7 @@ class Certificate:
 
     @classmethod
     def loads(cls, text: str) -> "Certificate":
-        return cls.from_json(json.loads(text))
+        return cls.from_json(load_json(text))
 
 
 def _as_point(exp: Exponent) -> Point:

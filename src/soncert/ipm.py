@@ -7,7 +7,8 @@ in a homogeneous self-dual model and runs a Mehrotra predictor-corrector
 method with Nesterov-Todd scaling, so it detects infeasibility as well as
 optimality.  Internally each rotated cone is mapped to a standard Lorentz
 cone by an orthogonal change of coordinates; all reported quantities are
-in the caller's rotated-cone coordinates.
+in the caller's rotated-cone coordinates.  Each Newton step factors A H A'
+by one sparse LU without pivoting, at every problem size (see _KktSolver).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -31,9 +31,6 @@ _ROTATION = np.array(
         [0.0, 0.0, 1.0],
     ]
 )
-
-# Dense factorization is used below this row count, sparse LU above it.
-_DENSE_LIMIT = 600
 
 # Interior-point iterations before a solve gives up with max-iterations.
 _MAX_ITER = 200
@@ -176,7 +173,15 @@ def _rotate_vector(vec: np.ndarray) -> np.ndarray:
 
 
 class _KktSolver:
-    """Factorization of G = A H A' with one-step iterative refinement."""
+    """Sparse LU of G = A H A' with one-step iterative refinement.
+
+    G is symmetric positive definite by construction, so the LU needs no
+    pivoting and orders G by minimum degree on G + G': each slot lies in
+    exactly one row, so A has orthogonal rows, the per-cone rotation keeps
+    its full row rank, and H is positive definite inside the cones.  A
+    factor that breaks down anyway, as when H vanishes on every cone of a
+    row, is retried with a growing diagonal shift.
+    """
 
     def __init__(self, a_mat: scipy.sparse.csr_matrix, hblocks: np.ndarray) -> None:
         num_cones = hblocks.shape[0]
@@ -187,28 +192,22 @@ class _KktSolver:
         self._gmat = (a_mat @ hmat @ a_mat.T).tocsc()
         m = a_mat.shape[0]
         diag_scale = max(float(np.max(np.abs(self._gmat.diagonal()))), 1.0)
-        self._dense = m <= _DENSE_LIMIT
         reg = 0.0
         while True:
             try:
                 shifted = self._gmat + scipy.sparse.identity(m, format="csc") * reg if reg else self._gmat
-                if self._dense:
-                    self._factor = scipy.linalg.cho_factor(shifted.toarray())
-                else:
-                    self._factor = scipy.sparse.linalg.splu(shifted)
+                self._factor = scipy.sparse.linalg.splu(
+                    shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+                )
                 break
-            except (np.linalg.LinAlgError, RuntimeError):
+            except RuntimeError:
                 reg = max(reg * 100.0, 1e-14 * diag_scale)
                 if reg > 1e-4 * diag_scale:
                     raise
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._dense:
-            sol = scipy.linalg.cho_solve(self._factor, rhs)
-            sol += scipy.linalg.cho_solve(self._factor, rhs - self._gmat @ sol)
-        else:
-            sol = self._factor.solve(rhs)
-            sol += self._factor.solve(rhs - self._gmat @ sol)
+        sol = self._factor.solve(rhs)
+        sol += self._factor.solve(rhs - self._gmat @ sol)
         return sol
 
 
@@ -264,20 +263,6 @@ def solve_socp(
     c_s = c_int / c_scale
     a_st = a_s.T.tocsr()
 
-    def to_caller(xv: np.ndarray, yv: np.ndarray, zv: np.ndarray, tau: float):
-        x_c = _rotate_vector(xv / tau) * b_scale
-        y_c = (yv * row_scale / tau) * c_scale
-        z_c = _rotate_vector(zv / tau) * c_scale
-        return x_c, y_c, z_c
-
-    def caller_residuals(x_c: np.ndarray, y_c: np.ndarray, z_c: np.ndarray):
-        pres = float(np.max(np.abs(a_ext @ x_c - b_ext), initial=0.0))
-        dres = float(np.max(np.abs(a_ext.T @ y_c + z_c - c_ext), initial=0.0))
-        pobj = float(c_ext @ x_c)
-        dobj = float(b_ext @ y_c)
-        comp = float(x_c @ z_c)
-        return pres, dres, pobj, dobj, comp
-
     b_norm = 1.0 + float(np.max(np.abs(b_ext), initial=0.0))
     c_norm = 1.0 + float(np.max(np.abs(c_ext), initial=0.0))
     b_tol = tol * b_norm
@@ -301,8 +286,14 @@ def solve_socp(
         r_g = float(b_s @ y - c_s @ x - kappa)
         mu = (float(x @ z) + tau * kappa) / degree
 
-        x_c, y_c, z_c = to_caller(x, y, z, tau)
-        pres, dres, pobj, dobj, comp = caller_residuals(x_c, y_c, z_c)
+        x_c = _rotate_vector(x / tau) * b_scale
+        y_c = (y * row_scale / tau) * c_scale
+        z_c = _rotate_vector(z / tau) * c_scale
+        pres = float(np.max(np.abs(a_ext @ x_c - b_ext), initial=0.0))
+        dres = float(np.max(np.abs(a_ext.T @ y_c + z_c - c_ext), initial=0.0))
+        pobj = float(c_ext @ x_c)
+        dobj = float(b_ext @ y_c)
+        comp = float(x_c @ z_c)
         gap = abs(pobj - dobj)
         gap_norm = 1.0 + abs(pobj) + abs(dobj)
         gap_tol = tol * gap_norm
@@ -351,7 +342,7 @@ def solve_socp(
         hblocks -= eta2[:, None, None] * np.diag([1.0, -1.0, -1.0])
         try:
             kkt = _KktSolver(a_s, hblocks)
-        except (np.linalg.LinAlgError, RuntimeError, ValueError):
+        except (RuntimeError, ValueError):
             status = "max-iterations"
             break
 
@@ -420,24 +411,7 @@ def solve_socp(
         kappa += alpha * dkappa
 
     if status == "optimal":
-        x_c, y_c, z_c = to_caller(x, y, z, tau)
-        pres, dres, pobj, dobj, comp = caller_residuals(x_c, y_c, z_c)
-        return ConeSolve(
-            status="optimal",
-            x=x_c,
-            y=y_c,
-            z=z_c,
-            objective=pobj,
-            iterations=iteration,
-            residuals={
-                "primal": pres,
-                "dual": dres,
-                "gap": abs(pobj - dobj),
-                "comp": comp,
-                "tau": tau,
-                "kappa": kappa,
-            },
-        )
+        return replace(candidate, iterations=iteration)
     if status == "infeasible":
         # Certificate direction: b'y > 0 rules out primal feasibility,
         # c'x < 0 rules out dual feasibility (primal unbounded below).

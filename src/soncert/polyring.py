@@ -37,9 +37,12 @@ MAX_CIRCUIT_DENOMINATOR = 2**32
 
 # Largest decimal exponent magnitude parse_rational accepts, Python's default
 # int-string digit limit: Fraction("1e<exp>") builds 10^|exp| before any
-# other check, so an unchecked exponent is an unbounded allocation.
+# other check, so an unchecked exponent is an unbounded allocation.  It also
+# bounds the digits of a parsed numerator or denominator, so each one prints.
 MAX_DECIMAL_EXPONENT = 4300
+_TOO_MANY_DIGITS = 10**MAX_DECIMAL_EXPONENT
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*\Z")
+_DIGIT = re.compile(r"\d")
 
 
 def is_even(exp: Exponent) -> bool:
@@ -60,18 +63,15 @@ def _check_exponent(exp: Sequence[int], n: int) -> Exponent:
 def parse_rational(value: object) -> Fraction:
     """Parse an int, a decimal string, or a 'p/q' string into a Fraction.
 
-    A decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude is a
-    ValueError."""
-    if isinstance(value, bool):
+    A decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude, or a
+    numerator or denominator of more than MAX_DECIMAL_EXPONENT decimal
+    digits, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
         raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, float):
         # JSON number written with a decimal point; repr round-trips the
         # intended decimal, which Fraction parses exactly.
-        return Fraction(repr(value))
+        value = repr(value)
     if isinstance(value, str):
         exponent = _DECIMAL_EXPONENT.search(value)
         if exponent:
@@ -81,11 +81,21 @@ def parse_rational(value: object) -> Fraction:
                 raise ValueError(
                     f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
                 )
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r}")
+        # Fraction would refuse too many digits with the interpreter's message
+        mantissa = value[: exponent.start()] if exponent else value
+        for part, text in zip(("numerator", "denominator"), mantissa.split("/", 1)):
+            count = len(_DIGIT.findall(text))
+            if count > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"{part} of {count} digits exceeds {MAX_DECIMAL_EXPONENT} decimal digits")
+    try:
+        frac = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {value!r}") from exc
+    for part, size in (("numerator", frac.numerator), ("denominator", frac.denominator)):
+        # bit_length settles all but values within a factor 2 of the limit
+        if size.bit_length() >= _TOO_MANY_DIGITS.bit_length() and abs(size) >= _TOO_MANY_DIGITS:
+            raise ValueError(f"{part} of {size.bit_length()} bits exceeds {MAX_DECIMAL_EXPONENT} decimal digits")
+    return frac
 
 
 def format_rational(value: Fraction) -> str:
@@ -294,8 +304,16 @@ def poly_from_json(data: object) -> SparsePoly:
     return SparsePoly(n, terms)
 
 
+def load_json(text: str) -> object:
+    """json.loads, with nesting too deep for the parser as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
+
+
 def poly_loads(text: str) -> SparsePoly:
-    return poly_from_json(json.loads(text))
+    return poly_from_json(load_json(text))
 
 
 def poly_to_json(f: SparsePoly) -> dict:

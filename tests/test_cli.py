@@ -141,12 +141,13 @@ def test_batch_bound_directory(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["bound", "certify"])
 def test_batch_reports_every_item_past_a_bad_line(tmp_path, capsys, command):
     batch = tmp_path / "batch.jsonl"
-    batch.write_text(poly_dumps(MOTZKIN) + "\nnot json\n" + poly_dumps(EX6) + "\n")
-    code = cli.main([command, str(batch), "--batch"])
-    assert code == cli.EXIT_ERROR
-    reports = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
-    assert [r["status"] for r in reports] == ["ok", "error", "ok"]
-    assert "Expecting value" in reports[1]["reason"]
+    for bad, reason in (("not json", "Expecting value"), ("[" * 200_000, "nested too deeply")):
+        batch.write_text(poly_dumps(MOTZKIN) + "\n" + bad + "\n" + poly_dumps(EX6) + "\n")
+        code = cli.main([command, str(batch), "--batch"])
+        assert code == cli.EXIT_ERROR
+        reports = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+        assert [r["status"] for r in reports] == ["ok", "error", "ok"]
+        assert reason in reports[1]["reason"]
 
 
 @pytest.mark.parametrize("command", ["bound", "certify"])
@@ -194,6 +195,8 @@ def test_error_exit_on_missing_file(capsys):
         (lambda data: data["circuits"][0]["triples"][0]["u"].__setitem__(0, [1, None]), "coordinate"),
         (lambda data: data.__setitem__("passthrough", [{"exp": 5, "coef": "1"}]), "'exp'"),
         (lambda data: data["circuits"][0]["triples"][0].__setitem__("a", "1e100000"), "exponent"),
+        # a string replaces the whole file
+        ("[" * 200_000, "nested too deeply"),
     ],
     ids=[
         "group-without-triples",
@@ -204,6 +207,7 @@ def test_error_exit_on_missing_file(capsys):
         "coordinate-null",
         "passthrough-exp-not-a-list",
         "huge-decimal-exponent",
+        "nested-too-deeply",
     ],
 )
 def test_verify_malformed_certificate_exits_1(motzkin_file, tmp_path, capsys, damage, field):
@@ -211,8 +215,11 @@ def test_verify_malformed_certificate_exits_1(motzkin_file, tmp_path, capsys, da
     assert cli.main(["certify", motzkin_file, "-o", str(cert_path)]) == cli.EXIT_OK
     capsys.readouterr()
     data = json.loads(cert_path.read_text())
-    damage(data)
-    cert_path.write_text(json.dumps(data))
+    if isinstance(damage, str):
+        cert_path.write_text(damage)
+    else:
+        damage(data)
+        cert_path.write_text(json.dumps(data))
     code = cli.main(["verify", motzkin_file, str(cert_path)])
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err.strip().splitlines()

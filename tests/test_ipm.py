@@ -6,9 +6,13 @@ import dataclasses
 import random
 
 import numpy as np
+import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from soncert.ipm import (
     ConeSolve,
+    _KktSolver,
     _apply_w,
     _apply_winv,
     _cone_residual,
@@ -234,3 +238,67 @@ def test_random_feasible_instances():
         for k in range(cones):
             a, b, c = res.x[3 * k : 3 * k + 3]
             assert a >= -1e-9 and b >= -1e-9 and 2 * a * b - c * c >= -1e-7
+
+
+def _kkt_system(rng: np.random.Generator, m: int, num_cones: int):
+    # Every slot lies in exactly one row, as in soncert's problems, and every
+    # row holds a slot; H takes the Nesterov-Todd blocks of random points.
+    slot_rows = np.concatenate([rng.permutation(m), rng.integers(0, m, 3 * num_cones - m)])
+    a_mat = scipy.sparse.csr_matrix(
+        (rng.uniform(0.5, 2.0, 3 * num_cones) * rng.choice([-1.0, 1.0], 3 * num_cones),
+         (slot_rows, np.arange(3 * num_cones))),
+        shape=(m, 3 * num_cones),
+    )
+    s = nt_scaling(_interior_points(rng, num_cones), _interior_points(rng, num_cones))
+    hblocks = (s.eta**2)[:, None, None] * (
+        2.0 * np.einsum("ij,ik->ijk", s.wbar, s.wbar) - np.diag([1.0, -1.0, -1.0])
+    )
+    return a_mat, hblocks
+
+
+def _dense_g(a_mat, hblocks) -> np.ndarray:
+    return (a_mat @ scipy.sparse.block_diag(list(hblocks)) @ a_mat.T).toarray()
+
+
+@pytest.mark.parametrize("m", [80, 700])
+def test_kkt_solve_matches_dense_solve(m):
+    # one size on each side of m = 600, the old switch from dense to sparse factoring
+    rng = np.random.default_rng(m)
+    a_mat, hblocks = _kkt_system(rng, m, m)
+    rhs = rng.normal(size=m)
+    want = np.linalg.solve(_dense_g(a_mat, hblocks), rhs)
+    got = _KktSolver(a_mat, hblocks).solve(rhs)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_kkt_zero_row_is_shifted_and_solved(monkeypatch):
+    rng = np.random.default_rng(21)
+    m = 50
+    a_mat, hblocks = _kkt_system(rng, m - 1, 60)
+    # row 0 holds exactly the three slots of one more cone, whose block is
+    # zero: G gets an exactly zero row and column
+    a_mat = scipy.sparse.block_diag([scipy.sparse.csr_matrix(rng.normal(size=(1, 3))), a_mat]).tocsr()
+    hblocks = np.concatenate([np.zeros((1, 3, 3)), hblocks])
+    outcomes = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(*args, **kwargs):
+        try:
+            factor = splu(*args, **kwargs)
+        except RuntimeError as err:
+            outcomes.append(str(err))
+            raise
+        outcomes.append("factored")
+        return factor
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    kkt = _KktSolver(a_mat, hblocks)
+    assert "singular" in outcomes[0] and outcomes[-1] == "factored"
+    rhs = rng.normal(size=m)
+    sol = kkt.solve(rhs)
+    assert np.isfinite(sol).all()
+    g = _dense_g(a_mat, hblocks)
+    assert not g[0].any() and not g[:, 0].any()
+    # the shift leaves the regular block's solution as it was
+    want = np.linalg.solve(g[1:, 1:], rhs[1:])
+    assert np.linalg.norm(sol[1:] - want) <= 1e-10 * np.linalg.norm(want)

@@ -54,15 +54,31 @@ def test_parse_rational_forms():
 
 def test_parse_rational_bounds_decimal_exponents():
     # the exponent is checked before Fraction builds 10^|exp|
-    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("1e4299") == 10**4299
     assert parse_rational("-25E-4300") == Fraction(-25, 10**4300)
-    assert parse_rational(" 3.5e+0_04300 ") == Fraction(35, 10) * 10**4300
+    assert parse_rational(" 3.5e+0_04299 ") == Fraction(35, 10) * 10**4299
+    assert parse_rational("9" * 4300 + "/" + "7" * 4300) == Fraction(int("9" * 4300), int("7" * 4300))
     for bad in ("1e4301", "1e100000", "-2.5E-100000", "1e1_000_000", "7e" + "9" * 5000):
         with pytest.raises(ValueError, match="decimal exponent") as err:
             parse_rational(bad)
         assert repr(bad)[:40] in str(err.value)
     with pytest.raises(ValueError, match="decimal exponent"):
         poly_loads(json.dumps({"n": 1, "terms": [{"exp": [2], "coef": "1e100000"}]}))
+    # a numerator or denominator past 4300 decimal digits could not be printed
+    # again; the message names its size instead of its digits
+    for bad, part in (
+        ("1e4300", "numerator"),
+        ("123e4298", "numerator"),
+        (" 3.5e+0_04300 ", "numerator"),
+        ("1e-4300", "denominator"),
+        ("1/" + "3" * 4301, "denominator"),
+        ("-" + "3" * 4301 + "/7", "numerator"),
+        (10**4300, "numerator"),
+        (Fraction(1, 10**4300), "denominator"),
+    ):
+        with pytest.raises(ValueError, match=f"{part} of .* exceeds 4300 decimal digits") as err:
+            parse_rational(bad)
+        assert len(str(err.value)) < 80
 
 
 def test_format_rational_round_trip():
