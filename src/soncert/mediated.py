@@ -30,10 +30,9 @@ from math import gcd, lcm
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .polyring import circuit_weights
+from .polyring import Point, circuit_weights
 
 Triple = Tuple[int, int, int]  # (mid, lo, hi) with mid = (lo + hi) // 2
-Point = Tuple[Fraction, ...]
 PointTriple = Tuple[Point, Point, Point]  # (u, v, w) with u = (v + w)/2
 
 

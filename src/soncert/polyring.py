@@ -30,6 +30,8 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from . import exact
 
 Exponent = Tuple[int, ...]
+# A rational exponent point, such as a mediated-set point or a certificate point.
+Point = Tuple[Fraction, ...]
 
 # Hard cap for the common weight denominator in the exact circuit test; the
 # comparison raises both sides to the power p, so huge p means huge integers.
@@ -60,6 +62,13 @@ def _check_exponent(exp: Sequence[int], n: int) -> Exponent:
     return tup
 
 
+def _excerpt(value: object) -> str:
+    """The repr of an input for an error message, a long one cut to its
+    first 40 characters and the input's length."""
+    text, size = repr(value), len(value) if isinstance(value, str) else None
+    return text if len(text) <= 60 else f"{text[:40]}... (length {size or len(text)})"
+
+
 def parse_rational(value: object) -> Fraction:
     """Parse an int, a decimal string, or a 'p/q' string into a Fraction.
 
@@ -67,7 +76,7 @@ def parse_rational(value: object) -> Fraction:
     numerator or denominator of more than MAX_DECIMAL_EXPONENT decimal
     digits, is a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
-        raise ValueError(f"not a rational: {value!r}")
+        raise ValueError(f"not a rational: {_excerpt(value)}")
     if isinstance(value, float):
         # JSON number written with a decimal point; repr round-trips the
         # intended decimal, which Fraction parses exactly.
@@ -79,18 +88,20 @@ def parse_rational(value: object) -> Fraction:
             too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
             if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
                 raise ValueError(
-                    f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                    f"decimal exponent of {_excerpt(value)} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
                 )
-        # Fraction would refuse too many digits with the interpreter's message
+        # Fraction would refuse too many digits with the interpreter's
+        # message; a part of at most that many characters has few enough
         mantissa = value[: exponent.start()] if exponent else value
         for part, text in zip(("numerator", "denominator"), mantissa.split("/", 1)):
-            count = len(_DIGIT.findall(text))
-            if count > MAX_DECIMAL_EXPONENT:
-                raise ValueError(f"{part} of {count} digits exceeds {MAX_DECIMAL_EXPONENT} decimal digits")
+            if len(text) > MAX_DECIMAL_EXPONENT:
+                count = len(_DIGIT.findall(text))
+                if count > MAX_DECIMAL_EXPONENT:
+                    raise ValueError(f"{part} of {count} digits exceeds {MAX_DECIMAL_EXPONENT} decimal digits")
     try:
         frac = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {value!r}") from exc
+        raise ValueError(f"not a rational: {_excerpt(value)}") from exc
     for part, size in (("numerator", frac.numerator), ("denominator", frac.denominator)):
         # bit_length settles all but values within a factor 2 of the limit
         if size.bit_length() >= _TOO_MANY_DIGITS.bit_length() and abs(size) >= _TOO_MANY_DIGITS:
@@ -178,6 +189,19 @@ def to_pn(f: SparsePoly) -> SparsePoly:
     terms = {
         exp: (-abs(coef) if exp in gamma else coef) for exp, coef in f.terms.items()
     }
+    return SparsePoly(f.n, terms)
+
+
+def pn_companion(f: SparsePoly) -> SparsePoly:
+    """Sign-normalized companion: negative magnitudes off the square points
+    of the nonconstant part, constant carried through unchanged."""
+
+    zero = (0,) * f.n
+    rest = {exp: c for exp, c in f.terms.items() if exp != zero}
+    tilde = to_pn(SparsePoly(f.n, rest))
+    terms = dict(tilde.terms)
+    if f.constant():
+        terms[zero] = f.constant()
     return SparsePoly(f.n, terms)
 
 

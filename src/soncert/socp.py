@@ -36,8 +36,8 @@ from .polyring import (
     SparsePoly,
     format_rational,
     parse_rational,
+    pn_companion,
     support_partition,
-    to_pn,
 )
 
 
@@ -326,19 +326,6 @@ class LowerBoundResult:
     plan: Optional[ConeTriplePlan] = None
     problem: Optional[SocpProblem] = None
     solution: Optional[ConeSolve] = None
-
-
-def pn_companion(f: SparsePoly) -> SparsePoly:
-    """Sign-normalized companion: negative magnitudes off the square points
-    of the nonconstant part, constant carried through unchanged."""
-
-    zero = (0,) * f.n
-    rest = {exp: c for exp, c in f.terms.items() if exp != zero}
-    tilde = to_pn(SparsePoly(f.n, rest))
-    terms = dict(tilde.terms)
-    if f.constant():
-        terms[zero] = f.constant()
-    return SparsePoly(f.n, terms)
 
 
 def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> LowerBoundResult:

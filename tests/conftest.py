@@ -545,3 +545,120 @@ def ref_problem_json(plan, poly, mode: str = "bound", xi=None) -> str:
         ],
     }
     return json.dumps(data, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# Reference certificate stage: the Fraction verifier and projection that the
+# integer code of soncert.verify and soncert.certify replaced, and the JSON
+# object that json.dumps(indent=2, sort_keys=True) wrote as the certificate
+# file before Certificate.dumps wrote it directly, kept to compare against.
+
+
+def ref_certificate_json(cert) -> dict:
+    from soncert.polyring import format_rational
+
+    def point_json(pt):
+        return [[str(x.numerator), str(x.denominator)] for x in pt]
+
+    return {
+        "n": cert.n,
+        "xi": format_rational(cert.xi),
+        "poly_sha256": cert.poly_sha256,
+        "circuits": [
+            {
+                "triples": [
+                    {
+                        "u": point_json(t.u),
+                        "v": point_json(t.v),
+                        "w": point_json(t.w),
+                        "a": format_rational(t.a),
+                        "b": format_rational(t.b),
+                        "c": format_rational(t.c),
+                    }
+                    for t in group
+                ]
+            }
+            for group in cert.circuits
+        ],
+        "passthrough": [
+            {"exp": list(exp), "coef": format_rational(coef)} for exp, coef in cert.passthrough
+        ],
+    }
+
+
+def ref_project_slots(problem, slots: Sequence[Fraction]) -> List[Fraction]:
+    """project_slots in Fraction arithmetic."""
+    out = [Fraction(s) for s in slots]
+    by_row = {}
+    for row, col, coef in problem.entries:
+        by_row.setdefault(row, []).append((col, coef))
+    for row, cells in by_row.items():
+        residual = sum(Fraction(coef) * out[col] for col, coef in cells)
+        residual -= problem.rhs_exact[row]
+        if residual == 0:
+            continue
+        share = Fraction(residual, len(cells))
+        for col, coef in cells:
+            out[col] -= share / coef
+    return out
+
+
+def _ref_reconstruct(cert):
+    total = {}
+
+    def add(pt, val):
+        acc = total.get(pt, Fraction(0)) + val
+        if acc:
+            total[pt] = acc
+        else:
+            total.pop(pt, None)
+
+    for t in cert.triples:
+        add(t.v, 2 * t.a)
+        add(t.w, t.b)
+        add(t.u, -2 * t.c)
+    for exp, coef in cert.passthrough:
+        add(ref_as_point(exp), coef)
+    return total
+
+
+def _ref_companion_target(f, xi):
+    from soncert.polyring import pn_companion
+
+    tilde = pn_companion(f)
+    zero = (0,) * f.n
+    target = {}
+    for exp, coef in tilde.terms.items():
+        if exp == zero:
+            continue
+        target[ref_as_point(exp)] = coef
+    constant = tilde.constant() - xi
+    if constant:
+        target[ref_as_point(zero)] = constant
+    return target
+
+
+def ref_verify_certificate(f, cert) -> Tuple[bool, str]:
+    """(ok, reason) of verify_certificate in Fraction arithmetic, without
+    the size limit."""
+    from soncert.polyring import is_even, poly_sha256
+
+    if cert.n != f.n:
+        return False, "shape-mismatch"
+    if cert.poly_sha256 != poly_sha256(f):
+        return False, "hash-mismatch"
+    for t in cert.triples:
+        if len(t.u) != cert.n or len(t.v) != cert.n or len(t.w) != cert.n:
+            return False, "shape-mismatch"
+        if t.v == t.w or any(x < 0 for x in t.u + t.v + t.w):
+            return False, "bad-midpoint"
+        if tuple((x + y) / 2 for x, y in zip(t.v, t.w)) != t.u:
+            return False, "bad-midpoint"
+        if not (t.a >= 0 and t.b >= 0 and 2 * t.a * t.b >= t.c * t.c):
+            return False, "cone-violation"
+    for exp, coef in cert.passthrough:
+        if not is_even(exp) or coef <= 0:
+            return False, "bad-passthrough"
+    if _ref_reconstruct(cert) != _ref_companion_target(f, cert.xi):
+        return False, "reconstruction-mismatch"
+    return True, "ok"

@@ -81,6 +81,14 @@ def test_parse_rational_bounds_decimal_exponents():
         assert len(str(err.value)) < 80
 
 
+def test_parse_rational_messages_stay_short():
+    # a long input is named by its length and first characters, not repeated
+    for bad, match in (("x" * 10_000, "not a rational"), ("7e" + "9" * 5000, "decimal exponent")):
+        with pytest.raises(ValueError, match=match) as err:
+            parse_rational(bad)
+        assert len(str(err.value)) < 200 and str(len(bad)) in str(err.value)
+
+
 def test_format_rational_round_trip():
     rng = random.Random(7)
     for _ in range(200):
