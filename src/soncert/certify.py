@@ -5,20 +5,23 @@ numeric solution is snapped to dyadic rationals and the equality rows are
 repaired exactly by spreading each row's residual uniformly over the
 slots touching it; since every slot appears in exactly one row the repair
 is exact in one pass and idempotent, and it runs on integers over each
-row's common denominator.  When the rounded point misses a cone, the same
-numeric point is rounded once more on a finer grid.  Every certificate
-returned has passed verify_certificate.
+row's common denominator.  The numeric point is rounded once, on a grid
+chosen from its own cone slack (grid_bits), and the exact strict cone
+checks decide.  Every certificate returned has passed verify_certificate.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .cover import simplex_cover
 from .polyring import SparsePoly, parse_rational, pn_companion, poly_sha256, support_partition
 from .socp import SocpProblem, SolverFailure, assemble, build_plan, lower_bound, solve_problem
+from .socp import to_float
 from .verify import (  # check_cone and VerifyResult are re-exported
     Certificate,
     CertTriple,
@@ -26,6 +29,12 @@ from .verify import (  # check_cone and VerifyResult are re-exported
     check_cone,
     verify_certificate,
 )
+
+
+# Bits k of the rounding grid 2^-k: 2^-17 is the grid xi is rounded on and
+# the coarsest slot grid, and past 2^-52 rounding a float adds nothing.
+MIN_GRID_BITS = 17
+MAX_GRID_BITS = 52
 
 
 class BoundaryFailure(RuntimeError):
@@ -72,6 +81,35 @@ def project_slots(problem: SocpProblem, slots: Sequence[Fraction]) -> List[Fract
     return out
 
 
+def grid_bits(problem: SocpProblem, x: Sequence[float]) -> int:
+    """Bits k of the grid 2^-k on which to round the numeric slots x.
+
+    xp is the float image of project_slots(problem, x).  Rounding on the grid
+    h = 2^-k moves a slot by at most h/2, and spreading the residual this
+    leaves moves it by at most h more (the row coefficients are 2, 1 and -2),
+    so the exact point lies within t = 1.5h of xp.  A cone (a, b, c) of xp
+    stays strictly inside while t < (2ab - c^2) / (2(a + b + |c|)), that is
+    while h is below its room (2ab - c^2) / (3(a + b + |c|)).  k is the least
+    with 2^-k at most the smallest room, clamped to [MIN_GRID_BITS,
+    MAX_GRID_BITS]; a cone with no room (outside, or all zero) gives
+    MAX_GRID_BITS.
+    """
+
+    rows, cols, coefs = np.array(problem.entries, dtype=np.int64).reshape(-1, 3).T
+    rhs = np.array([to_float(r) for r in problem.rhs_exact])
+    x = np.asarray(x, dtype=float)
+    residual = np.bincount(rows, coefs * x[cols], minlength=len(rhs)) - rhs
+    count = np.bincount(rows, minlength=len(rhs))
+    xp = x.copy()
+    xp[cols] -= residual[rows] / (count[rows] * coefs)
+    a, b, c = xp.reshape(-1, 3).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.min((2 * a * b - c * c) / (3 * (a + b + np.abs(c))), initial=np.inf)
+    if not room > 0:
+        return MAX_GRID_BITS
+    return min(max(math.ceil(-math.log2(room)), MIN_GRID_BITS), MAX_GRID_BITS)
+
+
 def check_cone_strict(a: Fraction, b: Fraction, c: Fraction) -> bool:
     """Exact strict acceptance: interior, or a pure square pair (c == 0)."""
 
@@ -108,20 +146,18 @@ def exact_sobs(
     f: SparsePoly,
     xi: object = None,
     delta_socp: float = 1e-8,
-    delta_round: float = 1e-5,
     margin: float = 1e-4,
     odd_mode: bool = False,
 ) -> Certificate:
     """Certify a rational lower bound for f exactly.
 
-    With xi omitted the bound is computed first and backed off by margin
-    so the decomposition sits strictly inside the cones.  The feasibility
-    problem at xi is assembled and solved to accuracy delta_socp; the
-    numeric solution is rounded to precision delta_round, projected back
-    onto the equality rows exactly, and accepted only if every cone
-    inequality holds strictly.  On failure the same numeric solution is
-    rounded once more on a 2^10 times finer grid before BoundaryFailure is
-    reported.
+    With xi omitted the bound is computed first, backed off by margin so
+    the decomposition sits strictly inside the cones, and rounded on the
+    2^-MIN_GRID_BITS grid.  The feasibility problem at xi is assembled and
+    solved to accuracy delta_socp; the numeric solution is rounded once, on
+    the grid grid_bits derives from its cone slack, projected back onto the
+    equality rows exactly, and accepted only if every cone inequality holds
+    strictly.  Otherwise BoundaryFailure is reported.
     """
 
     sha = poly_sha256(f)
@@ -136,7 +172,7 @@ def exact_sobs(
             raise SolverFailure("no finite bound exists for this support")
         if not part.gamma_set:
             return _trivial_certificate(f, bound.constant, sha)
-        xi_exact = round_to_rational(bound.xi - margin, delta_round)
+        xi_exact = round_to_rational(bound.xi - margin, 2.0**-MIN_GRID_BITS)
         plan = bound.plan
     else:
         xi_exact = parse_rational(xi)
@@ -151,46 +187,29 @@ def exact_sobs(
     if solution.status == "infeasible":
         raise BoundaryFailure(f"no decomposition exists at bound {xi_exact}")
 
-    def attempt(dr: float) -> Optional[Certificate]:
-        # A stalled solve still yields a numeric seed; the exact projection
-        # and strict cone checks below are what decide acceptance.
-        slots = project_slots(
-            problem, [round_to_rational(s, dr) for s in solution.x]
-        )
-        groups: List[Tuple[CertTriple, ...]] = []
-        pos = 0
-        ok = True
-        for triples in plan.circuit_triples:
-            group = []
-            for u, v, w in triples:
-                a, b, c = slots[3 * pos], slots[3 * pos + 1], slots[3 * pos + 2]
-                pos += 1
-                if not check_cone_strict(a, b, c):
-                    ok = False
-                group.append(CertTriple(u=u, v=v, w=w, a=a, b=b, c=c))
-            groups.append(tuple(group))
-        if not ok:
-            return None
-        cert = Certificate(
-            n=f.n,
-            xi=xi_exact,
-            poly_sha256=sha,
-            circuits=tuple(groups),
-            passthrough=tuple(sorted(problem.passthrough_terms.items())),
-        )
-        check = verify_certificate(f, cert)
-        if check.reason == "too-large":
-            raise ValueError(f"certificate denominators at bound {xi_exact} are too large to verify")
-        if not check.ok:
-            raise RuntimeError(
-                f"projected slots do not reconstruct the companion of f - {xi_exact}: {check.reason}"
-            )
-        return cert
-
-    for dr in (delta_round, delta_round / 2**10):
-        cert = attempt(dr)
-        if cert is not None:
-            return cert
-    raise BoundaryFailure(
-        f"bound {xi_exact} is not strictly certifiable at this precision"
+    # A stalled solve still yields a numeric seed; the exact projection and
+    # strict cone checks below are what decide acceptance.
+    grid = 2.0 ** -grid_bits(problem, solution.x)
+    slots = project_slots(problem, [round_to_rational(s, grid) for s in solution.x])
+    cones = zip(slots[0::3], slots[1::3], slots[2::3])
+    circuits = tuple(
+        tuple(CertTriple(u, v, w, *next(cones)) for u, v, w in triples)
+        for triples in plan.circuit_triples
     )
+    if not all(check_cone_strict(t.a, t.b, t.c) for group in circuits for t in group):
+        raise BoundaryFailure(f"bound {xi_exact} is not strictly certifiable at this precision")
+    cert = Certificate(
+        n=f.n,
+        xi=xi_exact,
+        poly_sha256=sha,
+        circuits=circuits,
+        passthrough=tuple(sorted(problem.passthrough_terms.items())),
+    )
+    check = verify_certificate(f, cert)
+    if check.reason == "too-large":
+        raise ValueError(f"certificate denominators at bound {xi_exact} are too large to verify")
+    if not check.ok:
+        raise RuntimeError(
+            f"projected slots do not reconstruct the companion of f - {xi_exact}: {check.reason}"
+        )
+    return cert

@@ -10,10 +10,13 @@ geometric mean of x^v and x^w), so a passing certificate proves f >= xi.
 
 Verification runs on integers: points over the least common denominator D
 of all coordinates, values (slots, passthrough coefficients, xi) over the
-least common denominator V of all values.  A D or V of more than
+least common denominator V of all values.  A D of more than
 MAX_DECIMAL_EXPONENT decimal digits, the parser's limit for one value, is
-refused as too-large before any further arithmetic.  This module imports
-only polyring and the standard library.
+refused as too-large before any further arithmetic, and so is a V that
+reaches 10^MAX_DECIMAL_EXPONENT times 2^B(f), where B(f) sums ceil(log2 d)
+over the distinct denominators d of f's coefficients: the values must carry
+those, and 2^B(f) bounds their least common denominator without big-integer
+arithmetic.  This module imports only polyring and the standard library.
 """
 
 from __future__ import annotations
@@ -216,14 +219,15 @@ class VerifyResult:
         return self.ok
 
 
-def _common_denominator(values: Iterable[Fraction]) -> Optional[int]:
-    """Least common denominator of the values, or None once it has more
-    than MAX_DECIMAL_EXPONENT decimal digits."""
+def _common_denominator(values: Iterable[Fraction], extra_bits: int = 0) -> Optional[int]:
+    """Least common denominator of the values, or None once it reaches
+    10^MAX_DECIMAL_EXPONENT * 2^extra_bits."""
 
+    limit = _TOO_MANY_DIGITS << extra_bits
     den = 1
     for d in {x.denominator for x in values}:
         den = lcm(den, d)
-        if den >= _TOO_MANY_DIGITS:
+        if den >= limit:
             return None
     return den
 
@@ -234,8 +238,9 @@ def verify_certificate(f: SparsePoly, cert: Certificate) -> VerifyResult:
     Checks closed cone membership (non-strict), midpoint structure,
     passthrough shape, and the exact reconstruction of the companion of
     f - xi, all on integers over the common denominators D of the points
-    and V of the values.  A passing certificate proves f(x) >= xi for every
-    real x.
+    and V of the values.  D is refused as too-large from 10^4300 on, V from
+    10^4300 * 2^B(f) on (see the module docstring).  A passing certificate
+    proves f(x) >= xi for every real x.
     """
 
     n = cert.n
@@ -246,7 +251,8 @@ def verify_certificate(f: SparsePoly, cert: Certificate) -> VerifyResult:
     triples = cert.triples
     den = _common_denominator(x for t in triples for pt in (t.u, t.v, t.w) for x in pt)
     slots = (x for t in triples for x in (t.a, t.b, t.c))
-    val = _common_denominator([cert.xi, *slots, *(coef for _, coef in cert.passthrough)])
+    poly_bits = sum((d - 1).bit_length() for d in {c.denominator for c in f.terms.values()})
+    val = _common_denominator([cert.xi, *slots, *(coef for _, coef in cert.passthrough)], poly_bits)
     if den is None or val is None:
         return VerifyResult(False, "too-large")
 

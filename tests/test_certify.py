@@ -9,14 +9,16 @@ from fractions import Fraction
 import pytest
 
 import soncert.certify
-import soncert.ipm
 from soncert.certify import (
+    MAX_GRID_BITS,
+    MIN_GRID_BITS,
     BoundaryFailure,
     Certificate,
     CertTriple,
     check_cone,
     check_cone_strict,
     exact_sobs,
+    grid_bits,
     project_slots,
     round_to_rational,
     verify_certificate,
@@ -24,7 +26,7 @@ from soncert.certify import (
 from soncert.cover import simplex_cover
 from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, poly_sha256
-from soncert.socp import assemble, build_plan, pn_companion, solve_problem
+from soncert.socp import SocpProblem, assemble, build_plan, pn_companion, solve_problem
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 EX6 = SparsePoly(
@@ -216,48 +218,69 @@ def test_random_instances_certify_and_verify():
             assert val - float(cert.xi) >= -1e-9 * (1 + scale)
 
 
-def test_retry_rounds_the_same_solution_finer(monkeypatch):
-    # Seed 504's first rounding fails, so the retry on the finer grid runs.
-    poly = random_instance(
-        n=3, degree=6, terms=10, poly_class="standard-simplex", interior=True, seed=504
-    ).poly
-    problems, solutions = [], []
-    steps = [0]
-    nt_scaling = soncert.ipm.nt_scaling
+def _hand_made_problem(entries, rhs):
+    return SocpProblem(
+        plan=None, mode="feasibility", n=1, constant=Fraction(0), xi=Fraction(0),
+        row_points=((Fraction(0),),) * len(rhs), rhs_exact=tuple(map(Fraction, rhs)),
+        entries=tuple(entries), objective=(0,) * len(entries),
+    )
 
-    def counting_nt_scaling(x, z):
-        steps[0] += 1  # one call per interior-point step
-        return nt_scaling(x, z)
 
-    def recording_assemble(*args, **kwargs):
-        problems.append(assemble(*args, **kwargs))
-        return problems[-1]
+def _cones(*cones):
+    # one row per slot, with the coefficients 2, 1, -2 of assemble, so every
+    # x projects to the cones themselves
+    coefs = [2, 1, -2] * len(cones)
+    values = [Fraction(v) for cone in cones for v in cone]
+    entries = [(i, i, coef) for i, coef in enumerate(coefs)]
+    return _hand_made_problem(entries, [coef * v for coef, v in zip(coefs, values)])
+
+
+def test_grid_bits_rule():
+    zeros = [0.0] * 6
+    # room (2ab - c^2) / (3(a + b + |c|)) of the tight cone is 2^-24 / (3 (1 + 2^-25)),
+    # so k = ceil(24 + log2 3 + log2(1 + 2^-25)) = 26; the roomy cone has 1/3
+    assert grid_bits(_cones((1, 1, 0), (Fraction(1, 2**25), 1, 0)), zeros) == 26
+    assert grid_bits(_cones((1, 1, 0), (1, 1, 1)), zeros) == MIN_GRID_BITS
+    assert grid_bits(_cones((1, 1, 0), (0, 0, 0)), zeros) == MAX_GRID_BITS
+    assert grid_bits(_cones((1, 1, 0), (1, 1, 2)), zeros) == MAX_GRID_BITS
+    # the room is measured after spreading each row's residual: row 0 reads
+    # 2a + b = 2, so x = (0.75, 1.5, c) projects to (0.5, 1, c); with
+    # c = 1 - 2^-30 the projected cone has 2ab - c^2 = 2^-29 and room
+    # 2^-29 / (7.5 - 3 * 2^-30), so k = 32, where x itself would give 17
+    c = 1 - 2.0**-30
+    shared = _hand_made_problem([(0, 0, 2), (0, 1, 1), (1, 2, -2)], [2, -2 * Fraction(c)])
+    assert grid_bits(shared, [0.75, 1.5, c]) == 32
+    assert grid_bits(shared, [0.5, 1.0, c]) == 32
+
+
+SEED_504 = random_instance(
+    n=3, degree=6, terms=10, poly_class="standard-simplex", interior=True, seed=504
+).poly
+
+
+@pytest.mark.parametrize("poly", [SEED_504, MOTZKIN], ids=["seed-504", "motzkin"])
+def test_one_rounding_per_certificate(monkeypatch, poly):
+    # Seed 504's solution misses a cone when rounded on the 2^-17 grid.
+    solutions, problems = [], []
 
     def recording_solve(*args, **kwargs):
-        # Counts only the feasibility steps: the bound solve calls
-        # soncert.socp.solve_problem, not this name.
-        with monkeypatch.context() as patch:
-            patch.setattr(soncert.ipm, "nt_scaling", counting_nt_scaling)
-            solutions.append(solve_problem(*args, **kwargs))
+        solutions.append(solve_problem(*args, **kwargs))
         return solutions[-1]
 
-    monkeypatch.setattr(soncert.certify, "assemble", recording_assemble)
+    def recording_project(problem, slots):
+        problems.append(problem)
+        return project_slots(problem, slots)
+
     monkeypatch.setattr(soncert.certify, "solve_problem", recording_solve)
+    monkeypatch.setattr(soncert.certify, "project_slots", recording_project)
     cert = exact_sobs(poly)
     assert verify_certificate(poly, cert).ok
-    assert len(problems) == 1 and len(solutions) == 1
+    assert len(solutions) == 1 and len(problems) == 1
 
-    feasibility_steps = steps[0]
-    steps[0] = 0
-    with monkeypatch.context() as patch:
-        patch.setattr(soncert.ipm, "nt_scaling", counting_nt_scaling)
-        fresh = solve_problem(problems[0], delta=1e-8)
-    assert feasibility_steps == steps[0]
-    # the first rounding misses a cone, the finer one of the same x is the certificate
-    coarse = project_slots(problems[0], [round_to_rational(s, 1e-5) for s in fresh.x])
-    assert not all(check_cone_strict(*coarse[i : i + 3]) for i in range(0, len(coarse), 3))
-    finer = project_slots(problems[0], [round_to_rational(s, 1e-5 / 2**10) for s in fresh.x])
-    assert [v for t in cert.triples for v in (t.a, t.b, t.c)] == finer
+    k = grid_bits(problems[0], solutions[0].x)
+    assert 17 <= k <= 52
+    rounded = project_slots(problems[0], [round_to_rational(s, 2**-k) for s in solutions[0].x])
+    assert [v for t in cert.triples for v in (t.a, t.b, t.c)] == rounded
 
 
 def test_reconstruction_check_raises(monkeypatch):

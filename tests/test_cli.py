@@ -185,6 +185,28 @@ def test_error_exit_on_missing_file(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "{poly}", "--delta-round", "1e-5"], "unrecognized arguments: --delta-round"),
+        (["verify", "{poly}"], "the following arguments are required: certificate"),
+        (["certify", "{poly}", "--delta-socp", "abc"], "invalid float value: 'abc'"),
+    ],
+    ids=["removed-option", "missing-argument", "bad-float"],
+)
+def test_usage_error_exits_1(motzkin_file, capsys, argv, message):
+    # exit 2 would read as a boundary failure
+    code = cli.main([arg.format(poly=motzkin_file) for arg in argv])
+    assert code == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["certify", "--help"]) == cli.EXIT_OK
+    assert "--delta-round" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "damage, field",
     [
         (lambda data: data["circuits"][0].pop("triples"), "triples"),

@@ -277,17 +277,36 @@ def test_cli_verify_reports_too_large(tmp_path, capsys):
     assert "reason=too-large" in capsys.readouterr().out.splitlines()
 
 
+# each coefficient is within the parser's limit, but together their
+# denominators have more than 4300 digits
+LARGE_DENOMINATORS = SparsePoly(
+    2,
+    {
+        (4, 2): Fraction(3**4700 + 1, 3**4700),
+        (2, 4): Fraction(7**2700 + 1, 7**2700),
+        (0, 0): 1,
+        (2, 2): -3,
+    },
+)
+
+
 def test_exact_sobs_reports_too_large_as_a_value_error():
-    # each coefficient is within the parser's limit, but the slots carry both
-    # denominators, whose product has more than 4300 digits
-    f = SparsePoly(
-        2,
-        {
-            (4, 2): Fraction(3**4700 + 1, 3**4700),
-            (2, 4): Fraction(7**2700 + 1, 7**2700),
-            (0, 0): 1,
-            (2, 2): -3,
-        },
-    )
+    # xi's odd 4300-digit denominator is within the parser's limit, but the
+    # slots carry it times the rounding grid's 2^k, over the cap 10^4300 that
+    # an f with integer coefficients gets
+    xi = Fraction(-(10**4299), 10**4300 - 1)
     with pytest.raises(ValueError, match="too large"):
-        exact_sobs(f)
+        exact_sobs(MOTZKIN, xi=xi)
+
+
+def test_value_cap_is_relative_to_the_polynomial(tmp_path, capsys):
+    # the slots carry both of f's denominators, whose product alone has more
+    # than 4300 digits; the cap on V is 10^4300 times a bound on that product
+    poly_path = tmp_path / "poly.json"
+    poly_path.write_text(soncert.polyring.poly_dumps(LARGE_DENOMINATORS))
+    cert_path = tmp_path / "cert.json"
+    assert soncert.cli.main(["certify", str(poly_path), "-o", str(cert_path)]) == soncert.cli.EXIT_OK
+    assert soncert.cli.main(["verify", str(poly_path), str(cert_path)]) == soncert.cli.EXIT_OK
+    assert "ok=true" in capsys.readouterr().out.splitlines()
+    cert = Certificate.loads(cert_path.read_text())
+    assert ref_verify_certificate(LARGE_DENOMINATORS, cert) == (True, "ok")
