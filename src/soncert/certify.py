@@ -19,9 +19,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .cover import simplex_cover
-from .polyring import SparsePoly, parse_rational, pn_companion, poly_sha256, support_partition
-from .socp import SocpProblem, SolverFailure, assemble, build_plan, lower_bound, solve_problem
-from .socp import to_float
+from .polyring import SparsePoly, parse_rational, pn_companion, poly_sha256
+from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points, lower_bound
+from .socp import solve_problem, to_float
 from .verify import (  # check_cone and VerifyResult are re-exported
     Certificate,
     CertTriple,
@@ -35,6 +35,9 @@ from .verify import (  # check_cone and VerifyResult are re-exported
 # the coarsest slot grid, and past 2^-52 rounding a float adds nothing.
 MIN_GRID_BITS = 17
 MAX_GRID_BITS = 52
+# How far below the numeric bound exact_sobs certifies when no xi is given,
+# so that the decomposition sits strictly inside the cones.
+XI_BACKOFF = 1e-4
 
 
 class BoundaryFailure(RuntimeError):
@@ -120,9 +123,8 @@ def check_cone_strict(a: Fraction, b: Fraction, c: Fraction) -> bool:
     return 2 * a * b > c * c
 
 
-def _trivial_certificate(f: SparsePoly, xi: Fraction, sha: str) -> Certificate:
-    tilde = pn_companion(f)
-    zero = (0,) * f.n
+def _trivial_certificate(tilde: SparsePoly, xi: Fraction, sha: str) -> Certificate:
+    zero = (0,) * tilde.n
     constant = tilde.constant() - xi
     if constant < 0:
         raise BoundaryFailure(
@@ -134,7 +136,7 @@ def _trivial_certificate(f: SparsePoly, xi: Fraction, sha: str) -> Certificate:
     if constant:
         passthrough.insert(0, (zero, constant))
     return Certificate(
-        n=f.n,
+        n=tilde.n,
         xi=xi,
         poly_sha256=sha,
         circuits=(),
@@ -146,41 +148,39 @@ def exact_sobs(
     f: SparsePoly,
     xi: object = None,
     delta_socp: float = 1e-8,
-    margin: float = 1e-4,
     odd_mode: bool = False,
 ) -> Certificate:
     """Certify a rational lower bound for f exactly.
 
-    With xi omitted the bound is computed first, backed off by margin so
-    the decomposition sits strictly inside the cones, and rounded on the
-    2^-MIN_GRID_BITS grid.  The feasibility problem at xi is assembled and
-    solved to accuracy delta_socp; the numeric solution is rounded once, on
-    the grid grid_bits derives from its cone slack, projected back onto the
+    With xi omitted the bound is computed first by lower_bound, backed off
+    by XI_BACKOFF so the decomposition sits strictly inside the cones, and
+    rounded on the 2^-MIN_GRID_BITS grid; any other bound is certified by
+    passing it as xi.  The feasibility problem at xi is assembled and solved
+    to accuracy delta_socp; the numeric solution is rounded once, on the
+    grid grid_bits derives from its cone slack, projected back onto the
     equality rows exactly, and accepted only if every cone inequality holds
-    strictly.  Otherwise BoundaryFailure is reported.
+    strictly.  Otherwise BoundaryFailure is reported.  With no interior
+    points (a constant f included) the certificate is the companion's
+    monomial squares alone.
     """
 
     sha = poly_sha256(f)
-    zero = (0,) * f.n
-    rest = SparsePoly(f.n, {e: c for e, c in f.terms.items() if e != zero})
-    part = support_partition(rest)
-    tilde = pn_companion(f)
-
     if xi is None:
         bound = lower_bound(f, delta=delta_socp, odd_mode=odd_mode)
         if not math.isfinite(bound.xi):
             raise SolverFailure("no finite bound exists for this support")
-        if not part.gamma_set:
-            return _trivial_certificate(f, bound.constant, sha)
-        xi_exact = round_to_rational(bound.xi - margin, 2.0**-MIN_GRID_BITS)
+        tilde = bound.pn
+        if not bound.gamma_set:
+            return _trivial_certificate(tilde, bound.constant, sha)
+        xi_exact = round_to_rational(bound.xi - XI_BACKOFF, 2.0**-MIN_GRID_BITS)
         plan = bound.plan
     else:
         xi_exact = parse_rational(xi)
-        if not part.gamma_set:
-            return _trivial_certificate(f, xi_exact, sha)
-        lam = tuple(sorted(set(part.lambda_set) | {zero}))
-        cover = simplex_cover(lam, part.gamma_set)
-        plan = build_plan(cover, odd_mode=odd_mode)
+        tilde = pn_companion(f)
+        lam, gamma = cover_points(f)
+        if not gamma:
+            return _trivial_certificate(tilde, xi_exact, sha)
+        plan = build_plan(simplex_cover(lam, gamma), odd_mode=odd_mode)
 
     problem = assemble(plan, tilde, mode="feasibility", xi=xi_exact)
     solution = solve_problem(problem, delta=delta_socp)

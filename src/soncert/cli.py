@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 2 boundary failure (no strict certificate at the
 requested precision), 3 solver failure (numeric solve did not converge),
-1 any other error, a usage error included.  --batch treats the input as a
-directory of .json files, or as JSON lines with one polynomial per line,
-and fans the work out over a bounded process pool.  Every batch item gets
-its own report, an item that fails does not stop the others, and the exit
-code is the worst one seen.
+1 any other error, a usage error included.  bound and certify run each
+item, the one input or every --batch item, through one path: a work
+function gives (report, certificate) and _emit prints it.  --batch treats
+the input as a directory of .json files, or as JSON lines with one
+polynomial per line, and fans the work out over a bounded process pool.
+Every batch item gets its own JSON report (and, like a single item, an
+"error:" line on stderr when its status is error), an item that fails does
+not stop the others, and the exit code is the worst one seen.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .certify import BoundaryFailure, exact_sobs
 from .cover import CoverInfeasible
@@ -31,6 +35,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUNDARY = 2
 EXIT_SOLVER = 3
+_STATUS_EXIT = {"ok": EXIT_OK, "boundary-failure": EXIT_BOUNDARY, "solver-failure": EXIT_SOLVER}
 
 
 @dataclass
@@ -46,9 +51,6 @@ class RunReport:
     certificate_bits: Optional[int] = None
     reason: str = ""
     phases: Dict[str, float] = field(default_factory=dict)
-
-    def dumps(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def lines(self) -> List[str]:
         out = [f"status={self.status}"]
@@ -84,21 +86,36 @@ def _batch_items(path: str) -> List[str]:
     return [ln for ln in _read_text(path).splitlines() if ln.strip()]
 
 
-def _bound_work(text: str, delta: float, odd_mode: bool, dump: Optional[str]) -> RunReport:
-    report = RunReport(command="bound", status="ok")
+# The status of an item whose work raised; any other exception reaches main.
+_FAILURE_STATUS = {
+    BoundaryFailure: "boundary-failure",
+    SolverFailure: "solver-failure",
+    CoverInfeasible: "error",
+    ValueError: "error",
+}
+
+
+def _attempt(report: RunReport, text: str, phase: str, solve: Callable[[SparsePoly], Any]) -> Any:
+    """Parse text and solve it, timing both into report; None if it failed."""
     t0 = time.perf_counter()
     try:
         poly = poly_loads(text)
         report.phases["parse"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        result = lower_bound(poly, delta=delta, odd_mode=odd_mode)
-    except SolverFailure as err:
-        report.status, report.reason = "solver-failure", str(err)
-        return report
-    except (CoverInfeasible, ValueError) as err:
-        report.status, report.reason = "error", str(err)
-        return report
-    report.phases["solve"] = time.perf_counter() - t0
+        result = solve(poly)
+    except tuple(_FAILURE_STATUS) as err:
+        report.status = next(s for kind, s in _FAILURE_STATUS.items() if isinstance(err, kind))
+        report.reason = str(err)
+        return None
+    report.phases[phase] = time.perf_counter() - t0
+    return result
+
+
+def _bound_work(text: str, delta: float, odd_mode: bool, dump: Optional[str]) -> tuple:
+    report = RunReport(command="bound", status="ok")
+    result = _attempt(report, text, "solve", lambda p: lower_bound(p, delta=delta, odd_mode=odd_mode))
+    if result is None:
+        return report, None
     report.xi = result.xi
     if result.solution is not None:
         report.iterations = result.solution.iterations
@@ -107,113 +124,71 @@ def _bound_work(text: str, delta: float, odd_mode: bool, dump: Optional[str]) ->
     if dump and result.problem is not None:
         with open(dump, "w", encoding="utf-8") as handle:
             handle.write(result.problem.to_json())
-    return report
+    return report, None
 
 
-def _certify_work(
-    text: str, xi: Optional[str], delta_socp: float, margin: float, odd_mode: bool
-) -> tuple:
+def _certify_work(text: str, xi: Optional[str], delta_socp: float, odd_mode: bool) -> tuple:
     report = RunReport(command="certify", status="ok")
-    t0 = time.perf_counter()
-    try:
-        poly = poly_loads(text)
-        report.phases["parse"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        cert = exact_sobs(poly, xi=xi, delta_socp=delta_socp, margin=margin, odd_mode=odd_mode)
-    except BoundaryFailure as err:
-        report.status, report.reason = "boundary-failure", str(err)
-        return report, None
-    except SolverFailure as err:
-        report.status, report.reason = "solver-failure", str(err)
-        return report, None
-    except (CoverInfeasible, ValueError) as err:
-        report.status, report.reason = "error", str(err)
-        return report, None
+    cert = _attempt(
+        report, text, "certify", lambda p: exact_sobs(p, xi=xi, delta_socp=delta_socp, odd_mode=odd_mode)
+    )
     # no self-check: every certificate exact_sobs returns has passed verify_certificate
-    report.phases["certify"] = time.perf_counter() - t0
-    report.xi = float(cert.xi)
-    report.exact_xi = format_rational(cert.xi)
-    report.num_triples = len(cert.triples)
-    report.certificate_bits = cert.bit_size
+    if cert is not None:
+        report.xi = float(cert.xi)
+        report.exact_xi = format_rational(cert.xi)
+        report.num_triples = len(cert.triples)
+        report.certificate_bits = cert.bit_size
     return report, cert
 
 
-def _status_exit(status: str) -> int:
-    return {
-        "ok": EXIT_OK,
-        "boundary-failure": EXIT_BOUNDARY,
-        "solver-failure": EXIT_SOLVER,
-    }.get(status, EXIT_ERROR)
+def _emit(report: RunReport, cert: Optional[Certificate], as_json: bool, output: Optional[str]) -> int:
+    """Write the certificate to output, print one item and return its exit code.
 
-
-def _emit_report(report: RunReport, as_json: bool) -> None:
+    As JSON the item is one line with the certificate inlined.  Otherwise
+    the certificate goes to stdout unless written to output, and the report
+    lines go to stdout, or to stderr when a certificate came with them.
+    """
+    text = None if cert is None else cert.dumps()
+    if text is not None and output:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text)
     if as_json:
-        print(report.dumps())
+        payload = asdict(report)
+        if text is not None:
+            payload["certificate"] = json.loads(text)
+        print(json.dumps(payload, sort_keys=True))
     else:
+        if text is not None and not output:
+            print(text)
         for line in report.lines():
-            print(line)
+            print(line, file=sys.stdout if text is None else sys.stderr)
     if report.status == "error":
         print(f"error: {report.reason}", file=sys.stderr)
+    return _STATUS_EXIT.get(report.status, EXIT_ERROR)
 
 
-def _batch_bound(args) -> int:
-    lines = _batch_items(args.input)
-    worker_args = [(ln, args.delta_socp, args.odd_mode, None) for ln in lines]
+def _run(args, work: Callable[..., tuple], *params: Any) -> int:
+    """Run work(text, *params) on the input, or on every --batch item in a
+    process pool, emitting each item as JSON; return the worst exit code."""
+    if not args.batch:
+        report, cert = work(_read_text(args.input), *params)
+        return _emit(report, cert, args.json, getattr(args, "output", None))
+    texts = _batch_items(args.input)
     worst = EXIT_OK
     with ProcessPoolExecutor() as pool:
-        for report in pool.map(_bound_work, *zip(*worker_args)):
-            print(report.dumps())
-            worst = max(worst, _status_exit(report.status))
-    return worst
-
-
-def _batch_certify(args) -> int:
-    lines = _batch_items(args.input)
-    worker_args = [(ln, args.xi, args.delta_socp, args.margin, args.odd_mode) for ln in lines]
-    worst = EXIT_OK
-    with ProcessPoolExecutor() as pool:
-        for report, cert in pool.map(_certify_work, *zip(*worker_args)):
-            if cert is not None:
-                payload = asdict(report)
-                payload["certificate"] = cert.to_json()
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                print(report.dumps())
-            worst = max(worst, _status_exit(report.status))
+        for report, cert in pool.map(work, texts, *(repeat(p, len(texts)) for p in params)):
+            worst = max(worst, _emit(report, cert, True, None))
     return worst
 
 
 def _cmd_bound(args) -> int:
-    if args.batch:
-        return _batch_bound(args)
-    report = _bound_work(_read_text(args.input), args.delta_socp, args.odd_mode, args.dump_socp)
-    _emit_report(report, args.json)
-    return _status_exit(report.status)
+    # --batch writes no standard form
+    dump = None if args.batch else args.dump_socp
+    return _run(args, _bound_work, args.delta_socp, args.odd_mode, dump)
 
 
 def _cmd_certify(args) -> int:
-    if args.batch:
-        return _batch_certify(args)
-    report, cert = _certify_work(
-        _read_text(args.input), args.xi, args.delta_socp, args.margin, args.odd_mode
-    )
-    if cert is not None:
-        text = cert.dumps()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        if args.json:
-            payload = asdict(report)
-            payload["certificate"] = json.loads(text)
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            if not args.output:
-                print(text)
-            for line in report.lines():
-                print(line, file=sys.stderr)
-    else:
-        _emit_report(report, args.json)
-    return _status_exit(report.status)
+    return _run(args, _certify_work, args.xi, args.delta_socp, args.odd_mode)
 
 
 def _cmd_verify(args) -> int:
@@ -260,24 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bound = sub.add_parser("bound", help="compute the conic lower bound")
-    bound.add_argument("input", help="polynomial JSON file, or - for stdin")
-    bound.add_argument("--delta-socp", type=float, default=1e-8, help="solver accuracy")
-    bound.add_argument("--odd-mode", action="store_true", help="odd-denominator mediated sets")
+    item = argparse.ArgumentParser(add_help=False)  # shared by bound and certify
+    item.add_argument("input", help="polynomial JSON file, or - for stdin")
+    item.add_argument("--delta-socp", type=float, default=1e-8, help="solver accuracy")
+    item.add_argument("--odd-mode", action="store_true", help="odd-denominator mediated sets")
+    item.add_argument("--json", action="store_true", help="machine-readable report")
+    item.add_argument("--batch", action="store_true", help="input is a directory of .json files or JSON lines")
+
+    bound = sub.add_parser("bound", parents=[item], help="compute the conic lower bound")
     bound.add_argument("--dump-socp", metavar="PATH", help="write the standard form as JSON")
-    bound.add_argument("--json", action="store_true", help="machine-readable report")
-    bound.add_argument("--batch", action="store_true", help="input is a directory of .json files or JSON lines")
     bound.set_defaults(func=_cmd_bound)
 
-    certify = sub.add_parser("certify", help="produce an exact rational certificate")
-    certify.add_argument("input", help="polynomial JSON file, or - for stdin")
+    certify = sub.add_parser("certify", parents=[item], help="produce an exact rational certificate")
     certify.add_argument("--xi", help="certify this exact rational bound instead of solving for one")
-    certify.add_argument("--delta-socp", type=float, default=1e-8, help="solver accuracy")
-    certify.add_argument("--margin", type=float, default=1e-4, help="backoff below the numeric bound")
-    certify.add_argument("--odd-mode", action="store_true", help="odd-denominator mediated sets")
     certify.add_argument("-o", "--output", metavar="PATH", help="write the certificate here")
-    certify.add_argument("--json", action="store_true", help="machine-readable report")
-    certify.add_argument("--batch", action="store_true", help="input is a directory of .json files or JSON lines")
     certify.set_defaults(func=_cmd_certify)
 
     verify = sub.add_parser("verify", help="check a certificate exactly")

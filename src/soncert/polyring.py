@@ -182,8 +182,11 @@ def support_partition(f: SparsePoly) -> SupportPartition:
 def to_pn(f: SparsePoly) -> SparsePoly:
     """PN companion: keep Lambda coefficients, negate |.| of the rest.
 
-    Idempotent; the companion is nonnegative iff f is.
+    Idempotent; the companion is nonnegative iff f is.  The zero
+    polynomial is its own companion.
     """
+    if f.is_zero():
+        return f
     part = support_partition(f)
     gamma = set(part.gamma_set)
     terms = {

@@ -320,12 +320,23 @@ class LowerBoundResult:
     xi: float
     constant: Fraction
     pn: SparsePoly
-    lambda_set: Tuple[Exponent, ...]
     gamma_set: Tuple[Exponent, ...]
     cover: Optional[CoverResult] = None
     plan: Optional[ConeTriplePlan] = None
     problem: Optional[SocpProblem] = None
     solution: Optional[ConeSolve] = None
+
+
+def cover_points(f: SparsePoly) -> Tuple[Tuple[Exponent, ...], Tuple[Exponent, ...]]:
+    """The cover's inputs: the origin with the square points of f's
+    nonconstant part, and that part's other points (none for a constant f)."""
+
+    zero = (0,) * f.n
+    rest = SparsePoly(f.n, {exp: c for exp, c in f.terms.items() if exp != zero})
+    if rest.is_zero():
+        return (zero,), ()
+    part = support_partition(rest)
+    return tuple(sorted(set(part.lambda_set) | {zero})), part.gamma_set
 
 
 def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> LowerBoundResult:
@@ -335,21 +346,12 @@ def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> L
     CoverInfeasible when some interior point cannot be covered at all.
     """
 
-    zero = (0,) * f.n
     f0 = f.constant()
-    rest = SparsePoly(f.n, {exp: c for exp, c in f.terms.items() if exp != zero})
-    part = support_partition(rest)
+    lam, gamma = cover_points(f)
     tilde = pn_companion(f)
-    lam = tuple(sorted(set(part.lambda_set) | {zero}))
-    if not part.gamma_set:
-        return LowerBoundResult(
-            xi=to_float(f0),
-            constant=f0,
-            pn=tilde,
-            lambda_set=lam,
-            gamma_set=(),
-        )
-    cover = simplex_cover(lam, part.gamma_set)
+    if not gamma:
+        return LowerBoundResult(xi=to_float(f0), constant=f0, pn=tilde, gamma_set=())
+    cover = simplex_cover(lam, gamma)
     plan = build_plan(cover, odd_mode=odd_mode)
     problem = assemble(plan, tilde, mode="bound")
     solution = solve_problem(problem, delta=delta)
@@ -366,8 +368,7 @@ def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> L
         xi=xi,
         constant=f0,
         pn=tilde,
-        lambda_set=lam,
-        gamma_set=tuple(part.gamma_set),
+        gamma_set=gamma,
         cover=cover,
         plan=plan,
         problem=problem,

@@ -15,6 +15,7 @@ from soncert.certify import (
     BoundaryFailure,
     Certificate,
     CertTriple,
+    VerifyResult,
     check_cone,
     check_cone_strict,
     exact_sobs,
@@ -26,7 +27,7 @@ from soncert.certify import (
 from soncert.cover import simplex_cover
 from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, poly_sha256
-from soncert.socp import SocpProblem, assemble, build_plan, pn_companion, solve_problem
+from soncert.socp import SocpProblem, assemble, build_plan, lower_bound, pn_companion, solve_problem
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 EX6 = SparsePoly(
@@ -116,6 +117,22 @@ def test_trivial_certificate_no_interior_points():
     assert verify_certificate(f, higher).ok
     with pytest.raises(BoundaryFailure):
         exact_sobs(f, xi=-2)
+
+
+@pytest.mark.parametrize("constant", ["5", "-7/3", "0"])
+def test_constant_polynomial_is_its_own_bound(constant):
+    terms = {(0,): Fraction(constant)} if constant != "0" else {}
+    f = SparsePoly(1, terms)
+    assert lower_bound(f).xi == float(Fraction(constant))
+    cert = exact_sobs(f)
+    assert cert.xi == Fraction(constant) and cert.circuits == () and cert.passthrough == ()
+    assert verify_certificate(f, cert).ok
+    # the verifier answers with a reason, not a traceback
+    assert verify_certificate(f, exact_sobs(f, xi=Fraction(constant) - 1)).ok
+    low = Certificate(n=1, xi=Fraction(constant) + 1, poly_sha256=poly_sha256(f), circuits=(), passthrough=())
+    assert verify_certificate(f, low) == VerifyResult(False, "reconstruction-mismatch")
+    with pytest.raises(BoundaryFailure):
+        exact_sobs(f, xi=Fraction(constant) + 1)
 
 
 def test_certificate_json_roundtrip_and_tamper():

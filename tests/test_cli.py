@@ -151,6 +151,47 @@ def test_batch_reports_every_item_past_a_bad_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["bound", "certify"])
+def test_batch_item_equals_single_item(tmp_path, capsys, command):
+    texts = [poly_dumps(MOTZKIN), "not json", poly_dumps(EX6)]
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("\n".join(texts) + "\n")
+    code = cli.main([command, str(batch), "--batch"])
+    assert code == cli.EXIT_ERROR
+    out = capsys.readouterr()
+    batch_reports = [json.loads(ln) for ln in out.out.splitlines()]
+    assert out.err.splitlines() == [f"error: {batch_reports[1]['reason']}"]
+
+    single = tmp_path / "single.json"
+    for text, report in zip(texts, batch_reports, strict=True):
+        single.write_text(text)
+        cli.main([command, str(single), "--json"])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert {**json.loads(lines[0]), "phases": None} == {**report, "phases": None}
+
+
+@pytest.mark.parametrize("constant", ["5", "-7/3", None])
+def test_constant_polynomial_bounds_and_certifies(tmp_path, capsys, constant):
+    poly = tmp_path / "constant.json"
+    terms = [{"exp": [0], "coef": constant}] if constant else []
+    poly.write_text(json.dumps({"n": 1, "terms": terms}))
+    xi = Fraction(constant or 0)
+    assert cli.main(["bound", str(poly), "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["xi"] == float(xi)
+
+    cert_path = tmp_path / "cert.json"
+    assert cli.main(["certify", str(poly), "-o", str(cert_path), "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["exact_xi"] == str(xi)
+    cert = Certificate.loads(cert_path.read_text())
+    assert cert.xi == xi and cert.circuits == ()
+    assert cli.main(["verify", str(poly), str(cert_path)]) == cli.EXIT_OK
+    assert "ok=true" in capsys.readouterr().out
+
+    assert cli.main(["certify", str(poly), f"--xi={xi + 1}"]) == cli.EXIT_BOUNDARY
+    assert "status=boundary-failure" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["bound", "certify"])
 def test_out_of_float_range_coefficient_is_an_error(tmp_path, capsys, command):
     big = tmp_path / "big.json"
     big.write_text(poly_dumps(SparsePoly(2, {**MOTZKIN.terms, (0, 0): Fraction("1e400")})))
@@ -188,10 +229,11 @@ def test_error_exit_on_missing_file(capsys):
     "argv, message",
     [
         (["certify", "{poly}", "--delta-round", "1e-5"], "unrecognized arguments: --delta-round"),
+        (["certify", "{poly}", "--margin", "1e-4"], "unrecognized arguments: --margin"),
         (["verify", "{poly}"], "the following arguments are required: certificate"),
         (["certify", "{poly}", "--delta-socp", "abc"], "invalid float value: 'abc'"),
     ],
-    ids=["removed-option", "missing-argument", "bad-float"],
+    ids=["removed-option", "removed-margin", "missing-argument", "bad-float"],
 )
 def test_usage_error_exits_1(motzkin_file, capsys, argv, message):
     # exit 2 would read as a boundary failure
@@ -203,7 +245,9 @@ def test_usage_error_exits_1(motzkin_file, capsys, argv, message):
 
 def test_help_exits_0(capsys):
     assert cli.main(["certify", "--help"]) == cli.EXIT_OK
-    assert "--delta-round" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--delta-round" not in out
+    assert "--margin" not in out
 
 
 @pytest.mark.parametrize(
