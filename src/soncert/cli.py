@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from .certify import BoundaryFailure, exact_sobs
 from .cover import CoverInfeasible
 from .generate import POLY_CLASSES, random_instance
-from .polyring import SparsePoly, format_rational, poly_dumps, poly_loads
+from .polyring import SparsePoly, format_rational, parse_rational, poly_dumps, poly_loads
 from .socp import SolverFailure, lower_bound
 from .verify import Certificate, verify_certificate
 
@@ -270,9 +270,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_rational(token: str) -> bool:
+    try:
+        parse_rational(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_xi(argv: Sequence[str]) -> List[str]:
+    """Join --xi with a following rational, so that --xi -7/3, whose value
+    argparse takes for an option, reads as --xi=-7/3."""
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1] == "--xi" and _is_rational(token):
+            out[-1] = f"--xi={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_xi(sys.argv[1:] if argv is None else argv))
     except SystemExit as done:  # argparse has printed the help, or the usage error
         return EXIT_OK if done.code == 0 else EXIT_ERROR
     try:

@@ -8,13 +8,15 @@ method with Nesterov-Todd scaling, so it detects infeasibility as well as
 optimality.  Internally each rotated cone is mapped to a standard Lorentz
 cone by an orthogonal change of coordinates; all reported quantities are
 in the caller's rotated-cone coordinates.  Each Newton step factors A H A'
-by one sparse LU without pivoting, at every problem size (see _KktSolver).
+by one sparse LU without pivoting, at every problem size.  Its pattern, the
+scatter of H's blocks into it and its minimum-degree order are built once
+per solve; each iteration refactors only the numbers (see _KktSolver).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -74,11 +76,13 @@ def jordan_solve(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
+# Diagonal of the reflection J = diag(1, -1, -1).
+_J = np.array([1.0, -1.0, -1.0])
+
+
 def _jflip(u: np.ndarray) -> np.ndarray:
-    # Reflection J = diag(1, -1, -1) applied rowwise.
-    out = u.copy()
-    out[:, 1:] = -out[:, 1:]
-    return out
+    # J applied rowwise; the product by -1 is exact, as negation is.
+    return u * _J
 
 
 def _cone_residual(u: np.ndarray) -> np.ndarray:
@@ -173,31 +177,96 @@ def _rotate_vector(vec: np.ndarray) -> np.ndarray:
 
 
 class _KktSolver:
-    """Sparse LU of G = A H A' with one-step iterative refinement.
+    """Sparse LU of G = A H A' with one step of iterative refinement.
+
+    G is the sum over cones t of A_t H_t A_t', where A_t holds the cone's
+    three columns, so its pattern is fixed by A.  The constructor builds
+    that pattern, with every diagonal entry, and a gather map from the 9L
+    entries of H's blocks into it, once per problem.  It orders G by
+    minimum degree on G + G' once, from a diagonally dominant matrix of the
+    same pattern, and keeps the pattern in that order.  Each factor then
+    scatters the blocks into G's values and factors them in the kept order,
+    numerically only.
+
+    The refinement step measures its residual with A H A' as the Newton
+    step applies H, not with the formed G: near the cone boundaries the two
+    round apart by far more than the solver's tolerance, and steps that
+    agree with G alone can stall a solve short of it.
 
     G is symmetric positive definite by construction, so the LU needs no
-    pivoting and orders G by minimum degree on G + G': each slot lies in
-    exactly one row, so A has orthogonal rows, the per-cone rotation keeps
-    its full row rank, and H is positive definite inside the cones.  A
-    factor that breaks down anyway, as when H vanishes on every cone of a
-    row, is retried with a growing diagonal shift.
+    pivoting: each slot lies in exactly one row, so A has orthogonal rows,
+    the per-cone rotation keeps its full row rank, and H is positive
+    definite inside the cones.  A factor that breaks down anyway, as when H
+    vanishes on every cone of a row, is retried with a growing diagonal
+    shift.
     """
 
-    def __init__(self, a_mat: scipy.sparse.csr_matrix, hblocks: np.ndarray) -> None:
-        num_cones = hblocks.shape[0]
-        hmat = scipy.sparse.bsr_matrix(
-            (hblocks, np.arange(num_cones), np.arange(num_cones + 1)),
-            shape=(3 * num_cones, 3 * num_cones),
-        )
-        self._gmat = (a_mat @ hmat @ a_mat.T).tocsc()
+    def __init__(self, a_mat: scipy.sparse.csr_matrix, num_cones: int) -> None:
         m = a_mat.shape[0]
-        diag_scale = max(float(np.max(np.abs(self._gmat.diagonal()))), 1.0)
+        coo = a_mat.tocoo()
+        order = np.argsort(coo.col, kind="stable")
+        rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+        # Every pair (i, j) of nonzeros within one cone's columns adds
+        # a_i a_j H_t[k_i, k_j] to G[row_i, row_j].  Sorted by column, cone
+        # t's nonzeros start at starts[t]; each is paired with all of them.
+        cone = cols // 3
+        counts = np.bincount(cone, minlength=num_cones)
+        starts = np.cumsum(counts) - counts
+        reps = counts[cone]
+        first = np.repeat(np.arange(len(cols)), reps)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+        second = starts[cone[first]] + offset
+        self._weight = vals[first] * vals[second]
+        self._hindex = 9 * cone[first] + 3 * (cols[first] % 3) + cols[second] % 3
+
+        def pattern(perm: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # CSC keys col * m + row of G in the order perm, the diagonal last.
+            perm = perm.astype(np.int64)
+            keys = np.concatenate([perm[rows[second]] * m + perm[rows[first]], perm * (m + 1)])
+            unique, inverse = np.unique(keys, return_inverse=True)
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(unique // m, minlength=m))])
+            return unique % m, indptr, inverse
+
+        # The order depends on the pattern alone; these values, strictly
+        # diagonally dominant, factor without breakdown.
+        indices, indptr, inverse = pattern(np.arange(m))
+        dominant = np.full(len(indices), -1.0)
+        dominant[inverse[len(first) :]] = np.diff(indptr)
+        self._perm = scipy.sparse.linalg.splu(
+            scipy.sparse.csc_matrix((dominant, indices, indptr), shape=(m, m)),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        ).perm_c
+        indices, indptr, inverse = pattern(self._perm)
+        self._gather = inverse[: len(first)]
+        self._diag = inverse[len(first) :]
+        self._gmat = scipy.sparse.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=(m, m))
+
+    def factor(self, hblocks: np.ndarray, gram: Callable[[np.ndarray], np.ndarray]) -> None:
+        """Factor G for the (L, 3, 3) blocks of H.
+
+        gram(u) is A H A' u as the Newton step applies H; solve refines
+        against it rather than against the formed G.
+        """
+
+        data = np.bincount(self._gather, self._weight * hblocks.ravel()[self._hindex], minlength=self._gmat.nnz)
+        self._gram = gram
+        diag_scale = max(float(np.max(np.abs(data[self._diag]))), 1.0)
         reg = 0.0
         while True:
+            shifted = data
+            if reg:
+                shifted = data.copy()
+                shifted[self._diag] += reg
+            # splu copies the values; the matrix only carries the pattern
+            self._gmat.data = shifted
             try:
-                shifted = self._gmat + scipy.sparse.identity(m, format="csc") * reg if reg else self._gmat
                 self._factor = scipy.sparse.linalg.splu(
-                    shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+                    self._gmat,
+                    permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
                 )
                 break
             except RuntimeError:
@@ -205,9 +274,14 @@ class _KktSolver:
                 if reg > 1e-4 * diag_scale:
                     raise
 
+    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        rhs_p = np.empty_like(rhs)
+        rhs_p[self._perm] = rhs
+        return self._factor.solve(rhs_p)[self._perm]
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        sol = self._factor.solve(rhs)
-        sol += self._factor.solve(rhs - self._gmat @ sol)
+        sol = self._lu_solve(rhs)
+        sol += self._lu_solve(rhs - self._gram(sol))
         return sol
 
 
@@ -262,6 +336,7 @@ def solve_socp(
     c_scale = max(1.0, float(np.max(np.abs(c_int), initial=0.0)))
     c_s = c_int / c_scale
     a_st = a_s.T.tocsr()
+    a_ext_t = a_ext.T.tocsr()
 
     b_norm = 1.0 + float(np.max(np.abs(b_ext), initial=0.0))
     c_norm = 1.0 + float(np.max(np.abs(c_ext), initial=0.0))
@@ -277,6 +352,7 @@ def solve_socp(
     degree = num_cones + 1
     mu0 = (float(x @ z) + tau * kappa) / degree
 
+    kkt = _KktSolver(a_s, num_cones)
     best: Optional[Tuple[float, ConeSolve]] = None
     status = "max-iterations"
     stall = 0
@@ -290,7 +366,7 @@ def solve_socp(
         y_c = (y * row_scale / tau) * c_scale
         z_c = _rotate_vector(z / tau) * c_scale
         pres = float(np.max(np.abs(a_ext @ x_c - b_ext), initial=0.0))
-        dres = float(np.max(np.abs(a_ext.T @ y_c + z_c - c_ext), initial=0.0))
+        dres = float(np.max(np.abs(a_ext_t @ y_c + z_c - c_ext), initial=0.0))
         pobj = float(c_ext @ x_c)
         dobj = float(b_ext @ y_c)
         comp = float(x_c @ z_c)
@@ -339,15 +415,16 @@ def solve_socp(
         hblocks = 2.0 * eta2[:, None, None] * np.einsum(
             "ij,ik->ijk", scaling.wbar, scaling.wbar
         )
-        hblocks -= eta2[:, None, None] * np.diag([1.0, -1.0, -1.0])
-        try:
-            kkt = _KktSolver(a_s, hblocks)
-        except (RuntimeError, ValueError):
-            status = "max-iterations"
-            break
+        hblocks -= eta2[:, None, None] * np.diag(_J)
 
         def apply_hmat(u: np.ndarray) -> np.ndarray:
             return _apply_w(scaling, _apply_w(scaling, u.reshape(-1, 3))).ravel()
+
+        try:
+            kkt.factor(hblocks, lambda u: a_s @ apply_hmat(a_st @ u))
+        except (RuntimeError, ValueError):
+            status = "max-iterations"
+            break
 
         hc = apply_hmat(c_s)
         u1 = kkt.solve(b_s + a_s @ hc)
@@ -369,11 +446,10 @@ def solve_socp(
             dkappa = (d_kappa - kappa * dtau) / tau
             return dx, dy, dz, dtau, dkappa
 
+        xz = np.concatenate([x, z]).reshape(-1, 3)
+
         def step_bound(dx, dz, dtau, dkappa):
-            alpha = min(
-                cone_max_step(x.reshape(-1, 3), dx.reshape(-1, 3)),
-                cone_max_step(z.reshape(-1, 3), dz.reshape(-1, 3)),
-            )
+            alpha = cone_max_step(xz, np.concatenate([dx, dz]).reshape(-1, 3))
             if dtau < 0.0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0.0:

@@ -191,6 +191,15 @@ def test_constant_polynomial_bounds_and_certifies(tmp_path, capsys, constant):
     assert "status=boundary-failure" in capsys.readouterr().out
 
 
+def test_negative_xi_as_a_separate_argument(motzkin_file, capsys):
+    # argparse alone takes -7/3 for an option and reports a usage error
+    assert cli.main(["certify", motzkin_file, "--xi=-7/3"]) == cli.EXIT_OK
+    joined = capsys.readouterr().out
+    assert cli.main(["certify", motzkin_file, "--xi", "-7/3"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == joined
+    assert json.loads(joined)["xi"] == "-7/3"
+
+
 @pytest.mark.parametrize("command", ["bound", "certify"])
 def test_out_of_float_range_coefficient_is_an_error(tmp_path, capsys, command):
     big = tmp_path / "big.json"

@@ -16,12 +16,15 @@ from soncert.ipm import (
     _apply_w,
     _apply_winv,
     _cone_residual,
+    _rotate_columns,
     cone_max_step,
     jordan_product,
     jordan_solve,
     nt_scaling,
     solve_socp,
 )
+from soncert.generate import random_instance
+from soncert.socp import lower_bound, solve_problem
 
 
 def _interior_points(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -260,6 +263,11 @@ def _dense_g(a_mat, hblocks) -> np.ndarray:
     return (a_mat @ scipy.sparse.block_diag(list(hblocks)) @ a_mat.T).toarray()
 
 
+def _gram(a_mat, hblocks):
+    # A H A' applied with H block by block, the operator the solver refines against
+    return lambda u: a_mat @ np.einsum("tij,tj->ti", hblocks, (a_mat.T @ u).reshape(-1, 3)).ravel()
+
+
 @pytest.mark.parametrize("m", [80, 700])
 def test_kkt_solve_matches_dense_solve(m):
     # one size on each side of m = 600, the old switch from dense to sparse factoring
@@ -267,7 +275,9 @@ def test_kkt_solve_matches_dense_solve(m):
     a_mat, hblocks = _kkt_system(rng, m, m)
     rhs = rng.normal(size=m)
     want = np.linalg.solve(_dense_g(a_mat, hblocks), rhs)
-    got = _KktSolver(a_mat, hblocks).solve(rhs)
+    kkt = _KktSolver(a_mat, m)
+    kkt.factor(hblocks, _gram(a_mat, hblocks))
+    got = kkt.solve(rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -291,8 +301,10 @@ def test_kkt_zero_row_is_shifted_and_solved(monkeypatch):
         outcomes.append("factored")
         return factor
 
+    kkt = _KktSolver(a_mat, 61)
+    # recorded from here on, so the first outcome is the singular real factor
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    kkt = _KktSolver(a_mat, hblocks)
+    kkt.factor(hblocks, _gram(a_mat, hblocks))
     assert "singular" in outcomes[0] and outcomes[-1] == "factored"
     rhs = rng.normal(size=m)
     sol = kkt.solve(rhs)
@@ -302,3 +314,76 @@ def test_kkt_zero_row_is_shifted_and_solved(monkeypatch):
     # the shift leaves the regular block's solution as it was
     want = np.linalg.solve(g[1:, 1:], rhs[1:])
     assert np.linalg.norm(sol[1:] - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _factored_g(kkt: _KktSolver) -> np.ndarray:
+    # Pr G' Pc = L U for G' = G in the solver's minimum-degree order; undo both
+    lu = kkt._factor
+    n = len(lu.perm_c)
+    pr = scipy.sparse.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
+    pc = scipy.sparse.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
+    return (pr.T @ lu.L @ lu.U @ pc.T).toarray()[np.ix_(kkt._perm, kkt._perm)]
+
+
+def test_scattered_g_matches_the_product():
+    rng = np.random.default_rng(31)
+    # soncert's shape: one slot per column, rotated within each cone
+    a_mat, hblocks = _kkt_system(rng, 90, 120)
+    cases = [(_rotate_columns(a_mat, 120), hblocks)]
+    # several nonzeros per column, and two cones with none
+    dense = rng.normal(size=(40, 3 * 30)) * (rng.random((40, 3 * 30)) < 0.15)
+    dense[:, 3:9] = 0.0
+    _, many_blocks = _kkt_system(rng, 30, 30)
+    cases.append((scipy.sparse.csr_matrix(dense), many_blocks))
+    for a, blocks in cases:
+        kkt = _KktSolver(a, blocks.shape[0])
+        kkt.factor(blocks, _gram(a, blocks))
+        want = _dense_g(a, blocks)
+        assert np.max(np.abs(_factored_g(kkt) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _generated_problem():
+    inst = random_instance(n=4, degree=10, terms=30, interior=True, seed=70003)
+    return lower_bound(inst.poly).problem
+
+
+def _rotated_matrix(problem) -> scipy.sparse.csr_matrix:
+    rows, cols, vals = zip(*problem.entries)
+    a_mat = scipy.sparse.csr_matrix(
+        (np.array(vals, dtype=float), (rows, cols)), shape=(problem.num_rows, problem.num_slots)
+    )
+    return _rotate_columns(a_mat, problem.plan.num_triples)
+
+
+def test_kept_order_fills_as_a_fresh_minimum_degree_factor():
+    problem = _generated_problem()
+    a_mat = _rotated_matrix(problem)
+    num_cones = problem.plan.num_triples
+    _, hblocks = _kkt_system(np.random.default_rng(32), 1, num_cones)
+    kkt = _KktSolver(a_mat, num_cones)
+    kkt.factor(hblocks, _gram(a_mat, hblocks))
+    fresh = scipy.sparse.linalg.splu(
+        scipy.sparse.csc_matrix(_dense_g(a_mat, hblocks)),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    assert problem.num_rows > 100
+    assert kkt._factor.L.nnz + kkt._factor.U.nnz == fresh.L.nnz + fresh.U.nnz
+
+
+def test_one_ordering_and_one_numeric_factor_per_iteration(monkeypatch):
+    problem = _generated_problem()
+    specs = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(*args, **kwargs):
+        factor = splu(*args, **kwargs)
+        specs.append(kwargs["permc_spec"])
+        return factor
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    res = solve_problem(problem)
+    assert res.optimal and res.iterations > 5
+    # the last iteration converges before it factors
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (res.iterations - 1)
