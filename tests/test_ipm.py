@@ -275,7 +275,7 @@ def test_kkt_solve_matches_dense_solve(m):
     a_mat, hblocks = _kkt_system(rng, m, m)
     rhs = rng.normal(size=m)
     want = np.linalg.solve(_dense_g(a_mat, hblocks), rhs)
-    kkt = _KktSolver(a_mat, m)
+    kkt = _KktSolver(a_mat, len(hblocks))
     kkt.factor(hblocks, _gram(a_mat, hblocks))
     got = kkt.solve(rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -301,7 +301,7 @@ def test_kkt_zero_row_is_shifted_and_solved(monkeypatch):
         outcomes.append("factored")
         return factor
 
-    kkt = _KktSolver(a_mat, 61)
+    kkt = _KktSolver(a_mat, len(hblocks))
     # recorded from here on, so the first outcome is the singular real factor
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
     kkt.factor(hblocks, _gram(a_mat, hblocks))
@@ -336,7 +336,7 @@ def test_scattered_g_matches_the_product():
     _, many_blocks = _kkt_system(rng, 30, 30)
     cases.append((scipy.sparse.csr_matrix(dense), many_blocks))
     for a, blocks in cases:
-        kkt = _KktSolver(a, blocks.shape[0])
+        kkt = _KktSolver(a, len(blocks))
         kkt.factor(blocks, _gram(a, blocks))
         want = _dense_g(a, blocks)
         assert np.max(np.abs(_factored_g(kkt) - want)) <= 1e-12 * np.max(np.abs(want))
@@ -347,18 +347,14 @@ def _generated_problem():
     return lower_bound(inst.poly).problem
 
 
-def _rotated_matrix(problem) -> scipy.sparse.csr_matrix:
-    rows, cols, vals = zip(*problem.entries)
-    a_mat = scipy.sparse.csr_matrix(
-        (np.array(vals, dtype=float), (rows, cols)), shape=(problem.num_rows, problem.num_slots)
-    )
-    return _rotate_columns(a_mat, problem.plan.num_triples)
-
-
 def test_kept_order_fills_as_a_fresh_minimum_degree_factor():
     problem = _generated_problem()
-    a_mat = _rotated_matrix(problem)
     num_cones = problem.plan.num_triples
+    rows, cols, vals = zip(*problem.entries)
+    a_mat = _rotate_columns(
+        scipy.sparse.csr_matrix((np.array(vals, dtype=float), (rows, cols)), shape=(problem.num_rows, 3 * num_cones)),
+        num_cones,
+    )
     _, hblocks = _kkt_system(np.random.default_rng(32), 1, num_cones)
     kkt = _KktSolver(a_mat, num_cones)
     kkt.factor(hblocks, _gram(a_mat, hblocks))
