@@ -7,20 +7,28 @@ slots touching it; since every slot appears in exactly one row the repair
 is exact in one pass and idempotent, and it runs on integers over each
 row's common denominator.  The numeric point is rounded once, on a grid
 chosen from its own cone slack (grid_bits), and the exact strict cone
-checks decide.  Every certificate returned has passed verify_certificate.
+checks decide.
+
+A certificate costs one conic solve: the bound problem with its objective
+scaled by OBJECTIVE_SCALE, which keeps slack in every cone (Peyrl and
+Parrilo's remedy for rounding), rounded and projected as above.  Only when
+a cone of that point fails the strict check is a second solve made, of the
+feasibility problem at a bound backed off below the numeric one.  Every
+certificate returned has passed verify_certificate.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cover import simplex_cover
 from .polyring import SparsePoly, parse_rational, pn_companion, poly_sha256
-from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points, lower_bound
+from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points
+from .socp import lower_bound  # re-exported; exact_sobs no longer calls it
 from .socp import solve_problem, to_float
 from .verify import (  # check_cone and VerifyResult are re-exported
     Certificate,
@@ -35,8 +43,18 @@ from .verify import (  # check_cone and VerifyResult are re-exported
 # the coarsest slot grid, and past 2^-52 rounding a float adds nothing.
 MIN_GRID_BITS = 17
 MAX_GRID_BITS = 52
-# How far below the numeric bound exact_sobs certifies when no xi is given,
-# so that the decomposition sits strictly inside the cones.
+# Factor on the bound problem's float objective in exact_sobs's one solve.
+# Scaling c scales the dual z down by the same factor, and on the central
+# path a cone keeps room of about mu/|z|: the scaled solve ends with room
+# where the plain optimum has tight cones, so rounding and projection stay
+# inside.  The scaled solve stops farther from the optimum as the factor
+# shrinks: at 1e-3 four of acceptance criterion 7's 50 bounds come out more
+# than 1e-6 (relative) below a feasibility solve's, and at 1e-2 the median
+# certificate is 7% larger than at 3e-3.
+OBJECTIVE_SCALE = 3e-3
+# How far below the numeric bound, relative to 1 + |bound|, the fallback
+# feasibility solve certifies, so that its decomposition sits strictly
+# inside the cones.
 XI_BACKOFF = 1e-4
 
 
@@ -144,6 +162,45 @@ def _trivial_certificate(tilde: SparsePoly, xi: Fraction, sha: str) -> Certifica
     )
 
 
+def _round_and_project(problem: SocpProblem, x: Sequence[float]) -> Optional[List[Fraction]]:
+    """Round x once, on the grid grid_bits derives from its cone slack, and
+    repair the equality rows exactly; the slots, or None when some cone
+    fails the strict check."""
+
+    grid = 2.0 ** -grid_bits(problem, x)
+    slots = project_slots(problem, [round_to_rational(s, grid) for s in x])
+    if all(check_cone_strict(*slots[i : i + 3]) for i in range(0, len(slots), 3)):
+        return slots
+    return None
+
+
+def _certificate(
+    f: SparsePoly, problem: SocpProblem, slots: Sequence[Fraction], xi: Fraction, sha: str
+) -> Certificate:
+    """The certificate of f at xi from exact slots, once it has verified."""
+
+    cones = zip(slots[0::3], slots[1::3], slots[2::3])
+    circuits = tuple(
+        tuple(CertTriple(u, v, w, *next(cones)) for u, v, w in triples)
+        for triples in problem.plan.circuit_triples
+    )
+    cert = Certificate(
+        n=f.n,
+        xi=xi,
+        poly_sha256=sha,
+        circuits=circuits,
+        passthrough=tuple(sorted(problem.passthrough_terms.items())),
+    )
+    check = verify_certificate(f, cert)
+    if check.reason == "too-large":
+        raise ValueError(f"certificate denominators at bound {xi} are too large to verify")
+    if not check.ok:
+        raise RuntimeError(
+            f"projected slots do not reconstruct the companion of f - {xi}: {check.reason}"
+        )
+    return cert
+
+
 def exact_sobs(
     f: SparsePoly,
     xi: object = None,
@@ -152,64 +209,58 @@ def exact_sobs(
 ) -> Certificate:
     """Certify a rational lower bound for f exactly.
 
-    With xi omitted the bound is computed first by lower_bound, backed off
-    by XI_BACKOFF so the decomposition sits strictly inside the cones, and
-    rounded on the 2^-MIN_GRID_BITS grid; any other bound is certified by
-    passing it as xi.  The feasibility problem at xi is assembled and solved
-    to accuracy delta_socp; the numeric solution is rounded once, on the
-    grid grid_bits derives from its cone slack, projected back onto the
-    equality rows exactly, and accepted only if every cone inequality holds
-    strictly.  Otherwise BoundaryFailure is reported.  With no interior
-    points (a constant f included) the certificate is the companion's
-    monomial squares alone.
+    With xi omitted one conic solve decides: the bound problem, its
+    objective scaled by OBJECTIVE_SCALE, is solved to accuracy delta_socp,
+    rounded once on the grid grid_bits derives from its cone slack and
+    projected onto the equality rows exactly.  The origin row is the
+    objective, so the certified xi is read exactly as f0 minus the
+    objective on the projected slots.  Only when a cone fails the strict
+    check does it fall back to the feasibility solve at the numeric bound
+    backed off by XI_BACKOFF * (1 + |bound|), rounded on the
+    2^-MIN_GRID_BITS grid.  A given xi goes straight to that feasibility
+    solve, rounded and checked the same way; a bound that fails the check
+    there is a BoundaryFailure.  With no interior points (a constant f
+    included) the certificate is the companion's monomial squares alone.
     """
 
     sha = poly_sha256(f)
     if xi is None:
-        bound = lower_bound(f, delta=delta_socp, odd_mode=odd_mode)
-        if not math.isfinite(bound.xi):
-            raise SolverFailure("no finite bound exists for this support")
-        tilde = bound.pn
-        if not bound.gamma_set:
-            return _trivial_certificate(tilde, bound.constant, sha)
-        xi_exact = round_to_rational(bound.xi - XI_BACKOFF, 2.0**-MIN_GRID_BITS)
-        plan = bound.plan
+        # the numeric bound is read in floats: a constant outside their
+        # range is a ValueError before any exact work
+        f0 = to_float(f.constant())
+        target = f.constant()
     else:
-        xi_exact = parse_rational(xi)
-        tilde = pn_companion(f)
-        lam, gamma = cover_points(f)
-        if not gamma:
-            return _trivial_certificate(tilde, xi_exact, sha)
-        plan = build_plan(simplex_cover(lam, gamma), odd_mode=odd_mode)
+        target = parse_rational(xi)
+    tilde = pn_companion(f)
+    lam, gamma = cover_points(f)
+    if not gamma:
+        return _trivial_certificate(tilde, target, sha)
+    plan = build_plan(simplex_cover(lam, gamma), odd_mode=odd_mode)
 
-    problem = assemble(plan, tilde, mode="feasibility", xi=xi_exact)
+    if xi is None:
+        problem = assemble(plan, tilde, mode="bound")
+        solution = solve_problem(problem, delta=delta_socp, objective_scale=OBJECTIVE_SCALE)
+        if solution.status == "infeasible":
+            raise SolverFailure("no finite bound exists for this support")
+        slots = _round_and_project(problem, solution.x)
+        if slots is not None:
+            objective = sum(coef * slots[col] for col, coef in enumerate(problem.objective) if coef)
+            return _certificate(f, problem, slots, problem.constant - objective, sha)
+        if solution.status != "optimal":
+            raise SolverFailure(
+                f"conic solver stopped with status {solution.status} "
+                f"(residuals {solution.residuals})"
+            )
+        bound = f0 - float(np.dot(problem.objective, solution.x))
+        target = round_to_rational(bound - XI_BACKOFF * (1 + abs(bound)), 2.0**-MIN_GRID_BITS)
+
+    problem = assemble(plan, tilde, mode="feasibility", xi=target)
     solution = solve_problem(problem, delta=delta_socp)
     if solution.status == "infeasible":
-        raise BoundaryFailure(f"no decomposition exists at bound {xi_exact}")
-
+        raise BoundaryFailure(f"no decomposition exists at bound {target}")
     # A stalled solve still yields a numeric seed; the exact projection and
-    # strict cone checks below are what decide acceptance.
-    grid = 2.0 ** -grid_bits(problem, solution.x)
-    slots = project_slots(problem, [round_to_rational(s, grid) for s in solution.x])
-    cones = zip(slots[0::3], slots[1::3], slots[2::3])
-    circuits = tuple(
-        tuple(CertTriple(u, v, w, *next(cones)) for u, v, w in triples)
-        for triples in plan.circuit_triples
-    )
-    if not all(check_cone_strict(t.a, t.b, t.c) for group in circuits for t in group):
-        raise BoundaryFailure(f"bound {xi_exact} is not strictly certifiable at this precision")
-    cert = Certificate(
-        n=f.n,
-        xi=xi_exact,
-        poly_sha256=sha,
-        circuits=circuits,
-        passthrough=tuple(sorted(problem.passthrough_terms.items())),
-    )
-    check = verify_certificate(f, cert)
-    if check.reason == "too-large":
-        raise ValueError(f"certificate denominators at bound {xi_exact} are too large to verify")
-    if not check.ok:
-        raise RuntimeError(
-            f"projected slots do not reconstruct the companion of f - {xi_exact}: {check.reason}"
-        )
-    return cert
+    # strict cone checks are what decide acceptance.
+    slots = _round_and_project(problem, solution.x)
+    if slots is None:
+        raise BoundaryFailure(f"bound {target} is not strictly certifiable at this precision")
+    return _certificate(f, problem, slots, target, sha)

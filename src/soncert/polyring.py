@@ -45,6 +45,8 @@ MAX_DECIMAL_EXPONENT = 4300
 _TOO_MANY_DIGITS = 10**MAX_DECIMAL_EXPONENT
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*\Z")
 _DIGIT = re.compile(r"\d")
+# The form format_rational writes: parse_rational reads it with int() alone.
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def is_even(exp: Exponent) -> bool:
@@ -72,17 +74,22 @@ def _excerpt(value: object) -> str:
 def parse_rational(value: object) -> Fraction:
     """Parse an int, a decimal string, or a 'p/q' string into a Fraction.
 
-    A decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude, or a
-    numerator or denominator of more than MAX_DECIMAL_EXPONENT decimal
-    digits, is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
-        raise ValueError(f"not a rational: {_excerpt(value)}")
-    if isinstance(value, float):
-        # JSON number written with a decimal point; repr round-trips the
-        # intended decimal, which Fraction parses exactly.
-        value = repr(value)
-    if isinstance(value, str):
-        exponent = _DECIMAL_EXPONENT.search(value)
+    The canonical forms 'p' and 'p/q' that format_rational writes are read
+    by int() alone; every other input goes through Fraction.  A decimal
+    exponent beyond MAX_DECIMAL_EXPONENT in magnitude, or a numerator or
+    denominator of more than MAX_DECIMAL_EXPONENT decimal digits, is a
+    ValueError."""
+    canonical = _CANONICAL.fullmatch(value) if isinstance(value, str) else None
+    exponent = None
+    if not canonical:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
+            raise ValueError(f"not a rational: {_excerpt(value)}")
+        if isinstance(value, float):
+            # JSON number written with a decimal point; repr round-trips the
+            # intended decimal, which Fraction parses exactly.
+            value = repr(value)
+        if isinstance(value, str):
+            exponent = _DECIMAL_EXPONENT.search(value)
         if exponent:
             digits = exponent.group(1).replace("_", "").lstrip("0")
             too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
@@ -90,8 +97,10 @@ def parse_rational(value: object) -> Fraction:
                 raise ValueError(
                     f"decimal exponent of {_excerpt(value)} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
                 )
-        # Fraction would refuse too many digits with the interpreter's
-        # message; a part of at most that many characters has few enough
+    if isinstance(value, str) and len(value) > MAX_DECIMAL_EXPONENT:
+        # int() and Fraction would refuse too many digits with the
+        # interpreter's message; a part of at most that many characters has
+        # few enough
         mantissa = value[: exponent.start()] if exponent else value
         for part, text in zip(("numerator", "denominator"), mantissa.split("/", 1)):
             if len(text) > MAX_DECIMAL_EXPONENT:
@@ -99,7 +108,10 @@ def parse_rational(value: object) -> Fraction:
                 if count > MAX_DECIMAL_EXPONENT:
                     raise ValueError(f"{part} of {count} digits exceeds {MAX_DECIMAL_EXPONENT} decimal digits")
     try:
-        frac = Fraction(value)
+        if canonical:
+            frac = Fraction(int(canonical[1]), int(canonical[2] or 1))
+        else:
+            frac = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {_excerpt(value)}") from exc
     for part, size in (("numerator", frac.numerator), ("denominator", frac.denominator)):

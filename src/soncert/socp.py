@@ -289,9 +289,10 @@ def to_float(value: Fraction | int) -> float:
         ) from None
 
 
-def solve_problem(problem: SocpProblem, delta: float = 1e-8) -> ConeSolve:
+def solve_problem(problem: SocpProblem, delta: float = 1e-8, objective_scale: float = 1.0) -> ConeSolve:
     """Run the interior-point solver on an assembled system; the slot
-    values are the result's x."""
+    values are the result's x.  The float objective is multiplied by
+    objective_scale, so the result's objective is scaled by it too."""
 
     rows = [e[0] for e in problem.entries]
     cols = [e[1] for e in problem.entries]
@@ -301,7 +302,7 @@ def solve_problem(problem: SocpProblem, delta: float = 1e-8) -> ConeSolve:
         cols,
         vals,
         [to_float(r) for r in problem.rhs_exact],
-        [to_float(c) for c in problem.objective],
+        [to_float(c) * objective_scale for c in problem.objective],
         problem.plan.num_triples,
         tol=delta,
     )

@@ -300,6 +300,54 @@ def test_one_rounding_per_certificate(monkeypatch, poly):
     assert [v for t in cert.triples for v in (t.a, t.b, t.c)] == rounded
 
 
+# The first item of acceptance criterion 7 and the two-circuit instance of
+# criterion 10.
+C7_FIRST = random_instance(
+    n=4, degree=10, terms=32, poly_class="standard-simplex", interior=True, seed=70_000
+).poly
+TWO_CIRCUIT = SparsePoly(
+    2, {(4, 4): 50, (4, 0): 1, (0, 4): 3, (0, 0): 800, (1, 2): -100, (2, 1): -100}
+)
+
+
+def _solved_modes(monkeypatch, poly, **kwargs):
+    """Certify poly, recording the mode of every problem exact_sobs solves."""
+
+    modes = []
+
+    def recording_solve(problem, **kw):
+        modes.append(problem.mode)
+        return solve_problem(problem, **kw)
+
+    monkeypatch.setattr(soncert.certify, "solve_problem", recording_solve)
+    cert = exact_sobs(poly, **kwargs)
+    assert verify_certificate(poly, cert).ok
+    return cert, modes
+
+
+def test_certify_with_one_solve(monkeypatch):
+    cert, modes = _solved_modes(monkeypatch, C7_FIRST)
+    assert modes == ["bound"]
+    bound = lower_bound(C7_FIRST).xi
+    assert abs(float(cert.xi) - bound) <= 1e-4 * (1 + abs(bound))
+
+
+def test_tight_cone_falls_back_to_the_feasibility_solve(monkeypatch):
+    # EX6's scaled bound solve rounds to a point with a cone outside; the
+    # fallback certifies 1e-4 * (1 + |bound|) below the numeric bound
+    cert, modes = _solved_modes(monkeypatch, EX6)
+    assert modes == ["bound", "feasibility"]
+    assert cert.xi.denominator <= 2**MIN_GRID_BITS
+    assert -6.9174 < float(cert.xi) < -6.9172
+
+
+@pytest.mark.parametrize("odd_mode", [False, True], ids=["default", "odd"])
+def test_two_circuit_certifies(monkeypatch, odd_mode):
+    cert, modes = _solved_modes(monkeypatch, TWO_CIRCUIT, odd_mode=odd_mode)
+    assert modes == (["bound"] if odd_mode else ["bound", "feasibility"])
+    assert 410.42 < float(cert.xi) < 410.4624
+
+
 def test_reconstruction_check_raises(monkeypatch):
     # doubled slots stay strictly inside the cones but no longer match the
     # rows; a plain raise, not an assert, so it also holds under python -O

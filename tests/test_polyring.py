@@ -52,6 +52,23 @@ def test_parse_rational_forms():
             parse_rational(bad)
 
 
+def test_parse_rational_canonical_and_near_canonical_strings():
+    # the canonical "p" and "p/q" forms are read with int(); values and error
+    # types must be those of the general path
+    for text in ("0", "-0", "42", "-7", "3/4", "-3/4", "2/4", "-0/5", "007/010",
+                 "-123456789012345/281474976710656", "9" * 4300 + "/" + "7" * 4300,
+                 " 3", "+3", "1_0", "3\n", "-1.5", "2e3", "1/3 "):
+        assert parse_rational(text) == Fraction(text), text
+    for bad in ("3/0", "-0/0", "3/-4", "- 3", "1//2", "/2", "3/", "", "0x10",
+                "1" * 4301, "-" + "3" * 4301 + "/7", "1/" + "0" * 4300 + "3"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    with pytest.raises(ValueError, match="numerator of 4301 digits"):
+        parse_rational("-" + "0" * 4300 + "1")
+    with pytest.raises(ValueError, match="denominator of 4301 digits"):
+        parse_rational("1/" + "0" * 4300 + "3")
+
+
 def test_parse_rational_bounds_decimal_exponents():
     # the exponent is checked before Fraction builds 10^|exp|
     assert parse_rational("1e4299") == 10**4299
