@@ -1,13 +1,14 @@
 """Exact rational certificates from numeric cone solutions.
 
 The certificate format and its verifier live in soncert.verify.  Here the
-numeric solution is snapped to dyadic rationals and the equality rows are
+numeric solution is rounded once, to integers over one dyadic grid 2^k
+chosen from its own cone slack (grid_bits), and the equality rows are
 repaired exactly by spreading each row's residual uniformly over the
 slots touching it; since every slot appears in exactly one row the repair
-is exact in one pass and idempotent, and it runs on integers over each
-row's common denominator.  The numeric point is rounded once, on a grid
-chosen from its own cone slack (grid_bits), and the exact strict cone
-checks decide.
+is exact in one pass and idempotent.  Rounding, repair and the strict cone
+checks that decide all run on Python ints, each row over the lcm of 2^k
+and its right-hand side's denominator; the certificate's Fractions are
+built once, from the checked integers.
 
 A certificate costs one conic solve: the bound problem with its objective
 scaled by OBJECTIVE_SCALE, which keeps slack in every cone (Peyrl and
@@ -74,38 +75,42 @@ def round_to_rational(x: float, delta: float) -> Fraction:
     return Fraction(round(x * den), den)
 
 
-def project_slots(problem: SocpProblem, slots: Sequence[Fraction]) -> List[Fraction]:
-    """Repair every equality row exactly by uniform residual spreading.
+def project_slots(problem: SocpProblem, nums: Sequence[int], den: int) -> Tuple[List[int], List[int]]:
+    """Repair every equality row exactly by uniform residual spreading, on
+    integers.
 
-    Each slot lies in exactly one row, so rows are independent: slot s
-    with row coefficient k_s moves by -r/(count * k_s) where r is the row
-    residual and count the number of slots in the row.  The result matches
-    the exact right-hand side on every row.
+    Slot s enters as nums[s] / den and leaves as p[s] / q[s], with q[s] > 0
+    and the fraction not reduced; the result is (p, q).  Each slot lies in
+    exactly one row, so rows are independent: over L = lcm(den, the row's
+    right-hand side denominator), slot s with row coefficient k_s moves by
+    -r/(count * k_s), where r is the row residual and count the number of
+    slots in the row.  The result matches the exact right-hand side on
+    every row.
     """
 
-    out = [s if isinstance(s, Fraction) else Fraction(s) for s in slots]
+    p, q = list(nums), [den] * len(nums)
     by_row: Dict[int, List[Tuple[int, int]]] = {}
     for row, col, coef in problem.entries:
         by_row.setdefault(row, []).append((col, coef))
     for row, cells in by_row.items():
-        # the row over its common denominator den: slot s is s.num * den/s.den
         rhs = problem.rhs_exact[row]
-        den = math.lcm(rhs.denominator, *(out[col].denominator for col, _ in cells))
-        nums = [out[col].numerator * (den // out[col].denominator) for col, _ in cells]
-        residual = sum(coef * num for (_, coef), num in zip(cells, nums))
-        residual -= rhs.numerator * (den // rhs.denominator)
+        common = math.lcm(den, rhs.denominator)
+        scale = common // den
+        residual = scale * sum(coef * nums[col] for col, coef in cells)
+        residual -= rhs.numerator * (common // rhs.denominator)
         if residual == 0:
             continue
-        for (col, coef), num in zip(cells, nums):
+        for col, coef in cells:
             k = len(cells) * coef
-            out[col] = Fraction(num * k - residual, den * k)
-    return out
+            num, dk = nums[col] * scale * k - residual, common * k
+            p[col], q[col] = (num, dk) if dk > 0 else (-num, -dk)
+    return p, q
 
 
 def grid_bits(problem: SocpProblem, x: Sequence[float]) -> int:
     """Bits k of the grid 2^-k on which to round the numeric slots x.
 
-    xp is the float image of project_slots(problem, x).  Rounding on the grid
+    xp is x repaired in floats by project_slots's rule.  Rounding on the grid
     h = 2^-k moves a slot by at most h/2, and spreading the residual this
     leaves moves it by at most h more (the row coefficients are 2, 1 and -2),
     so the exact point lies within t = 1.5h of xp.  A cone (a, b, c) of xp
@@ -131,14 +136,19 @@ def grid_bits(problem: SocpProblem, x: Sequence[float]) -> int:
     return min(max(math.ceil(-math.log2(room)), MIN_GRID_BITS), MAX_GRID_BITS)
 
 
+def _strictly_inside(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int) -> bool:
+    """check_cone_strict on numerators p and positive denominators q:
+    2ab > c^2 is 2 pa pb qc^2 > pc^2 qa qb."""
+
+    if pa < 0 or pb < 0:
+        return False
+    return pc == 0 or 2 * pa * pb * qc * qc > pc * pc * qa * qb
+
+
 def check_cone_strict(a: Fraction, b: Fraction, c: Fraction) -> bool:
     """Exact strict acceptance: interior, or a pure square pair (c == 0)."""
 
-    if a < 0 or b < 0:
-        return False
-    if c == 0:
-        return True
-    return 2 * a * b > c * c
+    return _strictly_inside(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)
 
 
 def _trivial_certificate(tilde: SparsePoly, xi: Fraction, sha: str) -> Certificate:
@@ -163,14 +173,17 @@ def _trivial_certificate(tilde: SparsePoly, xi: Fraction, sha: str) -> Certifica
 
 
 def _round_and_project(problem: SocpProblem, x: Sequence[float]) -> Optional[List[Fraction]]:
-    """Round x once, on the grid grid_bits derives from its cone slack, and
-    repair the equality rows exactly; the slots, or None when some cone
-    fails the strict check."""
+    """Round x once, to integers over the grid 2^k that grid_bits derives
+    from its cone slack, repair the equality rows exactly and check every
+    cone strictly, all on integers; the slots as Fractions, or None when
+    some cone fails the check."""
 
-    grid = 2.0 ** -grid_bits(problem, x)
-    slots = project_slots(problem, [round_to_rational(s, grid) for s in x])
-    if all(check_cone_strict(*slots[i : i + 3]) for i in range(0, len(slots), 3)):
-        return slots
+    den = 1 << grid_bits(problem, x)
+    # rint rounds half to even, as round() does, and the float is exact
+    nums = [int(v) for v in np.rint(np.asarray(x, dtype=float) * den).tolist()]
+    p, q = project_slots(problem, nums, den)
+    if all(map(_strictly_inside, p[0::3], q[0::3], p[1::3], q[1::3], p[2::3], q[2::3])):
+        return list(map(Fraction, p, q))
     return None
 
 

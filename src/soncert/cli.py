@@ -148,20 +148,21 @@ def _emit(report: RunReport, cert: Optional[Certificate], as_json: bool, output:
     the certificate goes to stdout unless written to output, and the report
     lines go to stdout, or to stderr when a certificate came with them.
     """
-    text = None if cert is None else cert.dumps()
-    if text is not None and output:
+    if cert is not None and output:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(cert.dumps())
     if as_json:
-        payload = asdict(report)
-        if text is not None:
-            payload["certificate"] = json.loads(text)
-        print(json.dumps(payload, sort_keys=True))
+        line = json.dumps(asdict(report), sort_keys=True)
+        if cert is not None:
+            # the line is json.dumps(payload, sort_keys=True), and
+            # "certificate" sorts before every report field
+            line = f'{{"certificate": {cert.dumps_compact()}, {line[1:]}'
+        print(line)
     else:
-        if text is not None and not output:
-            print(text)
+        if cert is not None and not output:
+            print(cert.dumps())
         for line in report.lines():
-            print(line, file=sys.stdout if text is None else sys.stderr)
+            print(line, file=sys.stdout if cert is None else sys.stderr)
     if report.status == "error":
         print(f"error: {report.reason}", file=sys.stderr)
     return _STATUS_EXIT.get(report.status, EXIT_ERROR)

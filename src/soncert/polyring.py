@@ -80,6 +80,12 @@ def parse_rational(value: object) -> Fraction:
     denominator of more than MAX_DECIMAL_EXPONENT decimal digits, is a
     ValueError."""
     canonical = _CANONICAL.fullmatch(value) if isinstance(value, str) else None
+    if canonical and len(value) <= MAX_DECIMAL_EXPONENT:
+        # neither part has more digits than the limit allows
+        try:
+            return Fraction(int(canonical[1]), int(canonical[2] or 1))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"not a rational: {_excerpt(value)}") from exc
     exponent = None
     if not canonical:
         if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):

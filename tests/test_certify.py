@@ -29,6 +29,8 @@ from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, poly_sha256
 from soncert.socp import SocpProblem, assemble, build_plan, lower_bound, pn_companion, solve_problem
 
+from conftest import project_fractions
+
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 EX6 = SparsePoly(
     2, {(0, 0): 1, (4, 0): 1, (0, 4): 1, (1, 2): -1, (2, 1): -1, (1, 1): 5}
@@ -67,12 +69,12 @@ def test_projection_exact_and_idempotent():
             Fraction(rng.randint(-4000, 4000), rng.choice([1, 2, 4, 8, 1024]))
             for _ in range(problem.num_slots)
         ]
-        fixed = project_slots(problem, slots)
+        fixed = project_fractions(problem, slots)
         sums = [Fraction(0)] * problem.num_rows
         for row, col, coef in problem.entries:
             sums[row] += coef * fixed[col]
         assert tuple(sums) == problem.rhs_exact
-        assert project_slots(problem, fixed) == fixed
+        assert project_fractions(problem, fixed) == fixed
 
 
 def test_motzkin_certificate_default_mode():
@@ -284,9 +286,9 @@ def test_one_rounding_per_certificate(monkeypatch, poly):
         solutions.append(solve_problem(*args, **kwargs))
         return solutions[-1]
 
-    def recording_project(problem, slots):
+    def recording_project(problem, nums, den):
         problems.append(problem)
-        return project_slots(problem, slots)
+        return project_slots(problem, nums, den)
 
     monkeypatch.setattr(soncert.certify, "solve_problem", recording_solve)
     monkeypatch.setattr(soncert.certify, "project_slots", recording_project)
@@ -296,7 +298,7 @@ def test_one_rounding_per_certificate(monkeypatch, poly):
 
     k = grid_bits(problems[0], solutions[0].x)
     assert 17 <= k <= 52
-    rounded = project_slots(problems[0], [round_to_rational(s, 2**-k) for s in solutions[0].x])
+    rounded = project_fractions(problems[0], [round_to_rational(s, 2**-k) for s in solutions[0].x])
     assert [v for t in cert.triples for v in (t.a, t.b, t.c)] == rounded
 
 
@@ -351,8 +353,9 @@ def test_two_circuit_certifies(monkeypatch, odd_mode):
 def test_reconstruction_check_raises(monkeypatch):
     # doubled slots stay strictly inside the cones but no longer match the
     # rows; a plain raise, not an assert, so it also holds under python -O
-    def doubled(problem, slots):
-        return [2 * s for s in project_slots(problem, slots)]
+    def doubled(problem, nums, den):
+        p, q = project_slots(problem, nums, den)
+        return [2 * x for x in p], q
 
     monkeypatch.setattr(soncert.certify, "project_slots", doubled)
     with pytest.raises(RuntimeError, match="do not reconstruct"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,26 @@ def test_certify_json_inlines_certificate(motzkin_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "ok"
     assert payload["certificate"]["n"] == 2
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_certify_json_line_is_json_dumps_of_the_report(motzkin_file, tmp_path, capsys, monkeypatch, batch):
+    # the line is spliced from the report and the compact certificate text;
+    # it must read as the one json.dumps of both that it was before
+    emitted, emit = [], cli._emit
+
+    def recording_emit(report, cert, as_json, output):
+        emitted.append((report, cert))
+        return emit(report, cert, as_json, output)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    cert_path = tmp_path / "cert.json"
+    argv = [motzkin_file, "--batch"] if batch else [motzkin_file, "-o", str(cert_path), "--json"]
+    assert cli.main(["certify", *argv]) == cli.EXIT_OK
+    (line,) = capsys.readouterr().out.splitlines()
+    ((report, cert),) = emitted
+    text = cert.dumps() if batch else cert_path.read_text()
+    assert line == json.dumps({**asdict(report), "certificate": json.loads(text)}, sort_keys=True)
 
 
 def test_certify_at_boundary_exits_2(motzkin_file, capsys):

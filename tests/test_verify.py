@@ -9,6 +9,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -21,13 +22,21 @@ import soncert.cli
 import soncert.polyring
 import soncert.socp
 import soncert.verify
-from soncert.certify import exact_sobs, project_slots
+from soncert.certify import OBJECTIVE_SCALE, exact_sobs, project_slots
 from soncert.cover import simplex_cover
+from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, pn_companion, poly_sha256
-from soncert.socp import assemble, build_plan
+from soncert.socp import assemble, build_plan, cover_points, solve_problem
 from soncert.verify import Certificate, CertTriple, verify_certificate
 
-from conftest import ref_certificate_json, ref_project_slots, ref_verify_certificate
+from conftest import (
+    project_fractions,
+    ref_bit_size,
+    ref_certificate_json,
+    ref_project_slots,
+    ref_round_and_project,
+    ref_verify_certificate,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -142,9 +151,34 @@ ODD_PROBLEM = _odd_problem()
 @SETTINGS
 @given(st.lists(RATIONALS, min_size=ODD_PROBLEM.num_slots, max_size=ODD_PROBLEM.num_slots))
 def test_projection_matches_reference(slots):
-    got = project_slots(ODD_PROBLEM, slots)
-    assert got == ref_project_slots(ODD_PROBLEM, slots)
-    assert all(type(x) is Fraction for x in got)
+    assert project_fractions(ODD_PROBLEM, slots) == ref_project_slots(ODD_PROBLEM, slots)
+    den = lcm(*(s.denominator for s in slots))
+    p, q = project_slots(ODD_PROBLEM, [s.numerator * (den // s.denominator) for s in slots], den)
+    assert all(type(x) is int for x in p + q) and min(q) > 0
+
+
+# seeded criterion-7 instances, and the third of each: a third of a
+# solution solves the problem of f/3, whose rows' right-hand sides have the
+# non-dyadic denominator 3
+C7_SEEDS = [
+    random_instance(n=n, degree=d, terms=t, poly_class="standard-simplex", interior=True, seed=seed).poly
+    for n, d, t, seed in ((4, 10, 32, 70_000), (8, 10, 30, 70_001), (4, 20, 40, 70_002))
+]
+
+
+@pytest.mark.parametrize("poly", C7_SEEDS, ids=["70000", "70001", "70002"])
+def test_integer_rounding_matches_the_fraction_reference(poly):
+    problem = assemble(build_plan(simplex_cover(*cover_points(poly))), pn_companion(poly), mode="bound")
+    x = solve_problem(problem, delta=1e-8, objective_scale=OBJECTIVE_SCALE).x
+    third = SparsePoly(poly.n, {exp: coef / 3 for exp, coef in poly.terms.items()})
+    third_problem = assemble(problem.plan, pn_companion(third), mode="bound")
+    assert any(r.denominator % 3 == 0 for r in third_problem.rhs_exact)
+    off_cone = x.copy()
+    off_cone[2] = 2 * (abs(x[0]) + abs(x[1]) + 1)  # c of the first cone, far outside
+    for prob, slots in ((problem, x), (third_problem, x / 3), (problem, off_cone)):
+        got = soncert.certify._round_and_project(prob, slots)
+        assert got == ref_round_and_project(prob, slots)
+        assert (got is None) == (slots is off_cone)
 
 
 @st.composite
@@ -167,6 +201,7 @@ def certificates(draw):
 
 def _assert_written_as_before(cert):
     assert cert.dumps() == json.dumps(ref_certificate_json(cert), indent=2, sort_keys=True)
+    assert cert.dumps_compact() == json.dumps(ref_certificate_json(cert), sort_keys=True)
     assert cert.to_json() == ref_certificate_json(cert)
 
 
@@ -175,6 +210,13 @@ def _assert_written_as_before(cert):
 def test_writer_matches_json_dumps(cert):
     _assert_written_as_before(cert)
     assert Certificate.loads(cert.dumps()) == cert
+
+
+@SETTINGS
+@given(certificates())
+def test_bit_size_counts_every_point_reference(cert):
+    assert cert.bit_size == ref_bit_size(cert)
+    assert Certificate.loads(cert.dumps()).bit_size == ref_bit_size(cert)
 
 
 def test_writer_edge_cases():
@@ -223,10 +265,26 @@ def damaged_json(draw):
 @SETTINGS
 @given(damaged_json() | JSON)
 def test_from_json_raises_only_value_error(data):
-    try:
-        Certificate.from_json(data)
-    except ValueError:
-        pass
+    # loads converts each triple while decoding, from_json afterwards
+    for load in (Certificate.from_json, lambda d: Certificate.loads(json.dumps(d))):
+        try:
+            load(data)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("damaged", [[["1", "2", "1"], ["1"]], ["12", ["1", "1"]], [["1", "2"], "11"]])
+def test_reader_keys_each_point_on_its_pairs(damaged):
+    # the damaged point flattens to the values of the point met before it,
+    # ["1", "2", "1", "1"], but is no list of [num, den] pairs
+    half = (Fraction(1, 2), Fraction(1))
+    t = CertTriple(half, (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), Fraction(1), Fraction(1), Fraction(1))
+    data = json.loads(Certificate(2, Fraction(0), "x", ((t, t),), ()).dumps())
+    assert Certificate.from_json(data).triples == (t, t)
+    data["circuits"][0]["triples"][1]["u"] = damaged
+    for load in (Certificate.from_json, lambda d: Certificate.loads(json.dumps(d))):
+        with pytest.raises(ValueError, match="coordinate"):
+            load(data)
 
 
 def _primes(count):
@@ -310,3 +368,43 @@ def test_value_cap_is_relative_to_the_polynomial(tmp_path, capsys):
     assert "ok=true" in capsys.readouterr().out.splitlines()
     cert = Certificate.loads(cert_path.read_text())
     assert ref_verify_certificate(LARGE_DENOMINATORS, cert) == (True, "ok")
+
+
+def test_many_large_denominators_verify_per_triple():
+    # 100 distinct odd 4300-digit denominators: their lcm V has about
+    # 430,000 digits, below the cap 10^4300 * 2^B(f) that f's own
+    # denominators give, so the certificate is checked, triple by triple
+    dens = [10**4299 + 2 * i + 1 for i in range(100)]
+    terms, triples = {}, []
+    for i, d in enumerate(dens):
+        terms.update({(4 * i + 4,): Fraction(2, d), (4 * i + 2,): Fraction(1), (4 * i + 3,): Fraction(-2, d)})
+        u, v, w = (Fraction(4 * i + 3),), (Fraction(4 * i + 4),), (Fraction(4 * i + 2),)
+        triples.append(CertTriple(u, v, w, Fraction(1, d), Fraction(1), Fraction(1, d)))
+    f = SparsePoly(1, terms)
+    cert = Certificate(1, Fraction(0), poly_sha256(f), (tuple(triples),), ())
+    start = time.perf_counter()
+    result = verify_certificate(f, cert)
+    assert time.perf_counter() - start < 1.0
+    assert (result.ok, result.reason) == (True, "ok") == ref_verify_certificate(f, cert)
+    bad = list(triples)
+    bad[50] = dataclasses.replace(bad[50], b=Fraction(1, 2))
+    result = verify_certificate(f, dataclasses.replace(cert, circuits=(tuple(bad),)))
+    assert (result.ok, result.reason) == (False, "reconstruction-mismatch")
+
+
+def test_many_large_denominators_at_one_point_are_summed_evenly():
+    # the a-slots 1/d_i of 60 triples all meet at x^2: their sum has a
+    # denominator of about 258,000 digits, which adding one by one over the
+    # lcm builds in quadratic time
+    dens = [10**4299 + 2 * i + 1 for i in range(60)]
+    f = SparsePoly(1, {(2,): 1, **{(4 * i + 6,): Fraction(1, d) for i, d in enumerate(dens)}})
+    one = Fraction(1)
+    triples = tuple(
+        CertTriple((Fraction(2 * i + 4),), (Fraction(2),), (Fraction(4 * i + 6),), Fraction(1, d), one, Fraction(0))
+        for i, d in enumerate(dens)
+    )
+    cert = Certificate(1, Fraction(0), poly_sha256(f), (triples,), ())
+    start = time.perf_counter()
+    result = verify_certificate(f, cert)
+    assert time.perf_counter() - start < 1.0
+    assert (result.ok, result.reason) == (False, "reconstruction-mismatch")
