@@ -9,7 +9,6 @@ from .polyring import (
     Circuit,
     is_even,
     support_partition,
-    to_pn,
     is_nonneg_circuit,
     poly_from_json,
     poly_to_json,
@@ -20,17 +19,13 @@ from .mediated import (
     med_seq,
     med_seq_elements,
     brute_min_med_seq,
-    l_med_set,
     med_set,
-    l_med_set_odd,
     med_set_odd,
     is_valid_mediated_set,
 )
 from .cover import (
     CoverInfeasible,
     CoverResult,
-    lp_solve_exact,
-    sim_sel,
     simplex_cover,
 )
 from .ipm import ConeSolve, solve_socp
@@ -48,10 +43,8 @@ from .socp import (
 )
 from .certify import (
     BoundaryFailure,
-    check_cone_strict,
     exact_sobs,
     project_slots,
-    round_to_rational,
 )
 from .verify import Certificate, CertTriple, VerifyResult, check_cone, verify_certificate
 from .generate import POLY_CLASSES, GenInstance, random_instance
@@ -63,7 +56,6 @@ __all__ = [
     "Circuit",
     "is_even",
     "support_partition",
-    "to_pn",
     "is_nonneg_circuit",
     "poly_from_json",
     "poly_to_json",
@@ -72,16 +64,12 @@ __all__ = [
     "med_seq",
     "med_seq_elements",
     "brute_min_med_seq",
-    "l_med_set",
     "med_set",
-    "l_med_set_odd",
     "med_set_odd",
     "is_valid_mediated_set",
     "CoverInfeasible",
     "CoverResult",
     "simplex_cover",
-    "sim_sel",
-    "lp_solve_exact",
     "ConeSolve",
     "solve_socp",
     "ConeTriplePlan",
@@ -98,10 +86,8 @@ __all__ = [
     "Certificate",
     "CertTriple",
     "VerifyResult",
-    "round_to_rational",
     "project_slots",
     "check_cone",
-    "check_cone_strict",
     "exact_sobs",
     "verify_certificate",
     "POLY_CLASSES",

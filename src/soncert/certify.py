@@ -29,15 +29,11 @@ import numpy as np
 from .cover import simplex_cover
 from .polyring import SparsePoly, parse_rational, pn_companion, poly_sha256
 from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points
-from .socp import lower_bound  # re-exported; exact_sobs no longer calls it
+# unused here, but perfbench's tracer wraps soncert.certify.lower_bound and
+# the CI step "Trace sites" fails without it
+from .socp import lower_bound
 from .socp import solve_problem, to_float
-from .verify import (  # check_cone and VerifyResult are re-exported
-    Certificate,
-    CertTriple,
-    VerifyResult,
-    check_cone,
-    verify_certificate,
-)
+from .verify import Certificate, CertTriple, verify_certificate
 
 
 # Bits k of the rounding grid 2^-k: 2^-17 is the grid xi is rounded on and
@@ -63,16 +59,6 @@ class BoundaryFailure(RuntimeError):
     """The bound touches the certifiable region's boundary: every exact
     decomposition at this bound has a tight cone, so no strict certificate
     exists at the working precision."""
-
-
-def round_to_rational(x: float, delta: float) -> Fraction:
-    """Nearest rational to x with denominator 2^ceil(log2(1/delta))."""
-
-    if delta <= 0:
-        raise ValueError("precision must be positive")
-    k = max(0, math.ceil(math.log2(1.0 / delta)))
-    den = 1 << k
-    return Fraction(round(x * den), den)
 
 
 def project_slots(problem: SocpProblem, nums: Sequence[int], den: int) -> Tuple[List[int], List[int]]:
@@ -137,18 +123,13 @@ def grid_bits(problem: SocpProblem, x: Sequence[float]) -> int:
 
 
 def _strictly_inside(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int) -> bool:
-    """check_cone_strict on numerators p and positive denominators q:
-    2ab > c^2 is 2 pa pb qc^2 > pc^2 qa qb."""
+    """Exact strict acceptance of the cone (a, b, c), each given as a
+    numerator p over a positive denominator q: interior, 2ab > c^2, that
+    is 2 pa pb qc^2 > pc^2 qa qb, or a pure square pair (c == 0)."""
 
     if pa < 0 or pb < 0:
         return False
     return pc == 0 or 2 * pa * pb * qc * qc > pc * pc * qa * qb
-
-
-def check_cone_strict(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    """Exact strict acceptance: interior, or a pure square pair (c == 0)."""
-
-    return _strictly_inside(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)
 
 
 def _trivial_certificate(tilde: SparsePoly, xi: Fraction, sha: str) -> Certificate:
@@ -217,15 +198,14 @@ def _certificate(
 def exact_sobs(
     f: SparsePoly,
     xi: object = None,
-    delta_socp: float = 1e-8,
     odd_mode: bool = False,
 ) -> Certificate:
     """Certify a rational lower bound for f exactly.
 
     With xi omitted one conic solve decides: the bound problem, its
-    objective scaled by OBJECTIVE_SCALE, is solved to accuracy delta_socp,
-    rounded once on the grid grid_bits derives from its cone slack and
-    projected onto the equality rows exactly.  The origin row is the
+    objective scaled by OBJECTIVE_SCALE, is solved at the solver's fixed
+    accuracy, rounded once on the grid grid_bits derives from its cone
+    slack and projected onto the equality rows exactly.  The origin row is the
     objective, so the certified xi is read exactly as f0 minus the
     objective on the projected slots.  Only when a cone fails the strict
     check does it fall back to the feasibility solve at the numeric bound
@@ -252,7 +232,7 @@ def exact_sobs(
 
     if xi is None:
         problem = assemble(plan, tilde, mode="bound")
-        solution = solve_problem(problem, delta=delta_socp, objective_scale=OBJECTIVE_SCALE)
+        solution = solve_problem(problem, objective_scale=OBJECTIVE_SCALE)
         if solution.status == "infeasible":
             raise SolverFailure("no finite bound exists for this support")
         slots = _round_and_project(problem, solution.x)
@@ -265,10 +245,11 @@ def exact_sobs(
                 f"(residuals {solution.residuals})"
             )
         bound = f0 - float(np.dot(problem.objective, solution.x))
-        target = round_to_rational(bound - XI_BACKOFF * (1 + abs(bound)), 2.0**-MIN_GRID_BITS)
+        den = 1 << MIN_GRID_BITS
+        target = Fraction(round((bound - XI_BACKOFF * (1 + abs(bound))) * den), den)
 
     problem = assemble(plan, tilde, mode="feasibility", xi=target)
-    solution = solve_problem(problem, delta=delta_socp)
+    solution = solve_problem(problem)
     if solution.status == "infeasible":
         raise BoundaryFailure(f"no decomposition exists at bound {target}")
     # A stalled solve still yields a numeric seed; the exact projection and

@@ -111,9 +111,9 @@ def _attempt(report: RunReport, text: str, phase: str, solve: Callable[[SparsePo
     return result
 
 
-def _bound_work(text: str, delta: float, odd_mode: bool, dump: Optional[str]) -> tuple:
+def _bound_work(text: str, odd_mode: bool, dump: Optional[str]) -> tuple:
     report = RunReport(command="bound", status="ok")
-    result = _attempt(report, text, "solve", lambda p: lower_bound(p, delta=delta, odd_mode=odd_mode))
+    result = _attempt(report, text, "solve", lambda p: lower_bound(p, odd_mode=odd_mode))
     if result is None:
         return report, None
     report.xi = result.xi
@@ -127,11 +127,9 @@ def _bound_work(text: str, delta: float, odd_mode: bool, dump: Optional[str]) ->
     return report, None
 
 
-def _certify_work(text: str, xi: Optional[str], delta_socp: float, odd_mode: bool) -> tuple:
+def _certify_work(text: str, xi: Optional[str], odd_mode: bool) -> tuple:
     report = RunReport(command="certify", status="ok")
-    cert = _attempt(
-        report, text, "certify", lambda p: exact_sobs(p, xi=xi, delta_socp=delta_socp, odd_mode=odd_mode)
-    )
+    cert = _attempt(report, text, "certify", lambda p: exact_sobs(p, xi=xi, odd_mode=odd_mode))
     # no self-check: every certificate exact_sobs returns has passed verify_certificate
     if cert is not None:
         report.xi = float(cert.xi)
@@ -185,11 +183,11 @@ def _run(args, work: Callable[..., tuple], *params: Any) -> int:
 def _cmd_bound(args) -> int:
     # --batch writes no standard form
     dump = None if args.batch else args.dump_socp
-    return _run(args, _bound_work, args.delta_socp, args.odd_mode, dump)
+    return _run(args, _bound_work, args.odd_mode, dump)
 
 
 def _cmd_certify(args) -> int:
-    return _run(args, _certify_work, args.xi, args.delta_socp, args.odd_mode)
+    return _run(args, _certify_work, args.xi, args.odd_mode)
 
 
 def _cmd_verify(args) -> int:
@@ -238,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     item = argparse.ArgumentParser(add_help=False)  # shared by bound and certify
     item.add_argument("input", help="polynomial JSON file, or - for stdin")
-    item.add_argument("--delta-socp", type=float, default=1e-8, help="solver accuracy")
     item.add_argument("--odd-mode", action="store_true", help="odd-denominator mediated sets")
     item.add_argument("--json", action="store_true", help="machine-readable report")
     item.add_argument("--batch", action="store_true", help="input is a directory of .json files or JSON lines")
@@ -271,6 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves the parser as it found it
+_PARSER = build_parser()
+
+
 def _is_rational(token: str) -> bool:
     try:
         parse_rational(token)
@@ -293,7 +294,7 @@ def _join_xi(argv: Sequence[str]) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(_join_xi(sys.argv[1:] if argv is None else argv))
+        args = _PARSER.parse_args(_join_xi(sys.argv[1:] if argv is None else argv))
     except SystemExit as done:  # argparse has printed the help, or the usage error
         return EXIT_OK if done.code == 0 else EXIT_ERROR
     try:

@@ -1,64 +1,28 @@
 """Simplex covers: exact LP and the covering sweep.
 
 Each negative-support point beta must be written as a convex combination of
-even positive-support points (Lambda). ``sim_sel`` maximizes the weight of a
-chosen anchor point with the exact simplex method of ``exact.Tableau``; the
-support of the optimal basic solution is affinely independent, hence a
-trellis. ``simplex_cover`` sweeps all beta points, keeping one tableau per
-beta whose phase one runs once and which each anchor re-optimizes, then
-recycles the betas to absorb leftover Lambda points, and reports Lambda
-points no circuit can use (they pass through as plain monomial squares).
+even positive-support points (Lambda). ``_AnchorSolver.circuit`` maximizes
+the weight of a chosen anchor point with the exact simplex method of
+``exact.Tableau``; the support of the optimal basic solution is affinely
+independent, hence a trellis. ``simplex_cover`` sweeps all beta points,
+keeping one such tableau per beta whose phase one runs once and which each
+anchor re-optimizes, then recycles the betas to absorb leftover Lambda
+points, and reports Lambda points no circuit can use (they pass through as
+plain monomial squares).
 The cover is a pure function of the two point sets and is not cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .exact import LpInfeasible, LpUnbounded, Tableau
+from .exact import LpInfeasible, Tableau
 from .polyring import Circuit, Exponent
 
 
 class CoverInfeasible(Exception):
     """Some beta lies outside conv(Lambda); no circuit decomposition exists."""
-
-
-def lp_solve_exact(
-    matrix: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    objective: Sequence[Fraction],
-) -> Tuple[Fraction, List[Fraction]]:
-    """Maximize objective . x subject to matrix x = rhs, x >= 0, exactly.
-
-    Two-phase tableau simplex with Bland's rule. Returns (optimal value, a
-    basic optimal solution).
-    """
-    m, n = len(matrix), len(objective)
-    if any(len(row) != n for row in matrix) or len(rhs) != m:
-        raise ValueError("inconsistent LP dimensions")
-    tab = Tableau(
-        [[Fraction(v) for v in row] for row in matrix], [Fraction(b) for b in rhs]
-    )
-    tab.minimize([-Fraction(v) for v in objective])
-    x = tab.solution()
-    value = sum(Fraction(c) * xi for c, xi in zip(objective, x))
-    return value, x
-
-
-def sim_sel(
-    beta: Exponent, lambda_set: Sequence[Exponent], alpha0: Exponent
-) -> Dict[Exponent, Fraction]:
-    """Barycentric weights over lambda_set writing beta, maximizing the
-    weight of alpha0. Returns the full weight vector of an optimal basic
-    solution; its positive support is affinely independent."""
-    points = sorted(lambda_set)
-    if alpha0 not in points:
-        raise ValueError(f"anchor {alpha0} is not a candidate square point")
-    objective = [int(pt == alpha0) for pt in points]
-    _, x = lp_solve_exact(*_barycentric(points, beta), objective)
-    return dict(zip(points, x))
 
 
 def _barycentric(

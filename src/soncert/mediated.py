@@ -6,18 +6,19 @@ average of two distinct elements of A. ``med_seq`` builds a near-minimal
 sequence in O(log p) justification triples; ``brute_min_med_seq`` is an
 exact minimal-size search used as an oracle in tests.
 
-The lattice lift ``l_med_set`` transports a scalar sequence onto a segment
-between two points, yielding triples (u, v, w) with u = (v + w)/2; these
-are the midpoint links a binomial-squares decomposition rides on.
-``med_set`` chains segment lifts over a full trellis. ``med_set_odd``
-produces mediated sets whose endpoint coordinates are even rationals with
-odd denominators, so that after substituting an odd root every square
-point becomes an even lattice point and each binomial square is globally
-nonnegative, not only on the positive orthant.
+A segment lift transports a scalar sequence onto a segment between two
+points, yielding triples (u, v, w) with u = (v + w)/2; these are the
+midpoint links a binomial-squares decomposition rides on.  ``med_set``
+chains segment lifts over a full trellis (on a two-point trellis it is the
+lift of that one segment).  ``med_set_odd`` produces mediated sets whose
+endpoint coordinates are even rationals with odd denominators, so that
+after substituting an odd root every square point becomes an even lattice
+point and each binomial square is globally nonnegative, not only on the
+positive orthant.
 
-All four lifts run in integers: a rational point is an integer vector over
-an explicit denominator, and each returns a ``MediatedSet``, its triples
-over one least common denominator.  Fractions appear only in
+Both run in integers: a rational point is an integer vector over an
+explicit denominator, and each returns a ``MediatedSet``, its triples over
+one least common denominator.  Fractions appear only in
 ``MediatedSet.fractions`` and ``fraction_points``.
 """
 
@@ -274,9 +275,9 @@ def _segment(a1: Tuple[IntPoint, int], a2: Tuple[IntPoint, int], b: Tuple[IntPoi
     return p * den, [(phi(s), phi(lo), phi(hi)) for (s, lo, hi) in med_seq(p, q)]
 
 
-def _merge(parts: Sequence[_Part], dedupe: bool) -> MediatedSet:
-    # every part over the lcm of the parts' reduced denominators; with
-    # dedupe only the first triple of each midpoint is kept
+def _merge(parts: Sequence[_Part]) -> MediatedSet:
+    # every part over the lcm of the parts' reduced denominators, keeping
+    # only the first triple of each midpoint
     coords = (chain.from_iterable({pt for t in trips for pt in t}) for _, trips in parts)
     den = lcm(*(d // gcd(d, *xs) for (d, _), xs in zip(parts, coords)))
     seen = set()
@@ -284,23 +285,11 @@ def _merge(parts: Sequence[_Part], dedupe: bool) -> MediatedSet:
     for d, trips in parts:
         g = gcd(den, d)
         for trip in _rescale(trips, den // g, d // g):
-            if dedupe:
-                if trip[0] in seen:
-                    continue
-                seen.add(trip[0])
+            if trip[0] in seen:
+                continue
+            seen.add(trip[0])
             out.append(trip)
     return MediatedSet(den, tuple(out))
-
-
-def l_med_set(a1: Sequence, a2: Sequence, b: Sequence) -> MediatedSet:
-    """Mediated set on the segment [a1, a2] containing b.
-
-    Writes b = a1 + (q/p)(a2 - a1) in lowest terms and maps the scalar
-    sequence for (p, q) through s -> a1 + (s/p)(a2 - a1). Endpoint order
-    inside each returned triple follows the scalar order (lo -> v, hi -> w).
-    """
-    den, (e1, e2, pt) = _lattice((a1, a2, b))
-    return _merge([_segment((e1, den), (e2, den), (pt, den))], dedupe=False)
 
 
 def _prepare(
@@ -347,7 +336,7 @@ def med_set(
         parts.append(_segment((pts[k], den), beta_k, prev))
         prev = beta_k
     parts.append(_segment((pts[m - 2], den), (pts[m - 1], den), prev))
-    return _merge(parts, dedupe=True)
+    return _merge(parts)
 
 
 def _weighted(pts: Sequence[IntPoint], qs: Sequence[int]) -> IntPoint:
@@ -368,14 +357,6 @@ def _is_even_point(x: IntPoint, den: int) -> bool:
 def _has_odd_denominators(x: IntPoint, den: int) -> bool:
     step = den & -den
     return all(c % step == 0 for c in x)
-
-
-def l_med_set_odd(a1: Sequence, a2: Sequence, b: Sequence) -> MediatedSet:
-    """Segment mediated set whose endpoint coordinates are even rationals
-    with odd denominators. Requires a1, a2 already of that form and b with
-    odd coordinate denominators."""
-    den, (e1, e2, pt) = _lattice((a1, a2, b))
-    return _merge(_segment_odd((e1, den), (e2, den), (pt, den)), dedupe=False)
 
 
 def _segment_odd(
@@ -424,7 +405,7 @@ def med_set_odd(
             raise ValueError(f"{pt} over {den} is not an even point with odd denominators")
     if not _has_odd_denominators(target, den):
         raise ValueError(f"{target} over {den} has an even coordinate denominator")
-    return _merge(_med_set_odd(pts, den, qs, p, (target, den)), dedupe=True)
+    return _merge(_med_set_odd(pts, den, qs, p, (target, den)))
 
 
 def _med_set_odd(

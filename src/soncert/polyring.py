@@ -13,8 +13,8 @@ deterministic order is needed.
 The support splits into Lambda (even exponents carrying a positive
 coefficient: candidate monomial-square points) and Gamma (all remaining
 exponents). A polynomial is PN when every Gamma coefficient is negative;
-``to_pn`` flips signs to produce the PN companion, which is nonnegative iff
-the original is.
+``pn_companion`` flips signs to produce the PN companion, which bounds the
+original from below at every point (f(x) >= companion(|x|)).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from . import exact
 
@@ -121,10 +121,15 @@ def parse_rational(value: object) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {_excerpt(value)}") from exc
     for part, size in (("numerator", frac.numerator), ("denominator", frac.denominator)):
-        # bit_length settles all but values within a factor 2 of the limit
-        if size.bit_length() >= _TOO_MANY_DIGITS.bit_length() and abs(size) >= _TOO_MANY_DIGITS:
+        if _too_many_digits(size):
             raise ValueError(f"{part} of {size.bit_length()} bits exceeds {MAX_DECIMAL_EXPONENT} decimal digits")
     return frac
+
+
+def _too_many_digits(value: int) -> bool:
+    """Whether |value| has more than MAX_DECIMAL_EXPONENT decimal digits;
+    bit_length settles all but values within a factor 2 of the limit."""
+    return value.bit_length() >= _TOO_MANY_DIGITS.bit_length() and abs(value) >= _TOO_MANY_DIGITS
 
 
 def format_rational(value: Fraction) -> str:
@@ -197,33 +202,16 @@ def support_partition(f: SparsePoly) -> SupportPartition:
     return SupportPartition(tuple(lam), tuple(gam))
 
 
-def to_pn(f: SparsePoly) -> SparsePoly:
-    """PN companion: keep Lambda coefficients, negate |.| of the rest.
-
-    Idempotent; the companion is nonnegative iff f is.  The zero
-    polynomial is its own companion.
-    """
-    if f.is_zero():
-        return f
-    part = support_partition(f)
-    gamma = set(part.gamma_set)
-    terms = {
-        exp: (-abs(coef) if exp in gamma else coef) for exp, coef in f.terms.items()
-    }
-    return SparsePoly(f.n, terms)
-
-
 def pn_companion(f: SparsePoly) -> SparsePoly:
-    """Sign-normalized companion: negative magnitudes off the square points
-    of the nonconstant part, constant carried through unchanged."""
+    """PN companion: a coefficient on an even exponent stays when positive,
+    every other becomes -|c|.  The constant is carried through unchanged
+    (its exponent is even and -|c| = c when c < 0).  Idempotent, and a
+    lower bound on f: f(x) >= companion(|x|) at every real x."""
 
-    zero = (0,) * f.n
-    rest = {exp: c for exp, c in f.terms.items() if exp != zero}
-    tilde = to_pn(SparsePoly(f.n, rest))
-    terms = dict(tilde.terms)
-    if f.constant():
-        terms[zero] = f.constant()
-    return SparsePoly(f.n, terms)
+    return SparsePoly(
+        f.n,
+        {exp: c if c > 0 and is_even(exp) else -abs(c) for exp, c in f.terms.items()},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -289,10 +289,11 @@ def to_float(value: Fraction | int) -> float:
         ) from None
 
 
-def solve_problem(problem: SocpProblem, delta: float = 1e-8, objective_scale: float = 1.0) -> ConeSolve:
-    """Run the interior-point solver on an assembled system; the slot
-    values are the result's x.  The float objective is multiplied by
-    objective_scale, so the result's objective is scaled by it too."""
+def solve_problem(problem: SocpProblem, objective_scale: float = 1.0) -> ConeSolve:
+    """Run the interior-point solver, at its default relative accuracy, on
+    an assembled system; the slot values are the result's x.  The float
+    objective is multiplied by objective_scale, so the result's objective
+    is scaled by it too."""
 
     rows = [e[0] for e in problem.entries]
     cols = [e[1] for e in problem.entries]
@@ -304,7 +305,6 @@ def solve_problem(problem: SocpProblem, delta: float = 1e-8, objective_scale: fl
         [to_float(r) for r in problem.rhs_exact],
         [to_float(c) * objective_scale for c in problem.objective],
         problem.plan.num_triples,
-        tol=delta,
     )
 
 
@@ -319,9 +319,6 @@ class LowerBoundResult:
     """
 
     xi: float
-    constant: Fraction
-    pn: SparsePoly
-    gamma_set: Tuple[Exponent, ...]
     cover: Optional[CoverResult] = None
     plan: Optional[ConeTriplePlan] = None
     problem: Optional[SocpProblem] = None
@@ -340,7 +337,7 @@ def cover_points(f: SparsePoly) -> Tuple[Tuple[Exponent, ...], Tuple[Exponent, .
     return tuple(sorted(set(part.lambda_set) | {zero})), part.gamma_set
 
 
-def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> LowerBoundResult:
+def lower_bound(f: SparsePoly, odd_mode: bool = False) -> LowerBoundResult:
     """Best bound xi with the companion of f - xi matched by cone triples.
 
     Raises SolverFailure when the numeric solver stalls, and propagates
@@ -349,13 +346,12 @@ def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> L
 
     f0 = f.constant()
     lam, gamma = cover_points(f)
-    tilde = pn_companion(f)
     if not gamma:
-        return LowerBoundResult(xi=to_float(f0), constant=f0, pn=tilde, gamma_set=())
+        return LowerBoundResult(xi=to_float(f0))
     cover = simplex_cover(lam, gamma)
     plan = build_plan(cover, odd_mode=odd_mode)
-    problem = assemble(plan, tilde, mode="bound")
-    solution = solve_problem(problem, delta=delta)
+    problem = assemble(plan, pn_companion(f), mode="bound")
+    solution = solve_problem(problem)
     if solution.status == "infeasible":
         xi = float("-inf")
     elif solution.status != "optimal":
@@ -367,9 +363,6 @@ def lower_bound(f: SparsePoly, delta: float = 1e-8, odd_mode: bool = False) -> L
         xi = to_float(f0) - solution.objective
     return LowerBoundResult(
         xi=xi,
-        constant=f0,
-        pn=tilde,
-        gamma_set=gamma,
         cover=cover,
         plan=plan,
         problem=problem,

@@ -8,9 +8,14 @@ the rotated cone 2ab >= c^2.  The companion bounds f from below through |x|,
 and on the orthant each triple expression is nonnegative (x^u is the
 geometric mean of x^v and x^w), so a passing certificate proves f >= xi.
 
-Two caps decide too-large before any other arithmetic.  The least common
-denominator D of all point coordinates may not have more than
-MAX_DECIMAL_EXPONENT decimal digits, the parser's limit for one value, and
+A polynomial f whose coefficient has a numerator or denominator of more
+than MAX_DECIMAL_EXPONENT decimal digits, which the parser refuses, is
+too-large before f is hashed: printing such a value for the hash takes
+time quadratic in its digits.
+
+Two caps on the certificate decide too-large before any other arithmetic.
+The least common denominator D of all point coordinates may not have more
+than MAX_DECIMAL_EXPONENT decimal digits, the parser's limit for one value, and
 the least common denominator V of all values (slots, passthrough
 coefficients, xi) must stay below 10^MAX_DECIMAL_EXPONENT times 2^B(f),
 where B(f) sums ceil(log2 d) over the distinct denominators d of f's
@@ -41,7 +46,7 @@ from math import lcm
 from operator import add, attrgetter, floordiv, mul
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .polyring import _TOO_MANY_DIGITS, Exponent, Point, SparsePoly, is_even
+from .polyring import _TOO_MANY_DIGITS, Exponent, Point, SparsePoly, _too_many_digits, is_even
 from .polyring import parse_rational, pn_companion, poly_sha256
 
 _NUM, _DEN = attrgetter("numerator"), attrgetter("denominator")
@@ -386,15 +391,19 @@ def verify_certificate(f: SparsePoly, cert: Certificate) -> VerifyResult:
 
     Checks closed cone membership (non-strict), midpoint structure,
     passthrough shape, and the exact reconstruction of the companion of
-    f - xi, on integers per triple and per distinct point.  The common
-    denominator of the points is refused as too-large from 10^4300 on, that
-    of the values from 10^4300 * 2^B(f) on (see the module docstring).  A
+    f - xi, on integers per triple and per distinct point.  A coefficient
+    of f with more than 4300 digits above or below its fraction bar is
+    refused as too-large, as is a common denominator of the points from
+    10^4300 on or one of the values from 10^4300 * 2^B(f) on (see the
+    module docstring).  A
     passing certificate proves f(x) >= xi for every real x.
     """
 
     n = cert.n
     if n != f.n:
         return VerifyResult(False, "shape-mismatch")
+    if any(_too_many_digits(c.numerator) or _too_many_digits(c.denominator) for c in f.terms.values()):
+        return VerifyResult(False, "too-large")
     if cert.poly_sha256 != poly_sha256(f):
         return VerifyResult(False, "hash-mismatch")
     triples = cert.triples

@@ -15,19 +15,17 @@ from soncert.certify import (
     BoundaryFailure,
     Certificate,
     CertTriple,
-    VerifyResult,
-    check_cone,
-    check_cone_strict,
+    _strictly_inside,
     exact_sobs,
     grid_bits,
     project_slots,
-    round_to_rational,
     verify_certificate,
 )
 from soncert.cover import simplex_cover
 from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, poly_sha256
 from soncert.socp import SocpProblem, assemble, build_plan, lower_bound, pn_companion, solve_problem
+from soncert.verify import VerifyResult, check_cone
 
 from conftest import project_fractions
 
@@ -37,13 +35,9 @@ EX6 = SparsePoly(
 )
 
 
-def test_round_to_rational_goldens():
-    assert round_to_rational(0.333333, 2**-10) == Fraction(341, 1024)
-    assert round_to_rational(1.0000001, 1e-5) == 1
-    assert round_to_rational(-0.5, 1e-5) == Fraction(-1, 2)
-    assert round_to_rational(2.7, 1.0) == 3
-    with pytest.raises(ValueError):
-        round_to_rational(1.0, 0.0)
+def check_cone_strict(a: Fraction, b: Fraction, c: Fraction) -> bool:
+    # the certifier's strict check on integers, for Fractions
+    return _strictly_inside(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)
 
 
 def test_cone_checks():
@@ -298,7 +292,7 @@ def test_one_rounding_per_certificate(monkeypatch, poly):
 
     k = grid_bits(problems[0], solutions[0].x)
     assert 17 <= k <= 52
-    rounded = project_fractions(problems[0], [round_to_rational(s, 2**-k) for s in solutions[0].x])
+    rounded = project_fractions(problems[0], [Fraction(round(s * 2**k), 2**k) for s in solutions[0].x])
     assert [v for t in cert.triples for v in (t.a, t.b, t.c)] == rounded
 
 

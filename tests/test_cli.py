@@ -159,6 +159,18 @@ def test_batch_bound_directory(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_batch_ignores_dump_socp_and_output(tmp_path, capsys):
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(poly_dumps(MOTZKIN) + "\n" + poly_dumps(EX6) + "\n")
+    target = tmp_path / "written.json"
+    for argv in (["bound", "--dump-socp", str(target)], ["certify", "-o", str(target)]):
+        code = cli.main([*argv, str(batch), "--batch"])
+        assert code == cli.EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [json.loads(ln)["status"] for ln in lines] == ["ok", "ok"]
+        assert not target.exists()
+
+
 @pytest.mark.parametrize("command", ["bound", "certify"])
 def test_batch_reports_every_item_past_a_bad_line(tmp_path, capsys, command):
     batch = tmp_path / "batch.jsonl"
@@ -260,10 +272,10 @@ def test_error_exit_on_missing_file(capsys):
     [
         (["certify", "{poly}", "--delta-round", "1e-5"], "unrecognized arguments: --delta-round"),
         (["certify", "{poly}", "--margin", "1e-4"], "unrecognized arguments: --margin"),
+        (["certify", "{poly}", "--delta-socp", "1e-8"], "unrecognized arguments: --delta-socp"),
         (["verify", "{poly}"], "the following arguments are required: certificate"),
-        (["certify", "{poly}", "--delta-socp", "abc"], "invalid float value: 'abc'"),
     ],
-    ids=["removed-option", "removed-margin", "missing-argument", "bad-float"],
+    ids=["removed-option", "removed-margin", "removed-delta-socp", "missing-argument"],
 )
 def test_usage_error_exits_1(motzkin_file, capsys, argv, message):
     # exit 2 would read as a boundary failure
@@ -278,6 +290,7 @@ def test_help_exits_0(capsys):
     out = capsys.readouterr().out
     assert "--delta-round" not in out
     assert "--margin" not in out
+    assert "--delta-socp" not in out
 
 
 @pytest.mark.parametrize(

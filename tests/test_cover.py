@@ -10,18 +10,21 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import ref_simplex_cover
-from soncert.cover import (
-    CoverInfeasible,
-    LpInfeasible,
-    LpUnbounded,
-    lp_solve_exact,
-    sim_sel,
-    simplex_cover,
-)
+from soncert.cover import CoverInfeasible, _AnchorSolver, simplex_cover
+from soncert.exact import LpInfeasible, LpUnbounded, Tableau
 from soncert.generate import POLY_CLASSES, random_instance
 from soncert.polyring import SparsePoly, support_partition
 
 LAM8 = [(0, 0), (4, 0), (0, 4), (4, 4)]
+
+
+def maximize(matrix, rhs, objective):
+    """Maximize objective . x subject to matrix x = rhs, x >= 0, on the
+    cover's exact tableau: (optimal value, a basic optimal solution)."""
+    tab = Tableau(matrix, rhs)
+    tab.minimize([-v for v in objective])
+    x = tab.solution()
+    return sum(c * xi for c, xi in zip(objective, x)), x
 
 
 def test_lp_solve_exact_square_point_selection():
@@ -34,7 +37,7 @@ def test_lp_solve_exact_square_point_selection():
     ]
     rhs = [Fraction(2), Fraction(1), Fraction(1)]
     obj = [Fraction(1) if p == (4, 4) else Fraction(0) for p in pts]
-    value, x = lp_solve_exact(matrix, rhs, obj)
+    value, x = maximize(matrix, rhs, obj)
     assert value == Fraction(1, 4)
     assert dict(zip(pts, x)) == {
         (0, 0): Fraction(1, 2),
@@ -47,10 +50,10 @@ def test_lp_solve_exact_square_point_selection():
 def test_lp_solve_exact_infeasible_and_unbounded():
     with pytest.raises(LpInfeasible):
         # x1 + x2 = -1 with x >= 0
-        lp_solve_exact([[Fraction(1), Fraction(1)]], [Fraction(-1)], [Fraction(1), Fraction(0)])
+        maximize([[Fraction(1), Fraction(1)]], [Fraction(-1)], [Fraction(1), Fraction(0)])
     with pytest.raises(LpUnbounded):
         # x1 - x2 = 0, maximize x1
-        lp_solve_exact([[Fraction(1), Fraction(-1)]], [Fraction(0)], [Fraction(1), Fraction(0)])
+        maximize([[Fraction(1), Fraction(-1)]], [Fraction(0)], [Fraction(1), Fraction(0)])
 
 
 def test_lp_solve_exact_redundant_rows():
@@ -59,7 +62,7 @@ def test_lp_solve_exact_redundant_rows():
         [Fraction(1), Fraction(1)],
         [Fraction(2), Fraction(2)],
     ]
-    value, x = lp_solve_exact(matrix, [Fraction(2), Fraction(4)], [Fraction(1), Fraction(0)])
+    value, x = maximize(matrix, [Fraction(2), Fraction(4)], [Fraction(1), Fraction(0)])
     assert value == 2
     assert x == [Fraction(2), Fraction(0)]
 
@@ -77,7 +80,7 @@ def test_lp_matches_float_solver():
         c = np.array(obj, dtype=float)
         ref = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
         try:
-            value, x = lp_solve_exact(matrix, rhs, obj)
+            value, x = maximize(matrix, rhs, obj)
         except LpUnbounded:
             assert ref.status == 3
             continue
@@ -89,24 +92,24 @@ def test_lp_matches_float_solver():
         )
 
 
+def anchored_weights(beta, lambda_set, alpha0):
+    """The positive weights of the circuit that maximizes alpha0's weight."""
+    points = sorted(lambda_set)
+    circuit = _AnchorSolver(points, beta).circuit(points.index(alpha0))
+    return dict(zip(circuit.trellis, circuit.weights))
+
+
 def test_sim_sel_goldens():
-    weights = sim_sel((2, 1), LAM8, (4, 4))
+    weights = anchored_weights((2, 1), LAM8, (4, 4))
     assert {pt for pt, w in weights.items() if w > 0} == {(0, 0), (4, 0), (4, 4)}
     assert weights[(4, 4)] == Fraction(1, 4)
     # unique barycentric representation over a full trellis
-    weights = sim_sel((2, 2), [(0, 0), (4, 2), (2, 4)], (0, 0))
+    weights = anchored_weights((2, 2), [(0, 0), (4, 2), (2, 4)], (0, 0))
     assert weights == {
         (0, 0): Fraction(1, 3),
         (2, 4): Fraction(1, 3),
         (4, 2): Fraction(1, 3),
     }
-    # beta equal to the single candidate point
-    assert sim_sel((2, 2), [(2, 2)], (2, 2)) == {(2, 2): Fraction(1)}
-
-
-def test_sim_sel_rejects_unknown_anchor():
-    with pytest.raises(ValueError):
-        sim_sel((2, 2), [(0, 0), (4, 4)], (1, 1))
 
 
 def test_simplex_cover_motzkin():

@@ -18,7 +18,7 @@ from conftest import (
     ref_solution,
 )
 from soncert import exact
-from soncert.cover import LpInfeasible, LpUnbounded, lp_solve_exact
+from soncert.exact import LpInfeasible, LpUnbounded
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -84,8 +84,6 @@ def test_simplex_matches_fraction_tableau(lp):
     else:
         want = reference_outcome(matrix, rhs, objective)
     assert got == want
-    if isinstance(want, tuple):
-        assert lp_solve_exact(matrix, rhs, objective) == want[:2]
 
 
 @SETTINGS

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +24,6 @@ from soncert.mediated import (
     brute_min_med_seq,
     is_mediated_sequence,
     is_valid_mediated_set,
-    l_med_set,
-    l_med_set_odd,
     med_seq,
     med_seq_elements,
     med_set,
@@ -107,22 +105,23 @@ def test_brute_never_beats_algorithm_and_is_valid():
 
 
 def test_l_med_set_goldens():
-    assert fr(l_med_set((0, 0), (3, 3), (2, 2))) == [
+    # on a two-point trellis med_set is the lift of that one segment
+    assert fr(med_set(((0, 0), (3, 3)), (2, 2))) == [
         (pt(1, 1), pt(0, 0), pt(2, 2)),
         (pt(2, 2), pt(1, 1), pt(3, 3)),
     ]
-    assert fr(l_med_set((2, 4), (4, 2), (3, 3))) == [(pt(3, 3), pt(2, 4), pt(4, 2))]
+    assert fr(med_set(((2, 4), (4, 2)), (3, 3))) == [(pt(3, 3), pt(2, 4), pt(4, 2))]
 
 
 def test_l_med_set_rejects_bad_points():
     with pytest.raises(ValueError):
-        l_med_set((0, 0), (2, 2), (1, 2))  # off the line
+        med_set(((0, 0), (2, 2)), (1, 2))  # off the line
     with pytest.raises(ValueError):
-        l_med_set((0, 0), (2, 2), (2, 2))  # endpoint
+        med_set(((0, 0), (2, 2)), (2, 2))  # endpoint
     with pytest.raises(ValueError):
-        l_med_set((0, 0), (2, 2), (3, 3))  # outside
+        med_set(((0, 0), (2, 2)), (3, 3))  # outside
     with pytest.raises(ValueError):
-        l_med_set((1, 1), (1, 1), (1, 1))  # degenerate segment
+        med_set(((1, 1), (1, 1)), (1, 1))  # degenerate segment
 
 
 def test_med_set_segment_and_chain_goldens():
@@ -189,7 +188,7 @@ def test_med_set_odd_goldens():
 def test_l_med_set_odd_reflection_case():
     # target off the midpoint with an odd scaled numerator forces the
     # reflect-and-justify step
-    triples = l_med_set_odd((0,), (4,), (1,))
+    triples = med_set_odd(((0,), (4,)), (1,))
     assert (pt(1), pt(0), pt(2)) in fr(triples)
     assert (pt(2), pt(0), pt(4)) in fr(triples)
     assert is_valid_mediated_set(triples, [(0,), (4,)], (1,))
@@ -309,10 +308,12 @@ def test_med_set_odd_matches_fraction_reference(circuit):
 @SETTINGS
 @given(segments(odd=False))
 def test_l_med_set_matches_fraction_reference(segment):
-    assert outcome(l_med_set, *segment) == outcome(ref_l_med_set, *segment)
+    a1, a2, b = segment
+    assert outcome(med_set, (a1, a2), b) == outcome(ref_l_med_set, a1, a2, b)
 
 
 @SETTINGS
 @given(segments(odd=True))
 def test_l_med_set_odd_matches_fraction_reference(segment):
-    assert outcome(l_med_set_odd, *segment) == outcome(ref_l_med_set_odd, *segment)
+    a1, a2, b = segment
+    assert outcome(med_set_odd, (a1, a2), b) == outcome(ref_l_med_set_odd, a1, a2, b)

@@ -21,9 +21,9 @@ from soncert.polyring import (
     poly_from_json,
     poly_loads,
     poly_sha256,
+    pn_companion,
     poly_to_json,
     support_partition,
-    to_pn,
 )
 
 
@@ -152,11 +152,11 @@ def test_to_pn_flips_and_is_idempotent():
         2,
         {(0, 0): Fraction(1), (2, 0): Fraction(2), (1, 1): Fraction(5), (0, 2): Fraction(-1)},
     )
-    g = to_pn(f)
+    g = pn_companion(f)
     assert g.coefficient((1, 1)) == -5
     assert g.coefficient((0, 2)) == -1
     assert g.coefficient((2, 0)) == 2
-    assert to_pn(g) == g
+    assert pn_companion(g) == g
 
 
 def test_affinely_independent():
