@@ -27,7 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cover import simplex_cover
-from .polyring import SparsePoly, parse_rational, pn_companion, poly_sha256
+from .mediated import fraction_points
+from .polyring import MAX_DECIMAL_EXPONENT, SparsePoly, has_too_many_digits
+from .polyring import parse_rational, pn_companion, poly_sha256
 from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points
 # unused here, but perfbench's tracer wraps soncert.certify.lower_bound and
 # the CI step "Trace sites" fails without it
@@ -173,10 +175,12 @@ def _certificate(
 ) -> Certificate:
     """The certificate of f at xi from exact slots, once it has verified."""
 
+    plan = problem.plan
+    view = fraction_points(plan.points, plan.den)
     cones = zip(slots[0::3], slots[1::3], slots[2::3])
     circuits = tuple(
-        tuple(CertTriple(u, v, w, *next(cones)) for u, v, w in triples)
-        for triples in problem.plan.circuit_triples
+        tuple(CertTriple(view[u], view[v], view[w], *next(cones)) for u, v, w in group)
+        for group in plan.circuit_triples
     )
     cert = Certificate(
         n=f.n,
@@ -214,8 +218,12 @@ def exact_sobs(
     solve, rounded and checked the same way; a bound that fails the check
     there is a BoundaryFailure.  With no interior points (a constant f
     included) the certificate is the companion's monomial squares alone.
+    A coefficient of f with more than MAX_DECIMAL_EXPONENT digits above or
+    below its fraction bar is a ValueError, as the parser's limit.
     """
 
+    if has_too_many_digits(f):
+        raise ValueError(f"a coefficient of f has more than {MAX_DECIMAL_EXPONENT} decimal digits")
     sha = poly_sha256(f)
     if xi is None:
         # the numeric bound is read in floats: a constant outside their
@@ -231,7 +239,7 @@ def exact_sobs(
     plan = build_plan(simplex_cover(lam, gamma), odd_mode=odd_mode)
 
     if xi is None:
-        problem = assemble(plan, tilde, mode="bound")
+        problem = assemble(plan, tilde)
         solution = solve_problem(problem, objective_scale=OBJECTIVE_SCALE)
         if solution.status == "infeasible":
             raise SolverFailure("no finite bound exists for this support")
@@ -248,7 +256,7 @@ def exact_sobs(
         den = 1 << MIN_GRID_BITS
         target = Fraction(round((bound - XI_BACKOFF * (1 + abs(bound))) * den), den)
 
-    problem = assemble(plan, tilde, mode="feasibility", xi=target)
+    problem = assemble(plan, tilde, xi=target)
     solution = solve_problem(problem)
     if solution.status == "infeasible":
         raise BoundaryFailure(f"no decomposition exists at bound {target}")

@@ -117,13 +117,12 @@ def _bound_work(text: str, odd_mode: bool, dump: Optional[str]) -> tuple:
     if result is None:
         return report, None
     report.xi = result.xi
-    if result.solution is not None:
+    if result.problem is not None:
         report.iterations = result.solution.iterations
-    if result.plan is not None:
-        report.num_triples = result.plan.num_triples
-    if dump and result.problem is not None:
-        with open(dump, "w", encoding="utf-8") as handle:
-            handle.write(result.problem.to_json())
+        report.num_triples = result.problem.plan.num_triples
+        if dump:
+            with open(dump, "w", encoding="utf-8") as handle:
+                handle.write(result.problem.to_json())
     return report, None
 
 

@@ -364,6 +364,13 @@ def poly_dumps(f: SparsePoly) -> str:
     return json.dumps(poly_to_json(f), separators=(",", ":"), sort_keys=True)
 
 
+def has_too_many_digits(f: SparsePoly) -> bool:
+    """Whether a coefficient of f has more than MAX_DECIMAL_EXPONENT decimal
+    digits in its numerator or denominator, the parser's limit: such an f
+    cannot be written, so neither hashed nor certified."""
+    return any(_too_many_digits(c.numerator) or _too_many_digits(c.denominator) for c in f.terms.values())
+
+
 def poly_sha256(f: SparsePoly) -> str:
     """sha256 of the canonical JSON serialization."""
     return hashlib.sha256(poly_dumps(f).encode("ascii")).hexdigest()

@@ -8,8 +8,13 @@ triple carries slot variables (a, b, c) constrained to the rotated cone
 2ab >= c^2, encoding the binomial square a x^{2v'} ... via the identity
 2a x^v + b x^w - 2c x^u with (x^{v/2})^2-style groupings.  Equality rows
 force the slot combination at every mediated point to reproduce the
-coefficient there, and the row at the origin is either dropped and
-minimized (bound mode) or pinned to f0 - xi (feasibility mode).
+coefficient there.  assemble builds bound mode without xi (the row at the
+origin is dropped and minimized) and feasibility mode with it (that row
+is pinned to f0 - xi).
+
+The plan and the problem hold the mediated points as integer vectors over
+one plan-wide denominator; SocpProblem.to_json and the certificate turn
+them into Fractions, once each.
 """
 
 from __future__ import annotations
@@ -22,15 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cover import CoverResult, simplex_cover
 from .ipm import ConeSolve, solve_socp
-from .mediated import (
-    IntPoint,
-    IntTriple,
-    Point,
-    PointTriple,
-    fraction_points,
-    med_set,
-    med_set_odd,
-)
+from .mediated import IntPoint, IntTriple, fraction_points, med_set, med_set_odd
 from .polyring import (
     Exponent,
     SparsePoly,
@@ -53,36 +50,31 @@ class SolverFailure(RuntimeError):
 class ConeTriplePlan:
     """Mediated triples for a circuit cover, with row bookkeeping.
 
-    The plan runs on integer points over one plan-wide denominator den: the
-    integer vector X stands for X / den, and den is the lcm of all reduced
-    coordinate denominators.  int_triples lists every triple in circuit
-    order, int_points every distinct u/v/w in lex order (the order of the
-    rational points, as den > 0), and index maps each integer point to its
-    row.  triples, circuit_triples and points are the same data as tuples
-    of Fractions, one per distinct point, for certificates and JSON.
-    passthrough lists square points outside every trellis: they never enter
-    the conic system and their coefficients must stay nonnegative on their
-    own.
+    The plan holds integer points only, over one plan-wide denominator den:
+    the integer vector X stands for X / den, and den is the lcm of all
+    reduced coordinate denominators.  circuit_triples groups the triples
+    (u, v, w) with 2u = v + w by circuit, in cover order, and triples lists
+    them flat in the same order; points lists every distinct u/v/w in lex
+    order (the order of the rational points, as den > 0), and index maps
+    each point to its row.  passthrough lists square points outside every
+    trellis: they never enter the conic system and their coefficients must
+    stay nonnegative on their own.
     """
 
-    circuits: Tuple
     den: int
-    int_triples: Tuple[IntTriple, ...]
-    int_points: Tuple[IntPoint, ...]
+    circuit_triples: Tuple[Tuple[IntTriple, ...], ...]
+    triples: Tuple[IntTriple, ...]
+    points: Tuple[IntPoint, ...]
     index: Dict[IntPoint, int]
-    circuit_triples: Tuple[Tuple[PointTriple, ...], ...]
-    triples: Tuple[PointTriple, ...]
-    points: Tuple[Point, ...]
     passthrough: Tuple[Exponent, ...]
-    odd_mode: bool
 
     @property
     def num_triples(self) -> int:
-        return len(self.int_triples)
+        return len(self.triples)
 
     @property
     def max_denominator(self) -> int:
-        coords = {x for pt in self.int_points for x in pt}
+        coords = {x for pt in self.points for x in pt}
         return max((self.den // gcd(x, self.den) for x in coords), default=1)
 
     def int_point(self, exp: Sequence[int]) -> IntPoint:
@@ -96,10 +88,10 @@ def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
     lift = med_set_odd if odd_mode else med_set
     sets = [lift(c.trellis, c.beta, c.weights) for c in cover.circuits]
     den = lcm(*(ms.den for ms in sets))
-    groups = [ms.over(den) for ms in sets]
-    int_triples = tuple(t for group in groups for t in group)
-    int_points = tuple(sorted({pt for t in int_triples for pt in t}))
-    index = {pt: i for i, pt in enumerate(int_points)}
+    circuit_triples = tuple(tuple(ms.over(den)) for ms in sets)
+    triples = tuple(t for group in circuit_triples for t in group)
+    points = tuple(sorted({pt for t in triples for pt in t}))
+    index = {pt: i for i, pt in enumerate(points)}
     for circuit in cover.circuits:
         for pt in (circuit.beta, *circuit.trellis):
             if tuple(x * den for x in pt) not in index:
@@ -109,21 +101,13 @@ def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
     passthrough = tuple(
         pt for pt in cover.uncovered if tuple(x * den for x in pt) not in index
     )
-    view = fraction_points(int_points, den)
-    circuit_triples = tuple(
-        tuple((view[u], view[v], view[w]) for u, v, w in group) for group in groups
-    )
     return ConeTriplePlan(
-        circuits=tuple(cover.circuits),
         den=den,
-        int_triples=int_triples,
-        int_points=int_points,
-        index=index,
         circuit_triples=circuit_triples,
-        triples=tuple(t for group in circuit_triples for t in group),
-        points=tuple(view[pt] for pt in int_points),
+        triples=triples,
+        points=points,
+        index=index,
         passthrough=passthrough,
-        odd_mode=odd_mode,
     )
 
 
@@ -133,19 +117,23 @@ class SocpProblem:
 
     Slot layout is three per triple, (a, b, c) consecutive.  entries is a
     triplet list (row, col, coef) with integer coefficients +2 (a at its
-    outer point v), +1 (b at w), -2 (c at the midpoint u).
+    outer point v), +1 (b at w), -2 (c at the midpoint u).  row_points are
+    the plan's integer points over plan.den, one per row.  Without xi the
+    problem is in bound mode, with it in feasibility mode.
     """
 
     plan: ConeTriplePlan
-    mode: str  # "bound" or "feasibility"
-    n: int
     constant: Fraction
     xi: Optional[Fraction]
-    row_points: Tuple[Point, ...]
+    row_points: Tuple[IntPoint, ...]
     rhs_exact: Tuple[Fraction, ...]
     entries: Tuple[Tuple[int, int, int], ...]
     objective: Tuple[int, ...]
     passthrough_terms: Dict[Exponent, Fraction] = field(default_factory=dict)
+
+    @property
+    def mode(self) -> str:
+        return "bound" if self.xi is None else "feasibility"
 
     @property
     def num_rows(self) -> int:
@@ -156,6 +144,7 @@ class SocpProblem:
         return 3 * self.plan.num_triples
 
     def to_json(self) -> str:
+        view = fraction_points(self.row_points, self.plan.den)
         data = {
             "mode": self.mode,
             "num_cones": self.plan.num_triples,
@@ -165,7 +154,7 @@ class SocpProblem:
             "objective": list(self.objective),
             "rows": [
                 {
-                    "point": [format_rational(x) for x in pt],
+                    "point": [format_rational(x) for x in view[pt]],
                     "rhs": format_rational(rhs),
                 }
                 for pt, rhs in zip(self.row_points, self.rhs_exact)
@@ -179,31 +168,19 @@ class SocpProblem:
         return json.dumps(data, indent=2, sort_keys=True)
 
 
-def assemble(
-    plan: ConeTriplePlan,
-    poly: SparsePoly,
-    mode: str = "bound",
-    xi: object = None,
-) -> SocpProblem:
+def assemble(plan: ConeTriplePlan, poly: SparsePoly, xi: object = None) -> SocpProblem:
     """Build the conic system matching a sign-normalized polynomial.
 
     poly must carry nonpositive coefficients off its square points (the
-    pointwise-negative companion), constant included.  In bound mode the
-    row at the origin is removed and its slot expression becomes the
-    objective; in feasibility mode xi is required and the origin row is
-    pinned to constant - xi.
+    pointwise-negative companion), constant included.  Without xi (bound
+    mode) the row at the origin is removed and its slot expression becomes
+    the objective; with xi (feasibility mode) the origin row is pinned to
+    constant - xi.
     """
 
-    if mode not in ("bound", "feasibility"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n = poly.n
-    zero = (0,) * n
+    zero = (0,) * poly.n
     f0 = poly.constant()
-    xi_frac = None
-    if mode == "feasibility":
-        if xi is None:
-            raise ValueError("feasibility mode needs a target bound")
-        xi_frac = parse_rational(xi)
+    xi_frac = None if xi is None else parse_rational(xi)
 
     passthrough_set = set(plan.passthrough)
     passthrough_terms: Dict[Exponent, Fraction] = {}
@@ -227,8 +204,8 @@ def assemble(
             )
 
     zero_row = plan.index.get(plan.int_point(zero))
-    drop = zero_row if mode == "bound" else None
-    if mode == "feasibility":
+    drop = zero_row if xi_frac is None else None
+    if xi_frac is not None:
         if zero_row is not None:
             rhs_full[zero_row] = f0 - xi_frac
         else:
@@ -241,7 +218,7 @@ def assemble(
                 passthrough_terms[zero] = f0 - xi_frac
 
     renumber: Dict[int, int] = {}
-    row_points: List[Point] = []
+    row_points: List[IntPoint] = []
     rhs_exact: List[Fraction] = []
     for i, pt in enumerate(plan.points):
         if i == drop:
@@ -252,7 +229,7 @@ def assemble(
 
     entries: List[Tuple[int, int, int]] = []
     objective = [0] * (3 * plan.num_triples)
-    for t, (u, v, w) in enumerate(plan.int_triples):
+    for t, (u, v, w) in enumerate(plan.triples):
         for offset, pt, coef in ((0, v, 2), (1, w, 1), (2, u, -2)):
             i = plan.index[pt]
             col = 3 * t + offset
@@ -263,8 +240,6 @@ def assemble(
 
     return SocpProblem(
         plan=plan,
-        mode=mode,
-        n=n,
         constant=f0,
         xi=xi_frac,
         row_points=tuple(row_points),
@@ -310,17 +285,16 @@ def solve_problem(problem: SocpProblem, objective_scale: float = 1.0) -> ConeSol
 
 @dataclass
 class LowerBoundResult:
-    """Lower bound for a sparse polynomial, with the structures behind it.
+    """Lower bound for a sparse polynomial, with the problem and solution
+    behind it.
 
     xi is -inf when no coefficient match exists at any bound (the conic
     system is infeasible even with a free constant).  When the support has
     no interior points the bound is the constant term itself and the conic
-    stages are skipped (cover, plan, problem, solution stay None).
+    stages are skipped (problem and solution stay None).
     """
 
     xi: float
-    cover: Optional[CoverResult] = None
-    plan: Optional[ConeTriplePlan] = None
     problem: Optional[SocpProblem] = None
     solution: Optional[ConeSolve] = None
 
@@ -348,9 +322,8 @@ def lower_bound(f: SparsePoly, odd_mode: bool = False) -> LowerBoundResult:
     lam, gamma = cover_points(f)
     if not gamma:
         return LowerBoundResult(xi=to_float(f0))
-    cover = simplex_cover(lam, gamma)
-    plan = build_plan(cover, odd_mode=odd_mode)
-    problem = assemble(plan, pn_companion(f), mode="bound")
+    plan = build_plan(simplex_cover(lam, gamma), odd_mode=odd_mode)
+    problem = assemble(plan, pn_companion(f))
     solution = solve_problem(problem)
     if solution.status == "infeasible":
         xi = float("-inf")
@@ -361,10 +334,4 @@ def lower_bound(f: SparsePoly, odd_mode: bool = False) -> LowerBoundResult:
         )
     else:
         xi = to_float(f0) - solution.objective
-    return LowerBoundResult(
-        xi=xi,
-        cover=cover,
-        plan=plan,
-        problem=problem,
-        solution=solution,
-    )
+    return LowerBoundResult(xi=xi, problem=problem, solution=solution)

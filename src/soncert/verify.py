@@ -46,7 +46,7 @@ from math import lcm
 from operator import add, attrgetter, floordiv, mul
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .polyring import _TOO_MANY_DIGITS, Exponent, Point, SparsePoly, _too_many_digits, is_even
+from .polyring import _TOO_MANY_DIGITS, Exponent, Point, SparsePoly, has_too_many_digits, is_even
 from .polyring import parse_rational, pn_companion, poly_sha256
 
 _NUM, _DEN = attrgetter("numerator"), attrgetter("denominator")
@@ -402,7 +402,7 @@ def verify_certificate(f: SparsePoly, cert: Certificate) -> VerifyResult:
     n = cert.n
     if n != f.n:
         return VerifyResult(False, "shape-mismatch")
-    if any(_too_many_digits(c.numerator) or _too_many_digits(c.denominator) for c in f.terms.values()):
+    if has_too_many_digits(f):
         return VerifyResult(False, "too-large")
     if cert.poly_sha256 != poly_sha256(f):
         return VerifyResult(False, "hash-mismatch")

@@ -27,7 +27,7 @@ from soncert.certify import (
 )
 from soncert.cover import simplex_cover
 from soncert.generate import POLY_CLASSES, random_instance
-from soncert.mediated import brute_min_med_seq, med_seq
+from soncert.mediated import brute_min_med_seq, fraction_points, med_seq
 from soncert.polyring import SparsePoly, poly_sha256, support_partition
 from soncert.socp import assemble, build_plan, pn_companion, lower_bound
 
@@ -98,8 +98,9 @@ def test_criterion_02_transcribed_decompositions():
     # (b) the odd-denominator plan: five triples, denominators in {1, 3}
     cover = simplex_cover([(0, 0), (4, 2), (2, 4)], [(2, 2)])
     plan = build_plan(cover, odd_mode=True)
+    view = fraction_points(plan.points, plan.den)
     dens = {
-        x.denominator for (u, v, w) in plan.triples for ptx in (u, v, w) for x in ptx
+        x.denominator for (u, v, w) in plan.triples for ptx in (u, v, w) for x in view[ptx]
     }
     ok = (
         check.ok
@@ -116,7 +117,7 @@ def test_criterion_03_exact_rational_feasible_point():
     # the assembled equality system accepts a fully rational solution
     cover = simplex_cover([(0, 0), (4, 2), (2, 4)], [(2, 2)])
     plan = build_plan(cover)
-    problem = assemble(plan, pn_companion(MOTZKIN), mode="feasibility", xi=0)
+    problem = assemble(plan, pn_companion(MOTZKIN), xi=0)
     order = sorted(range(3), key=lambda t: plan.triples[t][0])
     exact = [
         (Fraction(1, 2), Fraction(1), Fraction(1)),
@@ -263,7 +264,7 @@ def test_criterion_08_projection_exact_and_idempotent():
         cover = simplex_cover(list(split.lambda_set), list(split.gamma_set))
         plan = build_plan(cover)
         problems.append(
-            assemble(plan, companion, mode="feasibility", xi=companion.constant() - 1)
+            assemble(plan, companion, xi=companion.constant() - 1)
         )
     fuzzed = 0
     for problem in problems:

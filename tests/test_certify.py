@@ -52,7 +52,7 @@ def test_cone_checks():
 def _motzkin_problem(xi=0):
     cover = simplex_cover([(0, 0), (4, 2), (2, 4)], [(2, 2)])
     plan = build_plan(cover)
-    return assemble(plan, pn_companion(MOTZKIN), mode="feasibility", xi=xi)
+    return assemble(plan, pn_companion(MOTZKIN), xi=xi)
 
 
 def test_projection_exact_and_idempotent():
@@ -129,6 +129,16 @@ def test_constant_polynomial_is_its_own_bound(constant):
     assert verify_certificate(f, low) == VerifyResult(False, "reconstruction-mismatch")
     with pytest.raises(BoundaryFailure):
         exact_sobs(f, xi=Fraction(constant) + 1)
+
+
+def test_too_large_coefficients_are_a_named_refusal():
+    # built in the library, past the parser: 3^9100 has 4,342 digits, too
+    # many for f's hash to print
+    for coef in (Fraction(1, 3**9100), Fraction(3**9100, 7)):
+        f = SparsePoly(1, {(0,): 1, (1,): -1, (2,): coef})
+        for xi in (None, 0):
+            with pytest.raises(ValueError, match="more than 4300 decimal digits"):
+                exact_sobs(f, xi=xi)
 
 
 def test_certificate_json_roundtrip_and_tamper():
@@ -233,8 +243,8 @@ def test_random_instances_certify_and_verify():
 
 def _hand_made_problem(entries, rhs):
     return SocpProblem(
-        plan=None, mode="feasibility", n=1, constant=Fraction(0), xi=Fraction(0),
-        row_points=((Fraction(0),),) * len(rhs), rhs_exact=tuple(map(Fraction, rhs)),
+        plan=None, constant=Fraction(0), xi=Fraction(0),
+        row_points=((0,),) * len(rhs), rhs_exact=tuple(map(Fraction, rhs)),
         entries=tuple(entries), objective=(0,) * len(entries),
     )
 

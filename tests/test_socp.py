@@ -13,7 +13,7 @@ import soncert.socp
 from conftest import ref_plan, ref_problem_json
 from soncert.cover import simplex_cover
 from soncert.generate import POLY_CLASSES, random_instance
-from soncert.mediated import MediatedSet, med_set
+from soncert.mediated import MediatedSet, fraction_points, med_set
 from soncert.polyring import SparsePoly, support_partition
 from soncert.socp import (
     UncoveredSupport,
@@ -40,12 +40,18 @@ def _motzkin_plan(odd_mode: bool = False):
     return build_plan(cover, odd_mode=odd_mode)
 
 
+def _fractions(plan, triples):
+    """The plan's integer triples as triples of Fraction points."""
+    view = fraction_points(plan.points, plan.den)
+    return tuple((view[u], view[v], view[w]) for u, v, w in triples)
+
+
 def test_plan_motzkin_structure():
     plan = _motzkin_plan()
     assert plan.num_triples == 3
     assert plan.passthrough == ()
     assert plan.max_denominator == 1
-    mids = [u for (u, v, w) in plan.triples]
+    mids = [u for (u, v, w) in _fractions(plan, plan.triples)]
     assert sorted(mids) == [(1, 1), (2, 2), (3, 3)]
     assert len(plan.points) == 6
 
@@ -54,10 +60,10 @@ def test_plan_motzkin_odd_mode_denominator_three():
     plan = _motzkin_plan(odd_mode=True)
     assert plan.num_triples == 5
     assert plan.max_denominator == 3
-    for u, v, w in plan.triples:
+    for u, v, w in _fractions(plan, plan.triples):
         for pt in (u, v, w):
             assert all(x.denominator in (1, 3) for x in pt)
-    mids = {u for (u, v, w) in plan.triples}
+    mids = {u for (u, v, w) in _fractions(plan, plan.triples)}
     assert (2, 2) in {tuple(map(Fraction, m)) for m in mids} or (
         Fraction(2),
         Fraction(2),
@@ -66,12 +72,13 @@ def test_plan_motzkin_odd_mode_denominator_three():
 
 def test_assemble_bound_drops_constant_row():
     plan = _motzkin_plan()
-    problem = assemble(plan, pn_companion(MOTZKIN), mode="bound")
+    problem = assemble(plan, pn_companion(MOTZKIN))
+    view = fraction_points(problem.row_points, plan.den)
     assert problem.num_rows == 5
-    assert (0, 0) not in [tuple(p) for p in problem.row_points]
+    assert (0, 0) not in [view[p] for p in problem.row_points]
     # the dropped row's slot expression becomes the objective
     assert sum(1 for c in problem.objective if c) == 1
-    rhs = {tuple(p): r for p, r in zip(problem.row_points, problem.rhs_exact)}
+    rhs = {view[p]: r for p, r in zip(problem.row_points, problem.rhs_exact)}
     assert rhs[(2, 2)] == -3
     assert rhs[(4, 2)] == 1 and rhs[(2, 4)] == 1
     assert rhs[(1, 1)] == 0 and rhs[(3, 3)] == 0
@@ -81,7 +88,7 @@ def test_assemble_feasibility_admits_exact_rational_solution():
     # at bound 0 the system has the exact solution a=(1/2,1,1/2),
     # b=(1,2,1), c=(1,2,1) over the triple order (1,1), (2,2), (3,3)
     plan = _motzkin_plan()
-    problem = assemble(plan, pn_companion(MOTZKIN), mode="feasibility", xi=0)
+    problem = assemble(plan, pn_companion(MOTZKIN), xi=0)
     assert problem.num_rows == 6
     order = sorted(range(3), key=lambda t: plan.triples[t][0])
     slots = [Fraction(0)] * 9
@@ -107,7 +114,7 @@ def test_assemble_rejects_missing_support():
     stray_terms[(1, 0)] = Fraction(1)
     stray = SparsePoly(2, stray_terms)
     with pytest.raises(UncoveredSupport):
-        assemble(plan, stray, mode="bound")
+        assemble(plan, stray)
 
 
 def test_plan_raises_when_mediated_triples_miss_a_circuit_point(monkeypatch):
@@ -125,7 +132,7 @@ def test_plan_raises_when_mediated_triples_miss_a_circuit_point(monkeypatch):
 def test_assemble_passthrough_collects_free_squares():
     f = SparsePoly(2, {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 0): -1})
     result = lower_bound(f)
-    assert result.plan.passthrough == ((0, 2),)
+    assert result.problem.plan.passthrough == ((0, 2),)
     assert result.problem.passthrough_terms == {(0, 2): Fraction(1)}
     # exact optimum of 1 + x^2 + y^2 - x is 3/4
     assert abs(result.xi - 0.75) < 1e-7
@@ -143,7 +150,7 @@ def test_lower_bound_reported_example():
 
 def test_lower_bound_decomposable_example_nonnegative():
     result = lower_bound(EX8)
-    assert len(result.cover.circuits) == 2
+    assert len(result.problem.plan.circuit_triples) == 2
     assert result.xi >= -1e-4
 
 
@@ -165,14 +172,14 @@ def test_lower_bound_no_interior_points():
     f = SparsePoly(2, {(0, 0): -3, (2, 0): 1, (2, 2): 4})
     result = lower_bound(f)
     assert result.xi == -3.0
-    assert result.cover is None and result.solution is None
+    assert result.problem is None and result.solution is None
 
 
 def test_lower_bound_odd_mode_agrees():
     default = lower_bound(EX6).xi
     odd = lower_bound(EX6, odd_mode=True)
     assert abs(default - odd.xi) < 1e-5
-    assert odd.plan.max_denominator % 2 == 1
+    assert odd.problem.plan.max_denominator % 2 == 1
 
 
 def test_bound_infeasible_when_capacity_exceeded():
@@ -181,20 +188,26 @@ def test_bound_infeasible_when_capacity_exceeded():
     cover = simplex_cover([(2, 0), (4, 0)], [(3, 0)])
     plan = build_plan(cover)
     poly = SparsePoly(2, {(0, 0): 1, (2, 0): 1, (4, 0): 1, (3, 0): -9})
-    problem = assemble(plan, poly, mode="bound")
+    problem = assemble(plan, poly)
     solution = solve_problem(problem)
     assert solution.status == "infeasible"
 
 
 def test_problem_json_dump():
+    # bound mode drops the origin row; feasibility mode keeps it, pinned to
+    # the constant minus xi
     plan = _motzkin_plan()
-    problem = assemble(plan, pn_companion(MOTZKIN), mode="bound")
-    data = json.loads(problem.to_json())
-    assert data["mode"] == "bound"
-    assert data["num_cones"] == 3 and data["cone_block"] == 3
-    assert len(data["entries"]) == sum(1 for _ in problem.entries)
-    assert len(data["rows"]) == problem.num_rows
-    assert data["constant"] == "1"
+    for xi, mode, origin_rhs in ((None, "bound", None), (Fraction(-1, 2), "feasibility", "3/2")):
+        problem = assemble(plan, pn_companion(MOTZKIN), xi)
+        data = json.loads(problem.to_json())
+        assert data["mode"] == mode
+        assert data["xi"] == (None if xi is None else "-1/2")
+        assert data["num_cones"] == 3 and data["cone_block"] == 3
+        assert len(data["entries"]) == sum(1 for _ in problem.entries)
+        assert len(data["rows"]) == problem.num_rows
+        assert data["constant"] == "1"
+        origin = [row["rhs"] for row in data["rows"] if row["point"] == ["0", "0"]]
+        assert origin == ([] if xi is None else [origin_rhs])
 
 
 def test_random_bounds_are_sound():
@@ -258,15 +271,19 @@ def test_plan_and_assembly_match_fraction_reference(odd_mode):
         tilde = pn_companion(poly)
         plan = build_plan(cover, odd_mode=odd_mode)
         ref = ref_plan(cover, odd_mode)
-        assert (plan.circuit_triples, plan.triples, plan.points, plan.passthrough) == (
-            ref[0], ref[1], ref[2], ref[4]
-        )
+        view = fraction_points(plan.points, plan.den)
+        assert (
+            tuple(_fractions(plan, group) for group in plan.circuit_triples),
+            _fractions(plan, plan.triples),
+            tuple(view[pt] for pt in plan.points),
+            plan.passthrough,
+        ) == (ref[0], ref[1], ref[2], ref[4])
         assert plan.max_denominator == max(
             (x.denominator for trip in ref[1] for pt in trip for x in pt), default=1
         )
         assert assemble(plan, tilde).to_json() == ref_problem_json(ref, tilde)
         xi = tilde.constant() - 1
-        assert assemble(plan, tilde, "feasibility", xi).to_json() == ref_problem_json(
+        assert assemble(plan, tilde, xi).to_json() == ref_problem_json(
             ref, tilde, "feasibility", xi
         )
         checked += 1

@@ -143,7 +143,7 @@ def _odd_problem():
     # coefficients and bound with odd denominators, so the rows are not dyadic
     f = SparsePoly(2, {(4, 2): Fraction(1, 3), (2, 4): Fraction(5, 7), (0, 0): 1, (2, 2): Fraction(-3, 11)})
     cover = simplex_cover([(0, 0), (4, 2), (2, 4)], [(2, 2)])
-    return assemble(build_plan(cover, odd_mode=True), pn_companion(f), mode="feasibility", xi=Fraction(-1, 9))
+    return assemble(build_plan(cover, odd_mode=True), pn_companion(f), xi=Fraction(-1, 9))
 
 
 ODD_PROBLEM = _odd_problem()
@@ -169,10 +169,10 @@ C7_SEEDS = [
 
 @pytest.mark.parametrize("poly", C7_SEEDS, ids=["70000", "70001", "70002"])
 def test_integer_rounding_matches_the_fraction_reference(poly):
-    problem = assemble(build_plan(simplex_cover(*cover_points(poly))), pn_companion(poly), mode="bound")
+    problem = assemble(build_plan(simplex_cover(*cover_points(poly))), pn_companion(poly))
     x = solve_problem(problem, objective_scale=OBJECTIVE_SCALE).x
     third = SparsePoly(poly.n, {exp: coef / 3 for exp, coef in poly.terms.items()})
-    third_problem = assemble(problem.plan, pn_companion(third), mode="bound")
+    third_problem = assemble(problem.plan, pn_companion(third))
     assert any(r.denominator % 3 == 0 for r in third_problem.rhs_exact)
     off_cone = x.copy()
     off_cone[2] = 2 * (abs(x[0]) + abs(x[1]) + 1)  # c of the first cone, far outside
