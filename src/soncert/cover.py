@@ -1,23 +1,34 @@
-"""Simplex covers: exact LP and the covering sweep.
+"""Simplex covers: exact barycentric weights and the covering sweep.
 
 Each negative-support point beta must be written as a convex combination of
-even positive-support points (Lambda). ``_AnchorSolver.circuit`` maximizes
-the weight of a chosen anchor point with the exact simplex method of
-``exact.Tableau``; the support of the optimal basic solution is affinely
-independent, hence a trellis. ``simplex_cover`` sweeps all beta points,
-keeping one such tableau per beta whose phase one runs once and which each
-anchor re-optimizes, then recycles the betas to absorb leftover Lambda
-points, and reports Lambda points no circuit can use (they pass through as
-plain monomial squares).
+even positive-support points (Lambda). ``simplex_cover`` first eliminates
+Lambda's barycentric matrix once (``exact.UniqueSolver``), and the result
+decides between two branches:
+
+* Affinely independent Lambda (every simplex class): each beta has at most
+  one representation, so one integer matrix-vector product per beta gives
+  its weights, and the circuit is their positive support.  Lambda points in
+  no circuit pass through as plain monomial squares.
+* Affinely dependent Lambda: ``_AnchorSolver.circuit`` maximizes the weight
+  of a chosen anchor point with the exact simplex method of
+  ``exact.Tableau``; the support of the optimal basic solution is affinely
+  independent, hence a trellis.  The sweep keeps one such tableau per beta
+  whose phase one runs once and which each anchor re-optimizes, then
+  recycles the betas to absorb leftover Lambda points, and reports Lambda
+  points no circuit can use.
+
+On independent Lambda both branches give the same circuits: when the
+feasible set is one point, every anchor's optimum is that point.
 The cover is a pure function of the two point sets and is not cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import LpInfeasible, Tableau
+from .exact import LpInfeasible, Tableau, UniqueSolver
 from .polyring import Circuit, Exponent
 
 
@@ -25,12 +36,14 @@ class CoverInfeasible(Exception):
     """Some beta lies outside conv(Lambda); no circuit decomposition exists."""
 
 
-def _barycentric(
-    points: Sequence[Exponent], beta: Exponent
-) -> Tuple[List[List[int]], List[int]]:
-    """matrix, rhs of: weights on points that sum to one and write beta."""
-    matrix = [[pt[i] for pt in points] for i in range(len(beta))]
-    return matrix + [[1] * len(points)], [*beta, 1]
+def _barycentric(points: Sequence[Exponent], n: int) -> List[List[int]]:
+    """Rows of: weights on points that write an n-vector and sum to one; the
+    right-hand side is (beta, 1)."""
+    return [[pt[i] for pt in points] for i in range(n)] + [[1] * len(points)]
+
+
+def _outside(beta: Exponent) -> CoverInfeasible:
+    return CoverInfeasible(f"{beta} lies outside the convex hull of the square points")
 
 
 class _AnchorSolver:
@@ -40,7 +53,7 @@ class _AnchorSolver:
     def __init__(self, points: Sequence[Exponent], beta: Exponent):
         self.points = points
         self.beta = beta
-        self.tab = Tableau(*_barycentric(points, beta))
+        self.tab = Tableau(_barycentric(points, len(beta)), [*beta, 1])
 
     def circuit(self, col: int) -> Optional[Circuit]:
         """The circuit of an optimal basic solution maximizing the weight of
@@ -69,11 +82,12 @@ def simplex_cover(
     """Cover every beta with a circuit and absorb as much of Lambda as
     possible.
 
-    Deterministic order: betas are processed lexicographically; the anchor
-    candidates are tried in lexicographic order over all of Lambda, keeping
-    the first whose maximized weight is positive. Once all betas are
-    covered, leftover Lambda points anchor extra circuits over recycled
-    betas; a leftover point that no beta can use is reported uncovered.
+    Deterministic order: betas are processed lexicographically and trellis
+    points keep Lambda's lexicographic order.  On dependent Lambda the
+    anchor candidates are tried in lexicographic order over all of Lambda,
+    keeping the first whose maximized weight is positive; once all betas
+    are covered, leftover Lambda points anchor extra circuits over recycled
+    betas.  A leftover point that no beta can use is reported uncovered.
     """
     lam = sorted(set(map(tuple, lambda_set)))
     gam = sorted(set(map(tuple, gamma_set)))
@@ -81,6 +95,29 @@ def simplex_cover(
         raise ValueError("no interior points to cover")
     if not lam:
         raise CoverInfeasible("no candidate square points at all")
+    try:
+        solver = UniqueSolver(_barycentric(lam, len(gam[0])))
+    except ValueError:
+        return _anchor_cover(lam, gam)
+    circuits: List[Circuit] = []
+    used = set()
+    for beta in gam:
+        y = solver.numerators([*beta, 1])
+        # off the affine hull, or inside it but outside the convex hull
+        if y is None or min(y) < 0:
+            raise _outside(beta)
+        support = [i for i, v in enumerate(y) if v]
+        circuits.append(Circuit(
+            tuple(lam[i] for i in support),
+            beta,
+            tuple(Fraction(y[i], solver.den) for i in support),
+        ))
+        used.update(circuits[-1].trellis)
+    return CoverResult(tuple(circuits), tuple(pt for pt in lam if pt not in used))
+
+
+def _anchor_cover(lam: List[Exponent], gam: List[Exponent]) -> CoverResult:
+    """The tableau sweep, for affinely dependent Lambda."""
     circuits: List[Circuit] = []
     uncovered: List[Exponent] = []
     remaining = set(lam)
@@ -89,9 +126,7 @@ def simplex_cover(
         try:
             solver = _AnchorSolver(lam, beta)
         except LpInfeasible:
-            raise CoverInfeasible(
-                f"{beta} lies outside the convex hull of the square points"
-            ) from None
+            raise _outside(beta) from None
         solvers.append(solver)
         circuit = next(filter(None, map(solver.circuit, range(len(lam)))), None)
         if circuit is None:

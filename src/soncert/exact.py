@@ -8,8 +8,11 @@ identity the division is exact (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968), so the entries
 stay integers, minors of the input up to sign, and no gcd is ever taken.
 
-* ``eliminate`` (with ``rank``, ``solve`` and ``inverse`` on top) is
-  fraction-free Gauss-Jordan elimination.
+* ``eliminate`` (with ``rank`` and ``solve`` on top) is fraction-free
+  Gauss-Jordan elimination.  ``UniqueSolver`` eliminates a matrix with
+  independent columns once and then solves each right-hand side with one
+  integer matrix-vector product: the barycentric weights over an affinely
+  independent point set, for the cover and the generator's hull test.
 * ``Tableau`` is a two-phase primal simplex method with Bland's rule on the
   same rows (Edmonds' integer pivoting, as in Applegate, Cook, Dash &
   Espinoza, "Exact solutions to linear programming problems", Oper. Res.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 Rational = Fraction | int
@@ -102,14 +106,33 @@ def solve(
     return [Fraction(row[-1], den) for row in work[:ncols]]
 
 
-def inverse(rows: Sequence[Sequence[Rational]]) -> List[List[Fraction]]:
-    """Exact inverse of a square matrix; ValueError when it is singular."""
-    k = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
-    work, pivots, den = eliminate(aug, k)
-    if len(pivots) < k:
-        raise ValueError("singular matrix")
-    return [[Fraction(v, den) for v in row[k:]] for row in work]
+class UniqueSolver:
+    """A matrix with independent columns, eliminated once for every right-hand
+    side.
+
+    ``eliminate`` runs on ``[rows | I]``; its identity block records the row
+    operations ``ops``, so ``ops @ rhs`` is the eliminated right-hand side.
+    ValueError when the columns are dependent.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[Rational]]):
+        m, k = len(rows), len(rows[0])
+        aug = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
+        work, pivots, self.den = eliminate(aug, k)
+        if len(pivots) < k:
+            raise ValueError("dependent columns")
+        self.k = k
+        self.ops = [row[k:] for row in work]
+
+    def numerators(self, rhs: Sequence[Rational]) -> Optional[List[Rational]]:
+        """den * x for the unique x with rows x = rhs; None when there is
+        none, that is when a row past the pivots is nonzero."""
+        if len(rhs) != len(self.ops):
+            raise ValueError("one right-hand side entry per row")
+        y = [sum(map(mul, op, rhs)) for op in self.ops]
+        if any(y[self.k:]):
+            return None
+        return y[: self.k]
 
 
 class Tableau:

@@ -95,21 +95,16 @@ class _SimplexScreen:
     """Exact hull-membership test for an affinely independent point set.
 
     A float least-squares screen rejects clearly outside candidates; the
-    survivors get exact barycentric coordinates via a precomputed rational
-    inverse of a full-rank row subset, so every accepted point provably
-    lies in the hull.
+    survivors get exact barycentric coordinates from the basis's barycentric
+    matrix, eliminated once (``exact.UniqueSolver``, as the cover does), so
+    every accepted point provably lies in the hull.
     """
 
     def __init__(self, basis: Sequence[Exponent]):
         n = len(basis[0])
-        k = len(basis)
-        self.k = k
-        self.rows = [[pt[i] for pt in basis] for i in range(n)] + [[1] * k]
-        # the first full-rank row subset (the pivot columns of the
-        # transpose), then its exact inverse
-        self.row_idx = exact.eliminate(list(zip(*self.rows)), n + 1)[1]
-        self.inv = exact.inverse([self.rows[r] for r in self.row_idx])
-        self.mat_f = np.array([[float(v) for v in row] for row in self.rows])
+        rows = [[pt[i] for pt in basis] for i in range(n)] + [[1] * len(basis)]
+        self.solver = exact.UniqueSolver(rows)
+        self.mat_f = np.array([[float(v) for v in row] for row in rows])
         self.pinv_f = np.linalg.pinv(self.mat_f)
         self.scale = max(1.0, float(np.abs(self.mat_f).max()))
 
@@ -118,17 +113,8 @@ class _SimplexScreen:
         w_f = self.pinv_f @ rhs_f
         if w_f.min() < -1e-6 or np.abs(self.mat_f @ w_f - rhs_f).max() > 1e-5 * self.scale:
             return False
-        rhs = [Fraction(x) for x in cand] + [Fraction(1)]
-        w = [
-            sum(self.inv[i][j] * rhs[self.row_idx[j]] for j in range(self.k))
-            for i in range(self.k)
-        ]
-        if any(wi < 0 for wi in w):
-            return False
-        return all(
-            sum(row[c] * w[c] for c in range(self.k)) == r
-            for row, r in zip(self.rows, rhs)
-        )
+        w = self.solver.numerators([*cand, 1])
+        return w is not None and min(w) >= 0
 
 
 def _hull_proposal(rng: random.Random, lam: Sequence[Exponent]) -> Exponent:

@@ -132,6 +132,12 @@ def test_simplex_cover_two_circuits():
     # both anchors carry weight on every vertex of their trellis
     for c in result.circuits:
         assert all(w > 0 for w in c.weights)
+    # collinear, hence affinely dependent, Lambda: the tableau sweep recycles
+    # (1,1) to absorb (2,2)
+    collinear = [(0, 0), (2, 2), (4, 4)]
+    result = simplex_cover(collinear, [(1, 1)])
+    assert [c.trellis for c in result.circuits] == [((0, 0), (4, 4)), ((0, 0), (2, 2))]
+    assert result == ref_simplex_cover(collinear, [(1, 1)])
 
 
 def test_simplex_cover_uncovered_square_point():
@@ -144,8 +150,32 @@ def test_simplex_cover_uncovered_square_point():
 def test_simplex_cover_outside_hull():
     with pytest.raises(CoverInfeasible):
         simplex_cover([(0, 0), (2, 0)], [(0, 1)])
+    with pytest.raises(CoverInfeasible):
+        # on the affine hull of an independent Lambda, with a negative weight
+        simplex_cover([(0, 0), (2, 0), (0, 2)], [(2, 2)])
     with pytest.raises(ValueError):
         simplex_cover([(0, 0)], [])
+
+
+def test_simplex_cover_independent_support_needs_no_tableau(monkeypatch):
+    # affinely independent Lambda: one shared elimination gives every circuit
+    inst = random_instance(n=4, degree=10, terms=20, seed=5)
+    zero = (0,) * 4
+    part = support_partition(
+        SparsePoly(4, {e: c for e, c in inst.poly.terms.items() if e != zero})
+    )
+    cases = [
+        ([(0, 0), (4, 2), (2, 4)], [(2, 2)]),
+        (sorted(set(part.lambda_set) | {zero}), part.gamma_set),
+    ]
+    expected = [ref_simplex_cover(lam, gam) for lam, gam in cases]
+
+    def no_tableau(*args):
+        raise AssertionError("independent Lambda built a tableau")
+
+    monkeypatch.setattr("soncert.cover.Tableau", no_tableau)
+    assert [simplex_cover(lam, gam) for lam, gam in cases] == expected
+    assert len(cases[1][0]) == 5 and len(expected[1].circuits) > 1
 
 
 def test_simplex_cover_random_properties():

@@ -166,14 +166,17 @@ def test_bareiss_matches_fraction_elimination(mat, rhs):
 @SETTINGS
 @given(matrices(square=True))
 def test_bareiss_inverse(mat):
+    # the inverse, column by column: the solutions for the unit vectors
     k = len(mat)
     ident = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     ref, pivots = ref_reduce([row + e for row, e in zip(mat, ident)], k)
     if len(pivots) < k:
         with pytest.raises(ValueError):
-            exact.inverse(mat)
+            exact.UniqueSolver(mat)
         return
-    inv = exact.inverse(mat)
+    solver = exact.UniqueSolver(mat)
+    cols = [[Fraction(v, solver.den) for v in solver.numerators(e)] for e in ident]
+    inv = [list(row) for row in zip(*cols)]
     assert inv == [row[k:] for row in ref]
     assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in mat] == ident
 
