@@ -8,11 +8,12 @@ identity the division is exact (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968), so the entries
 stay integers, minors of the input up to sign, and no gcd is ever taken.
 
-* ``eliminate`` (with ``rank`` and ``solve`` on top) is fraction-free
-  Gauss-Jordan elimination.  ``UniqueSolver`` eliminates a matrix with
-  independent columns once and then solves each right-hand side with one
-  integer matrix-vector product: the barycentric weights over an affinely
-  independent point set, for the cover and the generator's hull test.
+* ``eliminate`` (with ``solve`` on top) is fraction-free Gauss-Jordan
+  elimination, and ``rank`` its forward half alone.  ``UniqueSolver``
+  eliminates a matrix with independent columns once and then solves each
+  right-hand side with one integer matrix-vector product: the barycentric
+  weights over an affinely independent point set, for the cover and the
+  generator's hull test.
 * ``Tableau`` is a two-phase primal simplex method with Bland's rule on the
   same rows (Edmonds' integer pivoting, as in Applegate, Cook, Dash &
   Espinoza, "Exact solutions to linear programming problems", Oper. Res.
@@ -61,6 +62,16 @@ def _pivot(rows: List[List[int]], r: int, c: int, den: int) -> int:
     return p
 
 
+def _integer_rows(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
+    # Each row times the lcm of its denominators: the same rank and, for an
+    # augmented system, the same solutions.
+    work = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        work.append([v.numerator * (scale // v.denominator) for v in row])
+    return work
+
+
 def eliminate(
     rows: Sequence[Sequence[Rational]], ncols: int
 ) -> Tuple[List[List[int]], List[int], int]:
@@ -72,10 +83,7 @@ def eliminate(
     the lcm of its denominators, which changes neither the rank nor the
     solutions of an augmented system.
     """
-    work = []
-    for row in rows:
-        scale = lcm(*(v.denominator for v in row))
-        work.append([v.numerator * (scale // v.denominator) for v in row])
+    work = _integer_rows(rows)
     den = 1
     pivots: List[int] = []
     for c in range(ncols):
@@ -92,7 +100,28 @@ def eliminate(
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    return len(eliminate(rows, len(rows[0]) if rows else 0)[1])
+    """Rank by fraction-free forward elimination: only the rows below each
+    pivot are updated, on the columns past it, and nothing is substituted
+    back, since only the pivot count is read.  Bareiss' division by the
+    previous pivot is exact here as well."""
+    work = _integer_rows(rows)
+    count, den = 0, 1
+    for c in range(len(work[0]) if work else 0):
+        p = next((i for i in range(count, len(work)) if work[i][c]), None)
+        if p is None:
+            continue
+        work[count], work[p] = work[p], work[count]
+        prow = work[count]
+        piv = prow[c]
+        for i in range(count + 1, len(work)):
+            row = work[i]
+            f = row[c]
+            row[c + 1 :] = [(piv * a - f * b) // den for a, b in zip(row[c + 1 :], prow[c + 1 :])]
+        den = piv
+        count += 1
+        if count == len(work):
+            break
+    return count
 
 
 def solve(

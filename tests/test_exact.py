@@ -181,6 +181,27 @@ def test_bareiss_inverse(mat):
     assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in mat] == ident
 
 
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    mat = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    # dependent rows on purpose: integer combinations of earlier rows
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            coeffs = [draw(st.integers(-4, 4)) for _ in range(i)]
+            mat[i] = [sum(k * row[j] for k, row in zip(coeffs, mat)) for j in range(cols)]
+    return mat
+
+
+@SETTINGS
+@given(integer_matrices())
+def test_forward_rank_matches_gauss_jordan(mat):
+    # rank eliminates forward only; Gauss-Jordan's pivot count is the reference
+    assert exact.rank(mat) == len(exact.eliminate(mat, len(mat[0]))[1])
+
+
 def test_rank_and_solve_edge_cases():
     assert exact.rank([]) == 0
     assert exact.rank([[0, 0], [0, 0]]) == 0

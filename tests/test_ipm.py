@@ -11,13 +11,15 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from soncert.ipm import (
+    _ROTATION,
     ConeSolve,
     _KktSolver,
     _apply_w,
     _apply_winv,
     _cone_residual,
-    _rotate_columns,
+    _rotated,
     cone_max_step,
+    cone_points,
     jordan_product,
     jordan_solve,
     nt_scaling,
@@ -41,10 +43,10 @@ def _interior_points(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def test_jordan_solve_roundtrip():
     rng = np.random.default_rng(11)
-    lam = _interior_points(rng, 40)
+    s = nt_scaling(_interior_points(rng, 40), _interior_points(rng, 40))
     d = rng.normal(size=(40, 3))
-    u = jordan_solve(lam, d)
-    assert np.allclose(jordan_product(lam, u), d, atol=1e-10)
+    u = jordan_solve(s, d)
+    assert np.allclose(jordan_product(s.lam, u), d, atol=1e-10)
 
 
 def test_nt_scaling_maps_both_points_to_lambda():
@@ -65,7 +67,7 @@ def test_cone_max_step_hits_boundary():
     for _ in range(200):
         p = _interior_points(rng, 3)
         d = rng.normal(size=(3, 3))
-        alpha = cone_max_step(p, d)
+        alpha = cone_max_step(cone_points(p), d)
         if alpha > 1e12:
             continue
         inside = p + 0.999 * alpha * d
@@ -106,7 +108,7 @@ def test_cone_max_step_matches_scalar_loop_exactly():
         # points outside the cones too, on every other draw
         p = rng.normal(size=(count, 3)) if rows % 2 else _interior_points(rng, count)
         d = rng.normal(size=(count, 3)) * rng.choice([1e-3, 1.0, 1e3])
-        assert cone_max_step(p, d) == _scalar_cone_max_step(p, d)
+        assert cone_max_step(cone_points(p), d) == _scalar_cone_max_step(p, d)
         rows += count
 
 
@@ -134,13 +136,13 @@ def test_cone_max_step_crafted_rows():
         p = np.array([p_row])
         d = np.array([d_row])
         assert branch(*quad(p[0], d[0])), (p_row, d_row)
-        step = cone_max_step(p, d)
+        step = cone_max_step(cone_points(p), d)
         assert step == _scalar_cone_max_step(p, d)
         assert np.isclose(step, expected, rtol=1e-15, atol=0.0), (p_row, d_row, step)
     # all rows at once: the smallest binding step wins
     p = np.array([c[0] for c in cases])
     d = np.array([c[1] for c in cases])
-    assert cone_max_step(p, d) == _scalar_cone_max_step(p, d) == 0.0
+    assert cone_max_step(cone_points(p), d) == _scalar_cone_max_step(p, d) == 0.0
 
 
 def _assert_same_solve(got: ConeSolve, want: ConeSolve) -> None:
@@ -325,11 +327,31 @@ def _factored_g(kkt: _KktSolver) -> np.ndarray:
     return (pr.T @ lu.L @ lu.U @ pc.T).toarray()[np.ix_(kkt._perm, kkt._perm)]
 
 
+def _rotated_matrix(a_mat) -> scipy.sparse.csr_matrix:
+    coo = a_mat.tocoo()
+    return _rotated(coo.row, coo.col, coo.data, a_mat.shape)
+
+
+def test_rotated_matches_the_block_product():
+    rng = np.random.default_rng(33)
+    # two entries of one row in a cone's first two columns, equal so that
+    # one rotated coordinate cancels to zero and is dropped
+    dense = rng.normal(size=(30, 3 * 25)) * (rng.random((30, 3 * 25)) < 0.2)
+    dense[4, 6:8] = 1.5
+    a_mat = scipy.sparse.csr_matrix(dense)
+    block = scipy.sparse.block_diag([_ROTATION] * 25, format="csr")
+    want = (a_mat @ block).tocsr()
+    want.eliminate_zeros()
+    got = _rotated_matrix(a_mat)
+    assert got.nnz == want.nnz and (got != want).nnz == 0
+    assert got.has_canonical_format
+
+
 def test_scattered_g_matches_the_product():
     rng = np.random.default_rng(31)
     # soncert's shape: one slot per column, rotated within each cone
     a_mat, hblocks = _kkt_system(rng, 90, 120)
-    cases = [(_rotate_columns(a_mat, 120), hblocks)]
+    cases = [(_rotated_matrix(a_mat), hblocks)]
     # several nonzeros per column, and two cones with none
     dense = rng.normal(size=(40, 3 * 30)) * (rng.random((40, 3 * 30)) < 0.15)
     dense[:, 3:9] = 0.0
@@ -351,10 +373,7 @@ def test_kept_order_fills_as_a_fresh_minimum_degree_factor():
     problem = _generated_problem()
     num_cones = problem.plan.num_triples
     rows, cols, vals = zip(*problem.entries)
-    a_mat = _rotate_columns(
-        scipy.sparse.csr_matrix((np.array(vals, dtype=float), (rows, cols)), shape=(problem.num_rows, 3 * num_cones)),
-        num_cones,
-    )
+    a_mat = _rotated(np.array(rows), np.array(cols), np.array(vals, dtype=float), (problem.num_rows, 3 * num_cones))
     _, hblocks = _kkt_system(np.random.default_rng(32), 1, num_cones)
     kkt = _KktSolver(a_mat, num_cones)
     kkt.factor(hblocks, _gram(a_mat, hblocks))
@@ -366,6 +385,20 @@ def test_kept_order_fills_as_a_fresh_minimum_degree_factor():
     )
     assert problem.num_rows > 100
     assert kkt._factor.L.nnz + kkt._factor.U.nnz == fresh.L.nnz + fresh.U.nnz
+
+
+@pytest.mark.parametrize("seed", [60081, 60156])
+def test_fragile_bound_solves_end_optimal(seed):
+    # Two seeded standard-simplex instances (n = 7, degree 30, 41 terms,
+    # about 825 rows) that are fragile to how H is applied.  As W(W u) they
+    # end optimal in 21 and 22 iterations.  Through H's formed 3x3 blocks
+    # (with or without W's) they take up to 30, or stall at max-iterations,
+    # where lower_bound raises SolverFailure.
+    inst = random_instance(n=7, degree=30, terms=41, poly_class="standard-simplex", seed=seed)
+    result = lower_bound(inst.poly)
+    assert result.problem.num_rows > 800
+    assert result.solution.status == "optimal", result.solution.residuals
+    assert result.solution.iterations <= 25
 
 
 def test_one_ordering_and_one_numeric_factor_per_iteration(monkeypatch):

@@ -418,7 +418,8 @@ def test_many_large_denominators_at_one_point_are_summed_evenly():
         for i, d in enumerate(dens)
     )
     cert = Certificate(1, Fraction(0), poly_sha256(f), (triples,), ())
-    start = time.perf_counter()
+    # CPU time of this process, so that a loaded host does not count
+    start = time.process_time()
     result = verify_certificate(f, cert)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert (result.ok, result.reason) == (False, "reconstruction-mismatch")
