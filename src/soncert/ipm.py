@@ -490,7 +490,9 @@ def solve_socp(
             status = "max-iterations"
             break
 
-        scaling = nt_scaling(x.reshape(-1, 3), z.reshape(-1, 3))
+        # a non-finite scaling ends the solve just below, without a warning
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scaling = nt_scaling(x.reshape(-1, 3), z.reshape(-1, 3))
         lam = scaling.lam
         if not (
             np.isfinite(scaling.eta).all()

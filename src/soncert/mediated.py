@@ -8,13 +8,15 @@ exact minimal-size search used as an oracle in tests.
 
 A segment lift transports a scalar sequence onto a segment between two
 points, yielding triples (u, v, w) with u = (v + w)/2; these are the
-midpoint links a binomial-squares decomposition rides on.  ``med_set``
-chains segment lifts over a full trellis (on a two-point trellis it is the
-lift of that one segment).  ``med_set_odd`` produces mediated sets whose
-endpoint coordinates are even rationals with odd denominators, so that
-after substituting an odd root every square point becomes an even lattice
-point and each binomial square is globally nonnegative, not only on the
-positive orthant.
+midpoint links a binomial-squares decomposition rides on.  A circuit's
+weights fix each segment's parameter q/p in closed form (Reznick 1989;
+Iliman and de Wolff 2016), so one lift, given both endpoints and q/p,
+serves both modes.  ``med_set`` peels the trellis one point at a time (on
+a two-point trellis it is the lift of that one segment).  ``med_set_odd``
+produces mediated sets whose endpoint coordinates are even rationals with
+odd denominators, so that after substituting an odd root every square
+point becomes an even lattice point and each binomial square is globally
+nonnegative, not only on the positive orthant.
 
 Both run in integers: a rational point is an integer vector over an
 explicit denominator, and each returns a ``MediatedSet``, its triples over
@@ -167,8 +169,11 @@ def _brute_search(p: int, q: int, budget: int) -> frozenset | None:
 # lattice and rational lifts
 #
 # A rational point is an integer vector X over a positive denominator d and
-# stands for X / d.  Each segment lift returns a part (d, triples) with all
-# its points over one d; _merge brings the parts of a mediated set to their
+# stands for X / d.  The lift takes its endpoints over their own
+# denominators and q/p from the caller: a combination of total weight r
+# sits at (r - q_k)/r of the way from its point of weight q_k to the
+# combination of the rest.  It returns a part (d, triples) with all its
+# points over one d; _merge brings the parts of a mediated set to their
 # least common denominator.
 
 IntPoint = Tuple[int, ...]
@@ -229,41 +234,19 @@ def _lattice(points: Sequence[Sequence]) -> Tuple[int, List[IntPoint]]:
     return den, [tuple(x.numerator * (den // x.denominator) for x in pt) for pt in rats]
 
 
-def _common(*points: Tuple[IntPoint, int]) -> Tuple[int, List[IntPoint]]:
-    # (vector, denominator) pairs brought to their least common denominator
-    den = lcm(*(d for _, d in points))
-    return den, [x if d == den else tuple(c * (den // d) for c in x) for x, d in points]
-
-
-def _segment_parameter(e1: IntPoint, e2: IntPoint, b: IntPoint) -> Tuple[int, int]:
-    # (q, p) in lowest terms with b = e1 + (q/p)(e2 - e1), the three points
-    # over one denominator; raises unless b is strictly inside the segment
-    if len({len(e1), len(e2), len(b)}) != 1:
-        raise ValueError("dimension mismatch")
-    if e1 == e2:
-        raise ValueError("segment endpoints coincide")
-    i = next(i for i, (x1, x2) in enumerate(zip(e1, e2)) if x1 != x2)
-    q, p = b[i] - e1[i], e2[i] - e1[i]
-    if p < 0:
-        q, p = -q, -p
+def _lift(e1: IntPoint, d1: int, e2: IntPoint, d2: int, q: int, p: int) -> _Part:
+    # the segment from e1/d1 to e2/d2 through its point at q/p: with E1, E2
+    # the endpoints over den = lcm(d1, d2), the scalar sequence for (p, q)
+    # mapped through s -> (p E1 + s (E2 - E1)) / (p den); scalars recur
+    # across triples, so points are cached per s
     g = gcd(q, p)
     q, p = q // g, p // g
-    where = f"{b} and the segment {e1}, {e2} (integer points over one denominator)"
-    if any((xb - x1) * p != q * (x2 - x1) for x1, x2, xb in zip(e1, e2, b)):
-        raise ValueError(f"not collinear: {where}")
-    if not 0 < q < p:
-        raise ValueError(f"not strictly between: {where}")
-    return q, p
-
-
-def _segment(a1: Tuple[IntPoint, int], a2: Tuple[IntPoint, int], b: Tuple[IntPoint, int]) -> _Part:
-    # b = a1 + (q/p)(a2 - a1): the scalar sequence for (p, q) mapped through
-    # s -> (p e1 + s (e2 - e1)) / (p den); scalars recur across triples, so
-    # points are cached per s
-    den, (e1, e2, pt) = _common(a1, a2, b)
-    q, p = _segment_parameter(e1, e2, pt)
-    base = [p * x for x in e1]
-    diff = [x2 - x1 for x1, x2 in zip(e1, e2)]
+    den = lcm(d1, d2)
+    m1, m2 = den // d1, den // d2
+    base = [p * m1 * x for x in e1]
+    diff = [m2 * x2 - m1 * x1 for x1, x2 in zip(e1, e2)]
+    if not any(diff):
+        raise ValueError("segment endpoints coincide")
     cache: Dict[int, IntPoint] = {}
 
     def phi(s: int) -> IntPoint:
@@ -294,9 +277,9 @@ def _merge(parts: Sequence[_Part]) -> MediatedSet:
 
 def _prepare(
     trellis: Sequence[Sequence], beta: Sequence, weights
-) -> Tuple[int, List[IntPoint], IntPoint, List[int], int]:
-    # trellis and beta over one denominator den, weights as integers qs
-    # over p
+) -> Tuple[int, List[IntPoint], List[int], int, IntPoint]:
+    # the trellis over one denominator den, weights as integers qs over p,
+    # and beta as their sum of q_j pts[j] over p den
     if len(trellis) < 2:
         raise ValueError("need at least two trellis points")
     den, pts = _lattice([*trellis, beta])
@@ -312,10 +295,10 @@ def _prepare(
     qs = [w.numerator * (p // w.denominator) for w in ws]
     if any(q <= 0 for q in qs) or sum(qs) != p:
         raise ValueError("weights must be positive and sum to one")
-    for i, t in enumerate(target):
-        if sum(q * pt[i] for q, pt in zip(qs, pts)) != p * t:
-            raise ValueError("weights do not reproduce the target point")
-    return den, pts, target, qs, p
+    total = tuple(sum(q * pt[i] for q, pt in zip(qs, pts)) for i in range(len(target)))
+    if any(s != p * t for s, t in zip(total, target)):
+        raise ValueError("weights do not reproduce the target point")
+    return den, pts, qs, p, total
 
 
 def med_set(
@@ -324,23 +307,16 @@ def med_set(
     """Rational mediated set for beta over a trellis, by chaining segment
     lifts: peel trellis points off one at a time, each step connecting the
     current point to the weighted combination of the remaining ones."""
-    den, pts, target, qs, p = _prepare(trellis, beta, weights)
-    m = len(pts)
+    den, pts, qs, p, total = _prepare(trellis, beta, weights)
+    # total is the sum of q_j pts[j] over the points not yet peeled, and rem
+    # their weight; the last step ends at total over q_m den, the last point
     parts: List[_Part] = []
-    prev = (target, den)
     rem = p
-    for k in range(m - 2):
-        rem -= qs[k]
-        # the combination of pts[k+1:] with weights q_j / rem
-        beta_k = (_weighted(pts[k + 1 :], qs[k + 1 :]), rem * den)
-        parts.append(_segment((pts[k], den), beta_k, prev))
-        prev = beta_k
-    parts.append(_segment((pts[m - 2], den), (pts[m - 1], den), prev))
+    for pt, q in zip(pts[:-1], qs):
+        total = tuple([s - q * x for s, x in zip(total, pt)])
+        parts.append(_lift(pt, den, total, (rem - q) * den, rem - q, rem))
+        rem -= q
     return _merge(parts)
-
-
-def _weighted(pts: Sequence[IntPoint], qs: Sequence[int]) -> IntPoint:
-    return tuple(sum(q * pt[i] for q, pt in zip(qs, pts)) for i in range(len(pts[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -359,34 +335,24 @@ def _has_odd_denominators(x: IntPoint, den: int) -> bool:
     return all(c % step == 0 for c in x)
 
 
-def _segment_odd(
-    a1: Tuple[IntPoint, int], a2: Tuple[IntPoint, int], b: Tuple[IntPoint, int]
-) -> List[_Part]:
-    den, (e1, e2, pt) = _common(a1, a2, b)
-    for e in (e1, e2):
-        if not _is_even_point(e, den):
-            raise ValueError(f"{e} over {den} is not an even point with odd denominators")
-    if not _has_odd_denominators(pt, den):
-        raise ValueError(f"{pt} over {den} has an even coordinate denominator")
-    q, p = _segment_parameter(e1, e2, pt)
-    if all(2 * x == x1 + x2 for x, x1, x2 in zip(pt, e1, e2)):
-        return [(den, [(pt, e1, e2)])]
-    # With r the lcm of the three points' reduced denominators, r/2 * X/den
-    # is (X/g)/2 for g = den/r.  The even lift runs on those points over 2,
-    # and its triples over 2p' stand for points over p' r once scaled back
-    # by 2/r.
-    g = gcd(den, *e1, *e2, *pt)
-    r = den // g
-    h1, h2 = ((tuple(x // g for x in e), 2) for e in (e1, e2))
-    if all((x // g) % 2 == 0 for x in pt):
-        inner_den, trips = _segment(h1, h2, (tuple(x // g for x in pt), 2))
-        return [(inner_den // 2 * r, trips)]
-    # odd numerator somewhere: reflect the nearer endpoint through b, build
-    # the even instance for the reflection, then justify b by one extra triple
-    near = e1 if 2 * q <= p else e2
-    reflected = tuple(2 * x - xn for x, xn in zip(pt, near))
-    inner_den, trips = _segment(h1, h2, (tuple(x // g for x in reflected), 2))
-    return [(inner_den // 2 * r, trips), (den, [(pt, near, reflected)])]
+def _segment_odd(e1: IntPoint, d1: int, e2: IntPoint, d2: int, q: int, p: int) -> List[_Part]:
+    # _lift between even points e1/d1, e2/d2 with odd denominators, keeping
+    # every endpoint of a triple even.  At the midpoint, or when
+    # b = e1 + (q/p)(e2 - e1) is an even point too, the plain lift serves.
+    # Otherwise reflect the nearer endpoint through b, lift onto the
+    # reflection (an even point), and justify b by one extra triple.
+    g = gcd(q, p)
+    q, p = q // g, p // g
+    den = lcm(d1, d2)
+    x1 = [den // d1 * x for x in e1]
+    x2 = [den // d2 * x for x in e2]
+    b = tuple([(p - q) * a + q * c for a, c in zip(x1, x2)])
+    if p == 2 or _is_even_point(b, p * den):
+        return [_lift(e1, d1, e2, d2, q, p)]
+    x_near, q_reflected = (x1, 2 * q) if 2 * q < p else (x2, 2 * q - p)
+    near = tuple([p * x for x in x_near])  # over p den, as b is
+    reflected = tuple([2 * xb - xn for xb, xn in zip(b, near)])
+    return [_lift(e1, d1, e2, d2, q_reflected, p), (p * den, [(b, near, reflected)])]
 
 
 def med_set_odd(
@@ -399,43 +365,46 @@ def med_set_odd(
     even part, and when every part is odd merge the first two, which makes
     their sum even for the next level.
     """
-    den, pts, target, qs, p = _prepare(trellis, beta, weights)
+    den, pts, qs, p, total = _prepare(trellis, beta, weights)
     for pt in pts:
         if not _is_even_point(pt, den):
             raise ValueError(f"{pt} over {den} is not an even point with odd denominators")
-    if not _has_odd_denominators(target, den):
-        raise ValueError(f"{target} over {den} has an even coordinate denominator")
-    return _merge(_med_set_odd(pts, den, qs, p, (target, den)))
+    if not _has_odd_denominators(total, p * den):
+        raise ValueError(f"{tuple(beta)} has an even coordinate denominator")
+    return _merge(_med_set_odd(pts, den, qs, p, total))
 
 
 def _med_set_odd(
-    pts: List[IntPoint], den: int, qs: List[int], p: int, b: Tuple[IntPoint, int]
+    pts: List[IntPoint], den: int, qs: List[int], p: int, total: IntPoint
 ) -> List[_Part]:
-    # pts share den; b and the combination points carry their own
+    # pts share den, and total = sum q_j pts[j] stands for the combination
+    # point over p den; every combination point below it is even
     g = gcd(p, *qs)
-    p //= g
-    qs = [q // g for q in qs]
+    if g > 1:
+        p //= g
+        qs = [q // g for q in qs]
+        total = tuple([s // g for s in total])
     if len(pts) == 2:
-        return _segment_odd((pts[0], den), (pts[1], den), b)
+        return _segment_odd(pts[0], den, pts[1], den, qs[1], p)
     if p % 2 == 0:
         sel = next(i for i, q in enumerate(qs) if q % 2 == 1)
     elif any(q % 2 == 0 for q in qs):
         sel = next(i for i, q in enumerate(qs) if q % 2 == 0)
     else:
-        # all parts odd: merge the first two so their combined weight is even
-        rest_pts, rest_qs = pts[2:], [qs[0] + qs[1]] + qs[2:]
-        b1 = (_weighted([pts[0]] + rest_pts, rest_qs), p * den)
-        b2 = (_weighted([pts[1]] + rest_pts, rest_qs), p * den)
-        out = _segment_odd(b1, b2, b)
-        out += _med_set_odd([pts[0]] + rest_pts, den, rest_qs, p, b1)
-        out += _med_set_odd([pts[1]] + rest_pts, den, rest_qs, p, b2)
+        # all parts odd: merge the first two so their combined weight is
+        # even; b sits at q1 / (q0 + q1) of the way from b1 to b2
+        (x0, x1), (q0, q1) = pts[:2], qs[:2]
+        rest_qs = [q0 + q1] + qs[2:]
+        total1 = tuple([s + q1 * (a - c) for s, a, c in zip(total, x0, x1)])
+        total2 = tuple([s + q0 * (c - a) for s, a, c in zip(total, x0, x1)])
+        out = _segment_odd(total1, p * den, total2, p * den, q1, q0 + q1)
+        out += _med_set_odd([x0] + pts[2:], den, rest_qs, p, total1)
+        out += _med_set_odd([x1] + pts[2:], den, rest_qs, p, total2)
         return out
-    rest_pts = pts[:sel] + pts[sel + 1 :]
-    rest_qs = qs[:sel] + qs[sel + 1 :]
-    p_rest = p - qs[sel]
-    b1 = (_weighted(rest_pts, rest_qs), p_rest * den)
-    out = _segment_odd((pts[sel], den), b1, b)
-    out += _med_set_odd(rest_pts, den, rest_qs, p_rest, b1)
+    q = qs[sel]
+    rest = tuple([s - q * x for s, x in zip(total, pts[sel])])
+    out = _segment_odd(pts[sel], den, rest, (p - q) * den, p - q, p)
+    out += _med_set_odd(pts[:sel] + pts[sel + 1 :], den, qs[:sel] + qs[sel + 1 :], p - q, rest)
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from soncert.certify import (
 from soncert.cover import simplex_cover
 from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, poly_sha256
-from soncert.socp import SocpProblem, assemble, build_plan, lower_bound, pn_companion, solve_problem
+from soncert.socp import SocpProblem, SolverFailure, assemble, build_plan, lower_bound, pn_companion, solve_problem
 from soncert.verify import VerifyResult, check_cone
 
 from conftest import project_fractions
@@ -90,6 +91,18 @@ def test_motzkin_certificate_odd_mode():
 def test_boundary_failure_at_exact_bound():
     with pytest.raises(BoundaryFailure):
         exact_sobs(MOTZKIN, xi=0)
+
+
+def test_degenerate_scaling_fails_without_a_numpy_warning():
+    # Motzkin under x -> 10^6 x, y -> 10^-6 y: an iterate hugs a cone
+    # boundary until the scaling is no longer finite, which ends the solve
+    f = SparsePoly(
+        2, {(4, 2): 10**12, (2, 4): Fraction(1, 10**12), (2, 2): -3, (0, 0): 1}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverFailure):
+            exact_sobs(f)
 
 
 def test_certificate_at_interior_bound():

@@ -261,7 +261,7 @@ def circuits(draw, odd: bool):
     points are even rationals and the weight total is odd; all-odd weights
     make med_set_odd merge two parts."""
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 8))
     k = draw(st.sampled_from([1, 1, 3, 5]))
     pts = [rational_point(draw, n, k, 2 if odd else 1) for _ in range(m)]
     if draw(st.booleans()):

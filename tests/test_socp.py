@@ -262,7 +262,9 @@ def _seed0_sample():
 @pytest.mark.parametrize("odd_mode", [False, True])
 def test_plan_and_assembly_match_fraction_reference(odd_mode):
     checked = 0
-    for poly in _seed0_sample():
+    # one long chain too: its trellises have 13 points
+    long_chain = random_instance(n=12, degree=20, terms=40, interior=True, seed=70_100).poly
+    for poly in [*_seed0_sample(), long_chain]:
         zero = (0,) * poly.n
         part = support_partition(SparsePoly(poly.n, {e: c for e, c in poly.terms.items() if e != zero}))
         if not part.gamma_set:
@@ -287,7 +289,7 @@ def test_plan_and_assembly_match_fraction_reference(odd_mode):
             ref, tilde, "feasibility", xi
         )
         checked += 1
-    assert checked == 21
+    assert checked == 22
 
 
 def test_float_conversion_names_out_of_range_values():
