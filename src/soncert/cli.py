@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -117,6 +118,8 @@ def _bound_work(text: str, odd_mode: bool, dump: Optional[str]) -> tuple:
     if result is None:
         return report, None
     report.xi = result.xi
+    if result.xi == float("-inf"):
+        report.reason = "no finite bound exists for this support"
     if result.problem is not None:
         report.iterations = result.solution.iterations
         report.num_triples = result.problem.plan.num_triples
@@ -149,7 +152,11 @@ def _emit(report: RunReport, cert: Optional[Certificate], as_json: bool, output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(cert.dumps())
     if as_json:
-        line = json.dumps(asdict(report), sort_keys=True)
+        payload = asdict(report)
+        if payload["xi"] is not None and not math.isfinite(payload["xi"]):
+            # JSON has no infinities; the reason says why there is no bound
+            payload["xi"] = None
+        line = json.dumps(payload, sort_keys=True)
         if cert is not None:
             # the line is json.dumps(payload, sort_keys=True), and
             # "certificate" sorts before every report field

@@ -172,7 +172,6 @@ def random_instance(
     poly_class: str = "standard-simplex",
     interior: bool = False,
     seed: Optional[int] = None,
-    rng: Optional[random.Random] = None,
 ) -> GenInstance:
     """Draw one instance with at most `terms` monomials and degree <= degree."""
 
@@ -180,11 +179,10 @@ def random_instance(
         raise ValueError(f"unknown class {poly_class!r}; choose from {POLY_CLASSES}")
     if n < 1:
         raise ValueError("need at least one variable")
-    if rng is None:
-        rng = random.Random(seed)
     d = degree - degree % 2
     if d < 2:
         raise ValueError("degree must be at least 2")
+    rng = random.Random(seed)
 
     if poly_class == "standard-simplex":
         lam = _standard_simplex(n, d)

@@ -6,8 +6,9 @@ variable triples (a, b, c) each constrained to the rotated quadratic cone
 in a homogeneous self-dual model and runs a Mehrotra predictor-corrector
 method with Nesterov-Todd scaling, so it detects infeasibility as well as
 optimality.  Internally each rotated cone is mapped to a standard Lorentz
-cone by an orthogonal change of coordinates; all reported quantities are
-in the caller's rotated-cone coordinates.
+cone by an orthogonal change of coordinates, and the rows and the data
+are scaled; the result is reported in the caller's rotated-cone
+coordinates.
 
 The per-iteration work is kept to few numpy calls, since at the sizes the
 certifier produces each call costs more in fixed overhead than in
@@ -26,11 +27,15 @@ solvers", 2010):
   its minimum-degree order are built once per solve; each iteration
   refactors only the numbers (see _KktSolver).  The rotated, row-scaled A
   is built straight from the caller's triplets.
+* Convergence is judged in the solver's own frame: the caller's residuals
+  and objectives follow from the scaled residuals the step needs anyway,
+  so the caller's A is never formed.  The reported point is rotated and
+  unscaled once, when the solve returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -386,8 +391,9 @@ def solve_socp(
     """Solve min c'x s.t. A x = b over a product of rotated quadratic cones.
 
     The matrix is given in triplet form over columns grouped in consecutive
-    triples (a, b, c), one rotated cone per triple.  Returns slot values,
-    dual values, and residuals in the caller's coordinates.
+    triples (a, b, c), one rotated cone per triple.  Returns slot values
+    and dual values in the caller's coordinates, with the residuals of the
+    returned iterate as the solver estimates them.
     """
 
     m = len(b)
@@ -409,8 +415,6 @@ def solve_socp(
     rows = np.asarray(a_rows, dtype=np.int64)
     cols = np.asarray(a_cols, dtype=np.int64)
     vals = np.asarray(a_vals, dtype=float)
-    a_ext = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
-    a_ext_t = a_ext.T.tocsr()
 
     # Internal problem: rotate cones to Lorentz form, scale rows of A to unit
     # max coefficient, then scale b and c globally (cone-invariant).
@@ -441,53 +445,53 @@ def solve_socp(
     degree = num_cones + 1
     mu0 = (float(x @ z) + tau * kappa) / degree
 
+    def report(status: str, iterations: int, x, y, z, tau, kappa, pres, dres, gap) -> ConeSolve:
+        # The one conversion to the caller's coordinates: x R b_scale / tau,
+        # y D c_scale / tau and z R c_scale / tau, with D = diag(row_scale).
+        x_c = _rotate_vector(x / tau) * b_scale
+        y_c = (y * row_scale / tau) * c_scale
+        z_c = _rotate_vector(z / tau) * c_scale
+        residuals = {"primal": pres, "dual": dres, "gap": gap, "comp": float(x_c @ z_c), "tau": tau, "kappa": kappa}
+        return ConeSolve(status, x_c, y_c, z_c, float(c_ext @ x_c), iterations, residuals)
+
     # A' in CSR is A in CSC: the pattern's column order, with no conversion
     kkt = _KktSolver(a_st.T, num_cones)
-    best: Optional[Tuple[float, ConeSolve]] = None
+    # (metric, x, y, z, tau, kappa, pres, dres, gap) of the best iterate
+    best: Optional[tuple] = None
     status = "max-iterations"
     stall = 0
     for iteration in range(1, _MAX_ITER + 1):
         r_p = a_s @ x - b_s * tau
         r_d = c_s * tau - a_st @ y - z
-        r_g = float(b_s @ y - c_s @ x - kappa)
+        cx = float(c_s @ x)
+        by = float(b_s @ y)
+        r_g = by - cx - kappa
         mu = (float(x @ z) + tau * kappa) / degree
 
-        x_c = _rotate_vector(x / tau) * b_scale
-        y_c = (y * row_scale / tau) * c_scale
-        z_c = _rotate_vector(z / tau) * c_scale
-        pres = float(np.abs(a_ext @ x_c - b_ext).max(initial=0.0))
-        dres = float(np.abs(a_ext_t @ y_c + z_c - c_ext).max(initial=0.0))
-        pobj = float(c_ext @ x_c)
-        dobj = float(b_ext @ y_c)
-        comp = float(x_c @ z_c)
+        # The caller's residuals and objectives, from the scaled ones: with
+        # A_s = D A R, R an orthogonal involution, A x_c - b = D^-1 r_p
+        # b_scale / tau and A' y_c + z_c - c = -R r_d c_scale / tau.
+        pres = float(np.abs(r_p / row_scale).max(initial=0.0)) * b_scale / tau
+        dres = float(np.abs(_rotate_vector(r_d)).max(initial=0.0)) * c_scale / tau
+        pobj = cx * c_scale * b_scale / tau
+        dobj = by * b_scale * c_scale / tau
         gap = abs(pobj - dobj)
         gap_norm = 1.0 + abs(pobj) + abs(dobj)
         gap_tol = tol * gap_norm
         # Relative accuracy, free of tol, so that the stall count and the
         # best point are the same at every tolerance.
         metric = max(pres / b_norm, dres / c_norm, gap / gap_norm)
-        candidate = ConeSolve(
-            status="optimal",
-            x=x_c,
-            y=y_c,
-            z=z_c,
-            objective=pobj,
-            iterations=iteration - 1,
-            residuals={"primal": pres, "dual": dres, "gap": gap, "comp": comp, "tau": tau, "kappa": kappa},
-        )
         stall = 0 if (best is None or metric < 0.99 * best[0]) else stall + 1
         if best is None or metric < best[0]:
-            best = (metric, candidate)
+            best = (metric, x.copy(), y.copy(), z.copy(), tau, kappa, pres, dres, gap)
         if pres <= b_tol and dres <= c_tol and gap <= gap_tol:
-            status = "optimal"
-            break
+            return report("optimal", iteration, x, y, z, tau, kappa, pres, dres, gap)
         if tau <= 1e-10 * max(1.0, kappa) and mu <= 1e-10 * mu0:
             status = "infeasible"
             break
         if stall >= 15:
             # No meaningful progress for many iterations: stuck at the
             # numerical floor, so stop and report the best point seen.
-            status = "max-iterations"
             break
 
         # a non-finite scaling ends the solve just below, without a warning
@@ -501,13 +505,11 @@ def solve_socp(
         ):
             # numerical floor: an iterate hugs a cone boundary so tightly
             # that the scaling degenerates; return the best point seen
-            status = "max-iterations"
             break
 
         try:
             kkt.factor(scaling.hblocks(), lambda u: a_s @ _apply_h(scaling, a_st @ u))
         except (RuntimeError, ValueError):
-            status = "max-iterations"
             break
 
         hc = _apply_h(scaling, c_s)
@@ -516,7 +518,6 @@ def solve_socp(
         x1 = _apply_h(scaling, at_u1) - hc
         denom = float(b_s @ u1) - float(c_s @ x1) + kappa / tau
         if not np.isfinite(denom) or denom == 0.0:
-            status = "max-iterations"
             break
 
         def direction(d1, d2, d3, d_s, d_kappa):
@@ -564,7 +565,6 @@ def solve_socp(
         dx, dy, dz, dtau, dkappa = direction(-shrink * r_p, -shrink * r_d, -shrink * r_g, d_s, d_kappa)
         alpha = min(1.0, 0.99 * step_bound(dx, dz, dtau, dkappa))
         if not np.isfinite(alpha) or alpha <= 1e-14:
-            status = "max-iterations"
             break
 
         x += alpha * dx
@@ -573,8 +573,6 @@ def solve_socp(
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    if status == "optimal":
-        return replace(candidate, iterations=iteration)
     if status == "infeasible":
         # Certificate direction: b'y > 0 rules out primal feasibility,
         # c'x < 0 rules out dual feasibility (primal unbounded below).
@@ -591,4 +589,4 @@ def solve_socp(
             residuals={"certificate": detail, "tau": tau, "kappa": kappa},
         )
     assert best is not None
-    return replace(best[1], status="max-iterations", iterations=iteration)
+    return report(status, iteration, *best[1:])

@@ -392,14 +392,19 @@ def _med_set_odd(
         sel = next(i for i, q in enumerate(qs) if q % 2 == 0)
     else:
         # all parts odd: merge the first two so their combined weight is
-        # even; b sits at q1 / (q0 + q1) of the way from b1 to b2
+        # even; b sits at q1 / (q0 + q1) of the way from b1 to b2.  Each of
+        # b1 = (q0 + q1) x0 + rest and b2 = (q0 + q1) x1 + rest then peels
+        # its point off onto the same rest, whose set is built once.
         (x0, x1), (q0, q1) = pts[:2], qs[:2]
-        rest_qs = [q0 + q1] + qs[2:]
         total1 = tuple([s + q1 * (a - c) for s, a, c in zip(total, x0, x1)])
         total2 = tuple([s + q0 * (c - a) for s, a, c in zip(total, x0, x1)])
+        r = p - q0 - q1
+        rest = tuple([s - q0 * a - q1 * c for s, a, c in zip(total, x0, x1)])
         out = _segment_odd(total1, p * den, total2, p * den, q1, q0 + q1)
-        out += _med_set_odd([x0] + pts[2:], den, rest_qs, p, total1)
-        out += _med_set_odd([x1] + pts[2:], den, rest_qs, p, total2)
+        out += _segment_odd(x0, den, rest, r * den, r, p)
+        if len(pts) > 3:  # a rest of one point is that point
+            out += _med_set_odd(pts[2:], den, qs[2:], r, rest)
+        out += _segment_odd(x1, den, rest, r * den, r, p)
         return out
     q = qs[sel]
     rest = tuple([s - q * x for s, x in zip(total, pts[sel])])

@@ -270,15 +270,14 @@ def solve_problem(problem: SocpProblem, objective_scale: float = 1.0) -> ConeSol
     objective is multiplied by objective_scale, so the result's objective
     is scaled by it too."""
 
-    rows = [e[0] for e in problem.entries]
-    cols = [e[1] for e in problem.entries]
-    vals = [to_float(e[2]) for e in problem.entries]
+    # entries and objective are small integers; only a Fraction on the
+    # right-hand side can pass the float range
     return solve_socp(
-        rows,
-        cols,
-        vals,
+        [e[0] for e in problem.entries],
+        [e[1] for e in problem.entries],
+        [e[2] for e in problem.entries],
         [to_float(r) for r in problem.rhs_exact],
-        [to_float(c) * objective_scale for c in problem.objective],
+        [c * objective_scale for c in problem.objective],
         problem.plan.num_triples,
     )
 

@@ -13,6 +13,8 @@ from soncert.certify import Certificate
 from soncert.polyring import SparsePoly, poly_dumps
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
+# unbounded below: no finite bound exists for its support
+UNBOUNDED = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (3, 3): -3})
 EX6 = SparsePoly(
     2, {(0, 0): 1, (4, 0): 1, (0, 4): 1, (1, 2): -1, (2, 1): -1, (1, 1): 5}
 )
@@ -333,3 +335,29 @@ def test_verify_malformed_certificate_exits_1(motzkin_file, tmp_path, capsys, da
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_unbounded_bound_json_is_strict_json(tmp_path, capsys, batch):
+    # RFC 8259 has no token for -inf
+    path = tmp_path / "unbounded.json"
+    path.write_text(poly_dumps(UNBOUNDED))
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    argv = ["--batch"] if batch else ["--json"]
+    assert cli.main(["bound", str(path), *argv]) == cli.EXIT_OK
+    (line,) = capsys.readouterr().out.splitlines()
+    report = json.loads(line, parse_constant=reject)
+    assert report["status"] == "ok"
+    assert report["xi"] is None
+    assert report["reason"] == "no finite bound exists for this support"
+
+
+def test_unbounded_bound_text_reports_minus_infinity(tmp_path, capsys):
+    path = tmp_path / "unbounded.json"
+    path.write_text(poly_dumps(UNBOUNDED))
+    assert cli.main(["bound", str(path)]) == cli.EXIT_OK
+    pairs = dict(line.split("=", 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert pairs["xi"] == "-inf"

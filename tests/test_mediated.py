@@ -19,6 +19,7 @@ from conftest import (
     ref_med_set,
     ref_med_set_odd,
 )
+from soncert import mediated
 from soncert.mediated import (
     MediatedSet,
     brute_min_med_seq,
@@ -217,6 +218,25 @@ def test_med_set_odd_parity_and_validity():
             for point in (v, w):
                 scaled = tuple(x * denom for x in point)
                 assert all(s.denominator == 1 and s.numerator % 2 == 0 for s in scaled)
+
+
+def test_med_set_odd_all_odd_merge_builds_its_rest_once(monkeypatch):
+    # With 17 parts of weight 1 every level is all-odd; both merged points
+    # peel onto the same rest, so each level lifts three segments and the
+    # rest's set is built once, not twice: 24 lifts, not 765.
+    calls = []
+    segment_odd = mediated._segment_odd
+
+    def counting(*args):
+        calls.append(args)
+        return segment_odd(*args)
+
+    monkeypatch.setattr(mediated, "_segment_odd", counting)
+    trellis = [(0,) * 16] + [tuple(34 * (i == j) for j in range(16)) for i in range(16)]
+    beta = (2,) * 16
+    triples = med_set_odd(trellis, beta, [Fraction(1, 17)] * 17)
+    assert len(calls) <= 24
+    assert is_valid_mediated_set(triples, trellis, beta)
 
 
 def test_med_set_rejects_bad_weights():
