@@ -67,6 +67,8 @@ _J_BLOCK = np.diag(_J).ravel()
 
 # Interior-point iterations before a solve gives up with max-iterations.
 _MAX_ITER = 200
+# Relative accuracy at which a solve stops optimal.
+_TOL = 1e-8
 
 
 @dataclass
@@ -385,8 +387,6 @@ def solve_socp(
     b: Sequence[float],
     c: Sequence[float],
     num_cones: int,
-    *,
-    tol: float = 1e-8,
 ) -> ConeSolve:
     """Solve min c'x s.t. A x = b over a product of rotated quadratic cones.
 
@@ -401,7 +401,7 @@ def solve_socp(
     b_ext = np.asarray(b, dtype=float)
     c_ext = np.asarray(c, dtype=float)
     if num_cones == 0:
-        feasible = m == 0 or float(np.max(np.abs(b_ext))) <= tol
+        feasible = m == 0 or float(np.max(np.abs(b_ext))) <= _TOL
         return ConeSolve(
             status="optimal" if feasible else "infeasible",
             x=np.zeros(0),
@@ -433,8 +433,8 @@ def solve_socp(
 
     b_norm = 1.0 + float(np.max(np.abs(b_ext), initial=0.0))
     c_norm = 1.0 + float(np.max(np.abs(c_ext), initial=0.0))
-    b_tol = tol * b_norm
-    c_tol = tol * c_norm
+    b_tol = _TOL * b_norm
+    c_tol = _TOL * c_norm
 
     # Homogeneous self-dual start: unit cone points, tau = kappa = 1.
     x = np.tile(np.array([1.0, 0.0, 0.0]), num_cones)
@@ -477,8 +477,8 @@ def solve_socp(
         dobj = by * b_scale * c_scale / tau
         gap = abs(pobj - dobj)
         gap_norm = 1.0 + abs(pobj) + abs(dobj)
-        gap_tol = tol * gap_norm
-        # Relative accuracy, free of tol, so that the stall count and the
+        gap_tol = _TOL * gap_norm
+        # Relative accuracy, free of _TOL, so that the stall count and the
         # best point are the same at every tolerance.
         metric = max(pres / b_norm, dres / c_norm, gap / gap_norm)
         stall = 0 if (best is None or metric < 0.99 * best[0]) else stall + 1

@@ -20,15 +20,17 @@ nonnegative, not only on the positive orthant.
 
 Both run in integers: a rational point is an integer vector over an
 explicit denominator, and each returns a ``MediatedSet``, its triples over
-one least common denominator.  Fractions appear only in
-``MediatedSet.fractions`` and ``fraction_points``.
+one least common denominator.  A lift builds no point: it gives its
+segment's base point and direction over the segment's least denominator,
+found in closed form, with the scalar triples that sit on it.  Each point
+of a set is then built once, over the set's denominator.  Fractions appear
+only in ``MediatedSet.fractions`` and ``fraction_points``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -169,16 +171,18 @@ def _brute_search(p: int, q: int, budget: int) -> frozenset | None:
 # lattice and rational lifts
 #
 # A rational point is an integer vector X over a positive denominator d and
-# stands for X / d.  The lift takes its endpoints over their own
+# stands for X / d.  A lift takes a segment's endpoints over their own
 # denominators and q/p from the caller: a combination of total weight r
 # sits at (r - q_k)/r of the way from its point of weight q_k to the
-# combination of the rest.  It returns a part (d, triples) with all its
-# points over one d; _merge brings the parts of a mediated set to their
-# least common denominator.
+# combination of the rest.  It returns a part (d, base, diff, scalars),
+# whose scalar s stands for the point (base + s diff) / d, and builds no
+# point.  The scalars include 0 and have gcd 1, so d is the part's least
+# denominator once base, diff and d are divided by their gcd.  _merge
+# builds every point once, over the lcm of its parts' denominators.
 
 IntPoint = Tuple[int, ...]
 IntTriple = Tuple[IntPoint, IntPoint, IntPoint]  # (u, v, w) with 2u = v + w
-_Part = Tuple[int, List[IntTriple]]
+_Part = Tuple[int, List[int], List[int], List[Triple]]
 
 
 def fraction_points(points: Iterable[IntPoint], den: int) -> Dict[IntPoint, Point]:
@@ -215,16 +219,12 @@ class MediatedSet:
 
     def over(self, den: int) -> Sequence[IntTriple]:
         """The triples as integer points over den, a multiple of self.den."""
-        return _rescale(self.triples, den // self.den, 1)
-
-
-def _rescale(triples: Sequence[IntTriple], mul: int, div: int) -> Sequence[IntTriple]:
-    # every coordinate times mul / div, a division that must come out exact
-    if mul == div == 1:
-        return triples
-    points = {pt for t in triples for pt in t}
-    scaled = {pt: tuple([x * mul // div for x in pt]) for pt in points}
-    return [(scaled[u], scaled[v], scaled[w]) for u, v, w in triples]
+        k = den // self.den
+        if k == 1:
+            return self.triples
+        points = {pt for t in self.triples for pt in t}
+        scaled = {pt: tuple(map(k.__mul__, pt)) for pt in points}
+        return [(scaled[u], scaled[v], scaled[w]) for u, v, w in self.triples]
 
 
 def _lattice(points: Sequence[Sequence]) -> Tuple[int, List[IntPoint]]:
@@ -236,9 +236,8 @@ def _lattice(points: Sequence[Sequence]) -> Tuple[int, List[IntPoint]]:
 
 def _lift(e1: IntPoint, d1: int, e2: IntPoint, d2: int, q: int, p: int) -> _Part:
     # the segment from e1/d1 to e2/d2 through its point at q/p: with E1, E2
-    # the endpoints over den = lcm(d1, d2), the scalar sequence for (p, q)
-    # mapped through s -> (p E1 + s (E2 - E1)) / (p den); scalars recur
-    # across triples, so points are cached per s
+    # the endpoints over den = lcm(d1, d2), base = p E1 and diff = E2 - E1
+    # over p den, and the scalars of med_seq(p, q)
     g = gcd(q, p)
     q, p = q // g, p // g
     den = lcm(d1, d2)
@@ -247,31 +246,29 @@ def _lift(e1: IntPoint, d1: int, e2: IntPoint, d2: int, q: int, p: int) -> _Part
     diff = [m2 * x2 - m1 * x1 for x1, x2 in zip(e1, e2)]
     if not any(diff):
         raise ValueError("segment endpoints coincide")
-    cache: Dict[int, IntPoint] = {}
-
-    def phi(s: int) -> IntPoint:
-        got = cache.get(s)
-        if got is None:
-            got = cache[s] = tuple(map(add, base, map(s.__mul__, diff)))
-        return got
-
-    return p * den, [(phi(s), phi(lo), phi(hi)) for (s, lo, hi) in med_seq(p, q)]
+    c = gcd(p * den, *base, *diff)
+    return p * den // c, [x // c for x in base], [x // c for x in diff], med_seq(p, q)
 
 
 def _merge(parts: Sequence[_Part]) -> MediatedSet:
-    # every part over the lcm of the parts' reduced denominators, keeping
-    # only the first triple of each midpoint
-    coords = (chain.from_iterable({pt for t in trips for pt in t}) for _, trips in parts)
-    den = lcm(*(d // gcd(d, *xs) for (d, _), xs in zip(parts, coords)))
+    # every part over the lcm of the parts' least denominators, keeping
+    # only the first triple of each midpoint; scalars recur across a part's
+    # triples, so its points are cached per scalar
+    den = lcm(*(d for d, _, _, _ in parts))
     seen = set()
     out: List[IntTriple] = []
-    for d, trips in parts:
-        g = gcd(den, d)
-        for trip in _rescale(trips, den // g, d // g):
-            if trip[0] in seen:
-                continue
-            seen.add(trip[0])
-            out.append(trip)
+    for d, base, diff, scalars in parts:
+        k = den // d
+        base, diff = [k * x for x in base], [k * x for x in diff]
+        points: Dict[int, IntPoint] = {}
+        for trip in scalars:
+            for s in trip:
+                if s not in points:
+                    points[s] = tuple(map(add, base, map(s.__mul__, diff)))
+            u, v, w = map(points.__getitem__, trip)
+            if u not in seen:
+                seen.add(u)
+                out.append((u, v, w))
     return MediatedSet(den, tuple(out))
 
 
@@ -323,7 +320,7 @@ def med_set(
 # odd-denominator mediated sets
 
 
-def _is_even_point(x: IntPoint, den: int) -> bool:
+def _is_even_point(x: Iterable[int], den: int) -> bool:
     # every coordinate an even rational with odd denominator: 2^(v+1)
     # divides it, where 2^v is the power of two in den
     step = 2 * (den & -den)
@@ -335,24 +332,19 @@ def _has_odd_denominators(x: IntPoint, den: int) -> bool:
     return all(c % step == 0 for c in x)
 
 
-def _segment_odd(e1: IntPoint, d1: int, e2: IntPoint, d2: int, q: int, p: int) -> List[_Part]:
+def _segment_odd(e1: IntPoint, d1: int, e2: IntPoint, d2: int, q: int, p: int) -> _Part:
     # _lift between even points e1/d1, e2/d2 with odd denominators, keeping
-    # every endpoint of a triple even.  At the midpoint, or when
-    # b = e1 + (q/p)(e2 - e1) is an even point too, the plain lift serves.
-    # Otherwise reflect the nearer endpoint through b, lift onto the
-    # reflection (an even point), and justify b by one extra triple.
+    # every endpoint of a triple even.  At the midpoint, or when b, the
+    # point at scalar q, is an even point too, the plain lift serves.
+    # Otherwise reflect the nearer endpoint (scalar 0 or p) through b, lift
+    # onto the reflection (an even point), and justify b by one extra triple.
     g = gcd(q, p)
     q, p = q // g, p // g
-    den = lcm(d1, d2)
-    x1 = [den // d1 * x for x in e1]
-    x2 = [den // d2 * x for x in e2]
-    b = tuple([(p - q) * a + q * c for a, c in zip(x1, x2)])
-    if p == 2 or _is_even_point(b, p * den):
-        return [_lift(e1, d1, e2, d2, q, p)]
-    x_near, q_reflected = (x1, 2 * q) if 2 * q < p else (x2, 2 * q - p)
-    near = tuple([p * x for x in x_near])  # over p den, as b is
-    reflected = tuple([2 * xb - xn for xb, xn in zip(b, near)])
-    return [_lift(e1, d1, e2, d2, q_reflected, p), (p * den, [(b, near, reflected)])]
+    den, base, diff, _ = part = _lift(e1, d1, e2, d2, q, p)
+    if p == 2 or _is_even_point((x + q * y for x, y in zip(base, diff)), den):
+        return part
+    near = 0 if 2 * q < p else p
+    return den, base, diff, med_seq(p, 2 * q - near) + [(q, near, 2 * q - near)]
 
 
 def med_set_odd(
@@ -385,7 +377,7 @@ def _med_set_odd(
         qs = [q // g for q in qs]
         total = tuple([s // g for s in total])
     if len(pts) == 2:
-        return _segment_odd(pts[0], den, pts[1], den, qs[1], p)
+        return [_segment_odd(pts[0], den, pts[1], den, qs[1], p)]
     if p % 2 == 0:
         sel = next(i for i, q in enumerate(qs) if q % 2 == 1)
     elif any(q % 2 == 0 for q in qs):
@@ -400,15 +392,15 @@ def _med_set_odd(
         total2 = tuple([s + q0 * (c - a) for s, a, c in zip(total, x0, x1)])
         r = p - q0 - q1
         rest = tuple([s - q0 * a - q1 * c for s, a, c in zip(total, x0, x1)])
-        out = _segment_odd(total1, p * den, total2, p * den, q1, q0 + q1)
-        out += _segment_odd(x0, den, rest, r * den, r, p)
+        out = [_segment_odd(total1, p * den, total2, p * den, q1, q0 + q1)]
+        out.append(_segment_odd(x0, den, rest, r * den, r, p))
         if len(pts) > 3:  # a rest of one point is that point
             out += _med_set_odd(pts[2:], den, qs[2:], r, rest)
-        out += _segment_odd(x1, den, rest, r * den, r, p)
+        out.append(_segment_odd(x1, den, rest, r * den, r, p))
         return out
     q = qs[sel]
     rest = tuple([s - q * x for s, x in zip(total, pts[sel])])
-    out = _segment_odd(pts[sel], den, rest, (p - q) * den, p - q, p)
+    out = [_segment_odd(pts[sel], den, rest, (p - q) * den, p - q, p)]
     out += _med_set_odd(pts[:sel] + pts[sel + 1 :], den, qs[:sel] + qs[sel + 1 :], p - q, rest)
     return out
 

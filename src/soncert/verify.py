@@ -234,19 +234,24 @@ def _field(obj: object, key: str, where: str, kind: type = object, default=None)
     return obj[key]
 
 
+_TRIPLE_KEYS = frozenset("uvwabc")
+# JSON integers and integer strings, which the writer emits, read as
+# integers; a float or a bool is refused, where int() would truncate it
+_INTEGRAL = frozenset((int, str))
+
+
 def _integer(value: object, where: str) -> int:
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where} must be an integer, got {value!r}") from None
-
-
-_TRIPLE_KEYS = frozenset("uvwabc")
+        if type(value) in _INTEGRAL:
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{where} must be an integer, got {value!r}")
 
 
 def _refuse_point(obj: List[object]) -> None:
     """Raise the ValueError for a point that is no list of [num, den] pairs
-    of hashable values."""
+    of integers or integer strings."""
 
     for pair in obj:
         if not isinstance(pair, list) or len(pair) != 2:
@@ -273,13 +278,13 @@ class _Reader:
         return self.triple(obj) if obj.keys() >= _TRIPLE_KEYS else obj
 
     def coord(self, pair: Sequence[object]) -> Fraction:
-        """The coordinate of a raw [num, den] pair of hashable values."""
+        """The coordinate of a raw [num, den] pair of integers or integer strings."""
 
         x = self.coords.get(pair)
         if x is None:
             try:
                 num, den = int(pair[0]), int(pair[1])
-            except (TypeError, ValueError, OverflowError):
+            except ValueError:
                 raise ValueError(f"coordinate {list(pair)!r} must hold two integers") from None
             if den == 0:
                 raise ValueError(f"coordinate has a zero denominator: {list(pair)!r}")
@@ -293,6 +298,8 @@ class _Reader:
             # list.__len__ takes lists only, so once every length is 2 the
             # flattened values determine the pairs
             key = tuple(chain.from_iterable(obj)) if set(map(list.__len__, obj)) <= {2} else None
+            if key is not None and not set(map(type, key)) <= _INTEGRAL:
+                key = None  # 1.0 and True would find the point of 1
             pt = self.points.get(key)
         except TypeError:  # a coordinate that is not a list, or an unhashable value
             key = pt = None

@@ -117,6 +117,23 @@ def test_verify_rejects_tampered_certificate(motzkin_file, tmp_path, capsys):
     assert "ok=false" in out
 
 
+def test_verify_refuses_float_coordinates(motzkin_file, tmp_path, capsys):
+    # a JSON float where an integer is expected is an error, not truncated
+    cert_path = tmp_path / "cert.json"
+    assert cli.main(["certify", motzkin_file, "--xi=-1/100", "-o", str(cert_path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    data = json.loads(cert_path.read_text())
+    for group in data["circuits"]:
+        for t in group["triples"]:
+            for key in "uvw":
+                t[key] = [[int(num) + 0.25, den] for num, den in t[key]]
+    cert_path.write_text(json.dumps(data))
+    assert cli.main(["verify", motzkin_file, str(cert_path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "ok=true" not in captured.out
+    assert "coordinates" in captured.err
+
+
 def test_gen_roundtrips_through_bound(tmp_path, capsys):
     code = cli.main(["gen", "--seed", "3", "--n", "2", "--degree", "6", "--terms", "8", "--count", "2"])
     assert code == cli.EXIT_OK

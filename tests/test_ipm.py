@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from soncert import ipm
 from soncert.ipm import (
     _ROTATION,
     ConeSolve,
@@ -161,14 +162,16 @@ _STALL_VALS = [2.0, 1.0, -2.0, 2.0, 1.0, -2.0, 2.0, 1.0, -2.0]
 _STALL_B = [1.000001, 0.0, -3.0, 1.0, 0.0, 1.0]
 
 
-def test_stalled_solve_is_the_same_at_tighter_tolerances():
+def test_stalled_solve_is_the_same_at_tighter_tolerances(monkeypatch):
     args = (_STALL_ROWS, list(range(9)), _STALL_VALS, _STALL_B, [0.0] * 9, 3)
-    loose = solve_socp(*args, tol=1e-8)
+    loose = solve_socp(*args)
     assert loose.optimal
-    stalled = solve_socp(*args, tol=1e-10)
+    monkeypatch.setattr(ipm, "_TOL", 1e-10)
+    stalled = solve_socp(*args)
     assert stalled.status == "max-iterations" and stalled.iterations > loose.iterations
-    # the stall test does not depend on tol: a tighter solve stops at the same point
-    _assert_same_solve(stalled, solve_socp(*args, tol=1e-12))
+    # the stall test does not depend on _TOL: a tighter solve stops at the same point
+    monkeypatch.setattr(ipm, "_TOL", 1e-12)
+    _assert_same_solve(stalled, solve_socp(*args))
 
 
 def test_min_over_single_cone():
@@ -230,9 +233,7 @@ def test_random_feasible_instances():
             sstar[3 * k : 3 * k + 3] = (2 * b, 2 * a, -2 * c)
         c_vec = dense.T @ ystar + sstar
         rows, cols = np.nonzero(dense)
-        res = solve_socp(
-            rows, cols, dense[rows, cols], b_vec, c_vec, cones, tol=1e-8
-        )
+        res = solve_socp(rows, cols, dense[rows, cols], b_vec, c_vec, cones)
         assert res.optimal, (trial, res.status, res.residuals)
         scale = 1.0 + float(np.max(np.abs(b_vec)))
         # the true residual of the returned x; residuals["primal"] is the

@@ -337,3 +337,45 @@ def test_l_med_set_matches_fraction_reference(segment):
 def test_l_med_set_odd_matches_fraction_reference(segment):
     a1, a2, b = segment
     assert outcome(med_set_odd, (a1, a2), b) == outcome(ref_l_med_set_odd, a1, a2, b)
+
+
+def merged_parts(lift, *args) -> list:
+    """The parts a lift hands to _merge, none when it raises."""
+    parts = []
+    merge = mediated._merge
+
+    def recording(ps):
+        parts.extend(ps)
+        return merge(ps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mediated, "_merge", recording)
+        try:
+            lift(*args)
+        except ValueError:
+            pass
+    return parts
+
+
+def assert_least_denominators(parts) -> None:
+    # each part's den is the least common denominator of the points its
+    # scalars stand for
+    for den, base, diff, scalars in parts:
+        coords = {b + s * x for trip in scalars for s in trip for b, x in zip(base, diff)}
+        assert math.gcd(den, *coords) == 1
+
+
+@SETTINGS
+@given(circuits(odd=False), circuits(odd=True))
+def test_parts_are_over_their_least_denominator(circuit, odd_circuit):
+    assert_least_denominators(merged_parts(med_set, *circuit))
+    assert_least_denominators(merged_parts(med_set_odd, *odd_circuit))
+
+
+@SETTINGS
+@given(segments(odd=False), segments(odd=True))
+def test_segment_parts_are_over_their_least_denominator(segment, odd_segment):
+    a1, a2, b = segment
+    assert_least_denominators(merged_parts(med_set, (a1, a2), b))
+    a1, a2, b = odd_segment
+    assert_least_denominators(merged_parts(med_set_odd, (a1, a2), b))

@@ -288,6 +288,61 @@ def test_reader_keys_each_point_on_its_pairs(damaged):
             load(data)
 
 
+
+MOTZKIN_XI = exact_sobs(MOTZKIN, xi=Fraction(-1, 100))
+
+
+def _coordinates(data, convert):
+    for group in data["circuits"]:
+        for t in group["triples"]:
+            for key in "uvw":
+                t[key] = [convert(num, den) for num, den in t[key]]
+
+
+def _quarter_numerators(data):
+    _coordinates(data, lambda num, den: [int(num) + 0.25, den])
+
+
+def _recurring_point(value):
+    # JSON integer coordinates, then a point met before written with value
+    # for each denominator: the reader must not find it among the points of
+    # equal integers
+    def damage(data):
+        _coordinates(data, lambda num, den: [int(num), int(den)])
+        second = data["circuits"][0]["triples"][1]
+        second["v"] = [[num, value] for num, _ in second["v"]]
+
+    return damage
+
+
+# each damage with the field its error names; int() would read every one
+INTEGER_DAMAGES = {
+    "quarter-numerators": (_quarter_numerators, "coordinates"),
+    "n-float": (lambda data: data.update(n=2.9), "'n'"),
+    "n-true": (lambda data: data.update(n=True), "'n'"),
+    "float-exponent": (lambda data: data["passthrough"][0].update(exp=[0.5, 0]), "exponent"),
+    "recurring-float": (_recurring_point(1.0), "coordinates"),
+    "recurring-true": (_recurring_point(True), "coordinates"),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGER_DAMAGES))
+def test_reader_refuses_floats_and_bools_for_integers(name):
+    damage, field = INTEGER_DAMAGES[name]
+    cert = VALID[2][1] if name == "float-exponent" else MOTZKIN_XI
+    data = json.loads(cert.dumps())
+    damage(data)
+    for load in (Certificate.from_json, lambda d: Certificate.loads(json.dumps(d))):
+        with pytest.raises(ValueError, match=field):
+            load(data)
+
+
+def test_reader_reads_json_integers_as_the_writer_strings():
+    data = json.loads(MOTZKIN_XI.dumps())
+    _coordinates(data, lambda num, den: [int(num), int(den)])
+    for load in (Certificate.from_json, lambda d: Certificate.loads(json.dumps(d))):
+        assert load(data) == MOTZKIN_XI
+
 def _primes(count):
     out, k = [], 2
     while len(out) < count:
