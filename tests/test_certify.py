@@ -351,13 +351,18 @@ def test_certify_with_one_solve(monkeypatch):
     assert abs(float(cert.xi) - bound) <= 1e-4 * (1 + abs(bound))
 
 
+# EX6 with 7 x y in place of 5 x y
+TIGHT = SparsePoly(2, {(0, 0): 1, (4, 0): 1, (0, 4): 1, (1, 2): -1, (2, 1): -1, (1, 1): 7})
+
+
 def test_tight_cone_falls_back_to_the_feasibility_solve(monkeypatch):
-    # EX6's scaled bound solve rounds to a point with a cone outside; the
+    # TIGHT's scaled bound solve rounds to a point with a cone outside; the
     # fallback certifies 1e-4 * (1 + |bound|) below the numeric bound
-    cert, modes = _solved_modes(monkeypatch, EX6)
+    # -12.398436
+    cert, modes = _solved_modes(monkeypatch, TIGHT)
     assert modes == ["bound", "feasibility"]
     assert cert.xi.denominator <= 2**MIN_GRID_BITS
-    assert -6.9174 < float(cert.xi) < -6.9172
+    assert -12.3999 < float(cert.xi) < -12.3997
 
 
 @pytest.mark.parametrize("odd_mode", [False, True], ids=["default", "odd"])

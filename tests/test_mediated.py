@@ -7,8 +7,10 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -30,6 +32,9 @@ from soncert.mediated import (
     med_set,
     med_set_odd,
 )
+from soncert.cover import CoverResult
+from soncert.polyring import affinely_independent
+from soncert.socp import build_plan
 
 
 def F(x) -> Fraction:
@@ -379,3 +384,21 @@ def test_segment_parts_are_over_their_least_denominator(segment, odd_segment):
     assert_least_denominators(merged_parts(med_set, (a1, a2), b))
     a1, a2, b = odd_segment
     assert_least_denominators(merged_parts(med_set_odd, (a1, a2), b))
+
+
+@SETTINGS
+@given(st.booleans().flatmap(lambda odd: st.tuples(st.just(odd), st.lists(circuits(odd=odd), min_size=1, max_size=4))))
+def test_plan_holds_each_triple_once(case):
+    odd_mode, drawn = case
+    # the strategy draws dependent trellises too, which are no circuits, and
+    # each circuit in a dimension of its own
+    n = len(drawn[0][1])
+    kept = [
+        SimpleNamespace(trellis=t, beta=b, weights=w)
+        for t, b, w in drawn
+        if len(b) == n and affinely_independent(t)
+    ]
+    assume(kept)
+    plan = build_plan(CoverResult(tuple(kept), ()), odd_mode=odd_mode)
+    assert len(set(plan.triples)) == plan.num_triples
+    assert all(plan.circuit_triples)

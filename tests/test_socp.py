@@ -19,6 +19,7 @@ from soncert.socp import (
     UncoveredSupport,
     assemble,
     build_plan,
+    cover_points,
     lower_bound,
     pn_companion,
     solve_problem,
@@ -237,6 +238,31 @@ def test_random_bounds_are_sound():
             )
             assert val >= result.xi - 1e-6 * (1 + scale)
     assert checked >= 8
+
+
+def _certify_c7_corpus():
+    """The 40 polynomials of the seed-0 certify-c7 corpus (criterion 7's)."""
+    rng = random.Random(7)
+    polys = []
+    for i in range(40):
+        n, d = (4, 8)[i % 2], (10, 20)[(i // 2) % 2]
+        t = rng.randint(n + 8, 50)
+        polys.append(random_instance(n=n, degree=d, terms=t, interior=True, seed=70_000 + i).poly)
+    return polys
+
+
+@pytest.mark.parametrize("odd_mode, most", [(False, 10_000), (True, 16_782)], ids=["even", "odd"])
+def test_certify_c7_plans_stay_small(odd_mode, most):
+    # heaviest-first peeling and one cone per triple: the cover order with
+    # a cone per circuit and triple held 12,988 triples (even) and 16,782
+    # (odd) over this corpus
+    covers = [simplex_cover(*cover_points(poly)) for poly in _certify_c7_corpus()]
+    total = 0
+    for cover in covers:
+        plan = build_plan(cover, odd_mode=odd_mode)
+        assert len(set(plan.triples)) == plan.num_triples
+        total += plan.num_triples
+    assert total <= most
 
 
 def _seed0_sample():
