@@ -7,8 +7,8 @@ repaired exactly by spreading each row's residual uniformly over the
 slots touching it; since every slot appears in exactly one row the repair
 is exact in one pass and idempotent.  Rounding, repair and the strict cone
 checks that decide all run on Python ints, each row over the lcm of 2^k
-and its right-hand side's denominator; the certificate's Fractions are
-built once, from the checked integers.
+and its right-hand side's denominator, and the certificate takes the
+checked integers and the plan's integer points as they are.
 
 A certificate costs one conic solve: the bound problem with its objective
 scaled by OBJECTIVE_SCALE, which keeps slack in every cone (Peyrl and
@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cover import simplex_cover
-from .mediated import fraction_points
 from .polyring import MAX_DECIMAL_EXPONENT, SparsePoly, has_too_many_digits
 from .polyring import parse_rational, pn_companion, poly_sha256
 from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points
@@ -35,7 +34,7 @@ from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points
 # the CI step "Trace sites" fails without it
 from .socp import lower_bound
 from .socp import solve_problem, to_float
-from .verify import Certificate, CertTriple, verify_certificate
+from .verify import Certificate, CertTriple, _Cones, verify_certificate
 
 
 # Bits k of the rounding grid 2^-k: 2^-17 is the grid xi is rounded on and
@@ -155,10 +154,10 @@ def _trivial_certificate(tilde: SparsePoly, xi: Fraction, sha: str) -> Certifica
     )
 
 
-def _round_and_project(problem: SocpProblem, x: Sequence[float]) -> Optional[List[Fraction]]:
+def _round_and_project(problem: SocpProblem, x: Sequence[float]) -> Optional[Tuple[List[int], List[int]]]:
     """Round x once, to integers over the grid 2^k that grid_bits derives
     from its cone slack, repair the equality rows exactly and check every
-    cone strictly, all on integers; the slots as Fractions, or None when
+    cone strictly, all on integers; project_slots's (p, q), or None when
     some cone fails the check."""
 
     den = 1 << grid_bits(problem, x)
@@ -166,29 +165,23 @@ def _round_and_project(problem: SocpProblem, x: Sequence[float]) -> Optional[Lis
     nums = [int(v) for v in np.rint(np.asarray(x, dtype=float) * den).tolist()]
     p, q = project_slots(problem, nums, den)
     if all(map(_strictly_inside, p[0::3], q[0::3], p[1::3], q[1::3], p[2::3], q[2::3])):
-        return list(map(Fraction, p, q))
+        return p, q
     return None
 
 
 def _certificate(
-    f: SparsePoly, problem: SocpProblem, slots: Sequence[Fraction], xi: Fraction, sha: str
+    f: SparsePoly, problem: SocpProblem, slots: Tuple[List[int], List[int]], xi: Fraction, sha: str
 ) -> Certificate:
-    """The certificate of f at xi from exact slots, once it has verified."""
+    """The certificate of f at xi from the exact slots p / q, once it has
+    verified; the plan's integer points and the slots go in as they are."""
 
     plan = problem.plan
-    view = fraction_points(plan.points, plan.den)
-    cones = zip(slots[0::3], slots[1::3], slots[2::3])
-    circuits = tuple(
-        tuple(CertTriple(view[u], view[v], view[w], *next(cones)) for u, v, w in group)
-        for group in plan.circuit_triples
-    )
-    cert = Certificate(
-        n=f.n,
-        xi=xi,
-        poly_sha256=sha,
-        circuits=circuits,
-        passthrough=tuple(sorted(problem.passthrough_terms.items())),
-    )
+    index = plan.index
+    refs = [index[pt] for t in plan.triples for pt in t]
+    sizes = [len(group) for group in plan.circuit_triples]
+    cones = _Cones.over(plan.den, plan.points, refs, sizes, *slots)
+    passthrough = tuple(sorted(problem.passthrough_terms.items()))
+    cert = Certificate._of(f.n, xi, sha, cones, passthrough)
     check = verify_certificate(f, cert)
     if check.reason == "too-large":
         raise ValueError(f"certificate denominators at bound {xi} are too large to verify")
@@ -245,7 +238,8 @@ def exact_sobs(
             raise SolverFailure("no finite bound exists for this support")
         slots = _round_and_project(problem, solution.x)
         if slots is not None:
-            objective = sum(coef * slots[col] for col, coef in enumerate(problem.objective) if coef)
+            p, q = slots
+            objective = sum(Fraction(coef * p[col], q[col]) for col, coef in enumerate(problem.objective) if coef)
             return _certificate(f, problem, slots, problem.constant - objective, sha)
         if solution.status != "optimal":
             raise SolverFailure(

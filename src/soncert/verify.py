@@ -24,33 +24,36 @@ common denominator without big-integer arithmetic.  A cap is settled by
 the summed bit lengths of the distinct denominators when those stay below
 it, and only otherwise by building the lcm, which stops at the cap.
 
+A certificate keeps its circuits in integers (_Cones): each distinct
+point once, as its coordinates in lowest terms, and each slot as a
+numerator and a positive denominator in lowest terms, as Fraction keeps
+them.  The reader builds that form straight from the JSON values, the
+writer renders each slot and coordinate once for both layouts, and
+bit_size counts the integers.  CertTriples of Fractions are a view, built
+only when a caller reads circuits or triples.
+
 Past the caps neither D nor V is formed: the arithmetic runs on integers
 per triple and per distinct point.  Each distinct point is scaled once, by
 the lcm of its own coordinates' denominators; a midpoint is checked on the
 three scaled points, a cone on the triple's own numerators and
 denominators, and the reconstruction sums the values that meet at each
 point over their own denominators (see _sum) and compares that sum with
-the companion's coefficient there.  The reader, the writer and bit_size
-also handle each distinct point once.  This module imports only polyring and
+the companion's coefficient there.  This module imports only polyring and
 the standard library.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
-from operator import add, attrgetter, floordiv, mul
+from math import gcd, lcm
+from operator import add, floordiv, mul
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .polyring import _TOO_MANY_DIGITS, Exponent, Point, SparsePoly, has_too_many_digits, is_even
-from .polyring import parse_rational, pn_companion, poly_sha256
-
-_NUM, _DEN = attrgetter("numerator"), attrgetter("denominator")
-_UVW, _ABC = attrgetter("u", "v", "w"), attrgetter("a", "b", "c")
+from .polyring import _CANONICAL, _TOO_MANY_DIGITS, MAX_DECIMAL_EXPONENT, Exponent, Point, SparsePoly
+from .polyring import has_too_many_digits, is_even, parse_rational, pn_companion, poly_sha256
 
 
 def _in_cone(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int) -> bool:
@@ -92,41 +95,151 @@ def _inline(items: Sequence[str], level: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{', '.join(items)}{brackets[1]}"
 
 
-def _rational(x: Fraction) -> str:
-    """format_rational(x) as a JSON string; its characters need no escape."""
+def _rational(num: int, den: int) -> str:
+    """format_rational of num/den, reduced with den > 0, as a JSON string;
+    its characters need no escape."""
 
-    return f'"{x.numerator}"' if x.denominator == 1 else f'"{x.numerator}/{x.denominator}"'
+    return f'"{num}"' if den == 1 else f'"{num}/{den}"'
 
 
 def _bits(values: Iterable[Fraction]) -> int:
     """Bits of the numerators and denominators of the values."""
 
-    values = list(values)
-    return sum(map(int.bit_length, map(_NUM, values))) + sum(map(int.bit_length, map(_DEN, values)))
+    return sum(x.numerator.bit_length() + x.denominator.bit_length() for x in values)
 
 
-def _point_references(triples: Iterable[CertTriple]) -> List[Point]:
-    """u, v and w of every triple, in order."""
+def _reduced(num: int, den: int) -> Tuple[int, int]:
+    """num/den as Fraction keeps it: lowest terms, den > 0."""
 
-    return list(chain.from_iterable(map(_UVW, triples)))
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def _distinct_points(triples: Iterable[CertTriple]) -> Dict[int, Point]:
-    """Every point object of the triples, keyed by its id."""
+def _value(value: object) -> Tuple[int, int]:
+    """parse_rational(value) as its reduced numerator and denominator; the
+    form 'p' or 'p/q' that the writer emits is read by int() alone."""
 
-    refs = _point_references(triples)
-    return dict(zip(map(id, refs), refs))
+    canonical = _CANONICAL.fullmatch(value) if type(value) is str and len(value) <= MAX_DECIMAL_EXPONENT else None
+    if canonical and canonical[2] is None:
+        return int(canonical[1]), 1
+    if canonical and canonical[2].strip("0"):
+        return _reduced(int(canonical[1]), int(canonical[2]))
+    x = parse_rational(value)
+    return x.numerator, x.denominator
+
+
+class _Cones:
+    """The circuits of a certificate in integers.
+
+    points lists each distinct point once, by value: its coordinates'
+    numerators and denominators in lowest terms, interleaved as (x1, d1, x2,
+    d2, ...).  refs holds three point indices per triple, for u, v and w,
+    and slots six integers per triple, (pa, qa, pb, qb, pc, qc) with a =
+    pa/qa and so on, each in lowest terms with q > 0.  sizes counts the
+    triples of each circuit.  leaves keeps the writer's texts of the slots
+    once they are rendered, for either layout.
+    """
+
+    __slots__ = ("points", "refs", "slots", "sizes", "leaves")
+
+    def __init__(self, points: List[Tuple[int, ...]], refs: List[int], slots: List[int], sizes: List[int]) -> None:
+        self.points, self.refs, self.slots, self.sizes = points, refs, slots, sizes
+        self.leaves = None
+
+    @classmethod
+    def over(cls, den: int, points: Sequence[Sequence[int]], refs: List[int], sizes: List[int],
+             p: Sequence[int], q: Sequence[int]) -> "_Cones":
+        """From distinct integer points X / den, and slot s = p[s] / q[s]
+        with q[s] > 0, three slots per triple."""
+
+        coords: Dict[int, Tuple[int, int]] = {}
+        reduced = [
+            tuple(chain.from_iterable(coords.get(x) or coords.setdefault(x, _reduced(x, den)) for x in pt))
+            for pt in points
+        ]
+        g = list(map(gcd, p, q))
+        slots = list(chain.from_iterable(zip(map(floordiv, p, g), map(floordiv, q, g))))
+        return cls(reduced, refs, slots, sizes)
+
+    @classmethod
+    def of(cls, circuits: Iterable[Iterable[CertTriple]]) -> "_Cones":
+        """From CertTriples of Fractions (or integers)."""
+
+        index: Dict[Tuple[int, ...], int] = {}
+        refs: List[int] = []
+        slots: List[int] = []
+        sizes: List[int] = []
+        for group in circuits:
+            group = tuple(group)
+            sizes.append(len(group))
+            for t in group:
+                for pt in (t.u, t.v, t.w):
+                    key = tuple(chain.from_iterable((x.numerator, x.denominator) for x in pt))
+                    refs.append(index.setdefault(key, len(index)))
+                for x in (t.a, t.b, t.c):
+                    slots += (x.numerator, x.denominator)
+        return cls(list(index), refs, slots, sizes)
+
+    def circuits(self) -> Tuple[Tuple[CertTriple, ...], ...]:
+        """The circuits as CertTriples of Fractions."""
+
+        points = [tuple(map(Fraction, pt[0::2], pt[1::2])) for pt in self.points]
+        values = iter(map(Fraction, self.slots[0::2], self.slots[1::2]))
+        refs = iter(self.refs)
+        return tuple(
+            tuple(
+                CertTriple(points[next(refs)], points[next(refs)], points[next(refs)], *(next(values) for _ in "abc"))
+                for _ in range(size)
+            )
+            for size in self.sizes
+        )
 
 
 @dataclass
 class Certificate:
-    """Exact nonnegativity witness for f - xi on the companion side."""
+    """Exact nonnegativity witness for f - xi on the companion side.
+
+    The circuits are checked, written and counted in integers (_Cones).  A
+    certificate made from CertTriples converts them on first use; one that
+    exact_sobs or the reader makes holds the integers only, and builds its
+    CertTriples the first time circuits is read.
+    """
 
     n: int
     xi: Fraction
     poly_sha256: str
     circuits: Tuple[Tuple[CertTriple, ...], ...]
     passthrough: Tuple[Tuple[Exponent, Fraction], ...]
+
+    @classmethod
+    def _of(
+        cls, n: int, xi: Fraction, sha: str, cones: _Cones, passthrough: Tuple[Tuple[Exponent, Fraction], ...]
+    ) -> "Certificate":
+        cert = cls.__new__(cls)
+        cert.__dict__.update(n=n, xi=xi, poly_sha256=sha, passthrough=passthrough, _cones=cones)
+        return cert
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: the circuits of a
+        # certificate made by _of
+        cones = self.__dict__.get("_cones")
+        if name != "circuits" or cones is None:
+            raise AttributeError(name)
+        circuits = self.__dict__["circuits"] = cones.circuits()
+        return circuits
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name == "circuits":
+            self.__dict__.pop("_cones", None)
+        object.__setattr__(self, name, value)
+
+    def _integers(self) -> _Cones:
+        cones = self.__dict__.get("_cones")
+        if cones is None:
+            cones = self.__dict__["_cones"] = _Cones.of(self.circuits)
+        return cones
 
     @property
     def triples(self) -> Tuple[CertTriple, ...]:
@@ -137,10 +250,13 @@ class Certificate:
         """Bits of every numerator and denominator written, a point's
         counted once per triple that refers to it."""
 
-        triples = self.triples
-        uses = Counter(map(id, _point_references(triples)))
-        values = [self.xi, *chain.from_iterable(map(_ABC, triples)), *(coef for _, coef in self.passthrough)]
-        return _bits(values) + sum(uses[key] * _bits(pt) for key, pt in _distinct_points(triples).items())
+        cones = self._integers()
+        point_bits = [sum(map(int.bit_length, pt)) for pt in cones.points]
+        return (
+            sum(map(int.bit_length, cones.slots))
+            + sum(map(point_bits.__getitem__, cones.refs))
+            + _bits([self.xi, *(coef for _, coef in self.passthrough)])
+        )
 
     def to_json(self) -> dict:
         return json.loads(self.dumps())
@@ -159,44 +275,40 @@ class Certificate:
 
     def _write(self, block: Callable[..., str]) -> str:
         """The certificate JSON with sorted keys, each list and object laid
-        out by block.  Every leaf is rendered from integers, and the text of
-        each distinct coordinate and point is built once."""
+        out by block.  The text of each slot is rendered once for both
+        layouts, and each distinct coordinate and point once per layout."""
 
-        coords: Dict[int, str] = {}  # id of a coordinate -> its text
-        points: Dict[int, str] = {}  # id of a point object -> its text
-
-        def coord(x: Fraction) -> str:
-            text = coords.get(id(x))
-            if text is None:
-                text = coords[id(x)] = block([f'"{x.numerator}"', f'"{x.denominator}"'], 6)
-            return text
-
-        def point(pt: Point) -> str:
-            text = points.get(id(pt))
-            if text is None:
-                text = points[id(pt)] = block([coord(x) for x in pt], 5)
-            return text
-
-        def triple(t: CertTriple) -> str:
-            return block(
+        cones = self._integers()
+        if cones.leaves is None:
+            slots = cones.slots
+            cones.leaves = list(map(_rational, slots[0::2], slots[1::2]))
+        values = cones.leaves
+        coords: Dict[Tuple[int, int], str] = {}  # a coordinate (x, d) -> its block
+        for pt in cones.points:
+            for x, d in zip(pt[0::2], pt[1::2]):
+                if (x, d) not in coords:
+                    coords[x, d] = block([f'"{x}"', f'"{d}"'], 6)
+        points = [block(list(map(coords.__getitem__, zip(pt[0::2], pt[1::2]))), 5) for pt in cones.points]
+        template = block(['"a": %s', '"b": %s', '"c": %s', '"u": %s', '"v": %s', '"w": %s'], 4, "{}")
+        refs = cones.refs
+        triples = [
+            template % (a, b, c, points[u], points[v], points[w])
+            for a, b, c, u, v, w in zip(values[0::3], values[1::3], values[2::3], refs[0::3], refs[1::3], refs[2::3])
+        ]
+        circuits = []
+        start = 0
+        for size in cones.sizes:
+            circuits.append(block([f'"triples": {block(triples[start:start + size], 3)}'], 2, "{}"))
+            start += size
+        passthrough = [
+            block(
                 [
-                    f'"a": {_rational(t.a)}',
-                    f'"b": {_rational(t.b)}',
-                    f'"c": {_rational(t.c)}',
-                    f'"u": {point(t.u)}',
-                    f'"v": {point(t.v)}',
-                    f'"w": {point(t.w)}',
+                    f'"coef": {_rational(coef.numerator, coef.denominator)}',
+                    f'"exp": {block(list(map(json.dumps, exp)), 3)}',
                 ],
-                4,
+                2,
                 "{}",
             )
-
-        circuits = [
-            block([f'"triples": {block([triple(t) for t in group], 3)}'], 2, "{}")
-            for group in self.circuits
-        ]
-        passthrough = [
-            block([f'"coef": {_rational(coef)}', f'"exp": {block(list(map(json.dumps, exp)), 3)}'], 2, "{}")
             for exp, coef in self.passthrough
         ]
         fields = [
@@ -204,7 +316,7 @@ class Certificate:
             f'"n": {json.dumps(self.n)}',
             f'"passthrough": {block(passthrough, 1)}',
             f'"poly_sha256": {json.dumps(self.poly_sha256)}',
-            f'"xi": {_rational(self.xi)}',
+            f'"xi": {_rational(self.xi.numerator, self.xi.denominator)}',
         ]
         return block(fields, 0, "{}")
 
@@ -260,57 +372,65 @@ def _refuse_point(obj: List[object]) -> None:
 
 
 class _Reader:
-    """The certificate from its decoded JSON.
+    """The certificate from its decoded JSON, in integers.
 
-    A point recurs in many triples and a coordinate in many points: each
-    distinct point, keyed on its raw JSON values, and each distinct
-    coordinate become objects once per reader.  Certificate.loads passes
-    decoded as json's object_hook, so that every triple becomes a CertTriple
-    as soon as it is decoded and its point lists are freed at once, instead
-    of the whole tree of lists living until the end.
+    A point recurs in many triples: each distinct point, keyed on its raw
+    JSON values, is converted once per reader, and points of equal value
+    share one index.  Certificate.loads passes decoded as json's
+    object_hook, so that every triple becomes a tuple (its three point
+    indices and six slot integers) as soon as it is decoded and its point
+    lists are freed at once, instead of the whole tree of lists living
+    until the end; JSON decodes to no tuple, so a tuple is such a triple.
     """
 
     def __init__(self) -> None:
-        self.coords: Dict[Tuple[object, object], Fraction] = {}
-        self.points: Dict[object, Point] = {}
+        self.keys: Dict[Tuple[str, ...], int] = {}  # raw values of a point -> its index
+        self.coords: Dict[Tuple[str, str], Tuple[int, int]] = {}  # a raw pair -> its integers
+        self.index: Dict[Tuple[int, ...], int] = {}  # a point's integers -> its index
+        self.points: List[Tuple[int, ...]] = []
 
     def decoded(self, obj: dict) -> object:
         return self.triple(obj) if obj.keys() >= _TRIPLE_KEYS else obj
 
-    def coord(self, pair: Sequence[object]) -> Fraction:
-        """The coordinate of a raw [num, den] pair of integers or integer strings."""
-
-        x = self.coords.get(pair)
-        if x is None:
-            try:
-                num, den = int(pair[0]), int(pair[1])
-            except ValueError:
-                raise ValueError(f"coordinate {list(pair)!r} must hold two integers") from None
-            if den == 0:
-                raise ValueError(f"coordinate has a zero denominator: {list(pair)!r}")
-            x = self.coords[pair] = Fraction(num, den)
-        return x
-
-    def point(self, obj: object) -> Point:
+    def point(self, obj: object) -> int:
         if not isinstance(obj, list):
             raise ValueError(f"point must be a list of coordinates: {obj!r}")
         try:
             # list.__len__ takes lists only, so once every length is 2 the
             # flattened values determine the pairs
             key = tuple(chain.from_iterable(obj)) if set(map(list.__len__, obj)) <= {2} else None
-            if key is not None and not set(map(type, key)) <= _INTEGRAL:
-                key = None  # 1.0 and True would find the point of 1
-            pt = self.points.get(key)
+            # only keys of strings are kept, which no number equals
+            i = self.keys.get(key)
         except TypeError:  # a coordinate that is not a list, or an unhashable value
-            key = pt = None
-        if pt is None:
-            if key is None:
+            key = i = None
+        if i is None:
+            kinds = set(map(type, key or ()))
+            if key is None or not kinds <= _INTEGRAL:  # 1.0 and True would read as 1
                 _refuse_point(obj)
+            coords: List[int] = []
             values = iter(key)
-            pt = self.points[key] = tuple(map(self.coord, zip(values, values)))
-        return pt
+            for pair in zip(values, values):
+                xd = self.coords.get(pair)
+                if xd is None:
+                    try:
+                        num, den = int(pair[0]), int(pair[1])
+                    except ValueError:
+                        raise ValueError(f"coordinate {list(pair)!r} must hold two integers") from None
+                    if den == 0:
+                        raise ValueError(f"coordinate has a zero denominator: {list(pair)!r}")
+                    xd = _reduced(num, den)
+                    if kinds == {str}:
+                        self.coords[pair] = xd
+                coords += xd
+            i = self.index.get(tuple(coords))
+            if i is None:
+                i = self.index[tuple(coords)] = len(self.points)
+                self.points.append(tuple(coords))
+            if kinds == {str}:
+                self.keys[key] = i
+        return i
 
-    def triple(self, t: object) -> CertTriple:
+    def triple(self, t: object) -> tuple:
         if not isinstance(t, dict):
             raise ValueError("triple must be a JSON object")
         try:
@@ -318,22 +438,31 @@ class _Reader:
         except KeyError as missing:
             raise ValueError(f"triple misses field {missing}") from None
         point = self.point
-        return CertTriple(point(u), point(v), point(w), parse_rational(a), parse_rational(b), parse_rational(c))
+        return (point(u), point(v), point(w), *_value(a), *_value(b), *_value(c))
 
     def certificate(self, data: object) -> Certificate:
         n = _integer(_field(data, "n", "certificate"), "certificate field 'n'")
         xi = parse_rational(_field(data, "xi", "certificate"))
         sha = str(_field(data, "poly_sha256", "certificate"))
-        circuits = []
+        refs: List[int] = []
+        slots: List[int] = []
+        sizes: List[int] = []
+        points = self.points
         for group in _field(data, "circuits", "certificate", list, []):
-            triples = []
-            for t in _field(group, "triples", "circuit", list):
-                t = t if type(t) is CertTriple else self.triple(t)
-                for pt in (t.u, t.v, t.w):
-                    if len(pt) != n:
-                        raise ValueError(f"point of dimension {n} expected: {pt}")
-                triples.append(t)
-            circuits.append(tuple(triples))
+            triples = _field(group, "triples", "circuit", list)
+            for t in triples:
+                t = t if type(t) is tuple else self.triple(t)
+                for i in t[:3]:
+                    if len(points[i]) != 2 * n:
+                        raise ValueError(f"point of dimension {n} expected: {_pairs(points[i])}")
+                refs += t[:3]
+                slots += t[3:]
+            sizes.append(len(triples))
+        used = set(refs)
+        if len(used) < len(points):  # points of triples decoded outside the circuits
+            renumber = {i: k for k, i in enumerate(sorted(used))}
+            points = [points[i] for i in sorted(used)]
+            refs = list(map(renumber.__getitem__, refs))
         passthrough = []
         for item in _field(data, "passthrough", "certificate", list, []):
             raw = _field(item, "exp", "passthrough term", list)
@@ -341,13 +470,13 @@ class _Reader:
             if len(exp) != n or any(x < 0 for x in exp):
                 raise ValueError(f"bad passthrough exponent {exp}")
             passthrough.append((exp, parse_rational(_field(item, "coef", "passthrough term"))))
-        return Certificate(
-            n=n,
-            xi=xi,
-            poly_sha256=sha,
-            circuits=tuple(circuits),
-            passthrough=tuple(passthrough),
-        )
+        return Certificate._of(n, xi, sha, _Cones(points, refs, slots, sizes), tuple(passthrough))
+
+
+def _pairs(point: Sequence[int]) -> List[List[int]]:
+    """A point's integers as its [num, den] pairs, for a message."""
+
+    return [list(pair) for pair in zip(point[0::2], point[1::2])]
 
 
 @dataclass
@@ -413,63 +542,61 @@ def verify_certificate(f: SparsePoly, cert: Certificate) -> VerifyResult:
         return VerifyResult(False, "too-large")
     if cert.poly_sha256 != poly_sha256(f):
         return VerifyResult(False, "hash-mismatch")
-    triples = cert.triples
-    distinct = _distinct_points(triples)
-    dens = {key: tuple(map(_DEN, pt)) for key, pt in distinct.items()}
-    slots = list(chain.from_iterable(map(_ABC, triples)))
-    p, q = list(map(_NUM, slots)), list(map(_DEN, slots))
+    cones = cert._integers()
+    points, refs, slots = cones.points, cones.refs, cones.slots
+    q = slots[1::2]
     poly_bits = sum((d - 1).bit_length() for d in {c.denominator for c in f.terms.values()})
-    if _lcm_reaches(chain.from_iterable(dens.values()), _TOO_MANY_DIGITS) or _lcm_reaches(
+    if _lcm_reaches(chain.from_iterable(pt[1::2] for pt in points), _TOO_MANY_DIGITS) or _lcm_reaches(
         chain(q, (cert.xi.denominator,), (c.denominator for _, c in cert.passthrough)), _TOO_MANY_DIGITS << poly_bits
     ):
         return VerifyResult(False, "too-large")
 
-    # each distinct point as (d, d * point), d the lcm of its denominators:
-    # the same for equal points, and (1, exp) for an integer point exp
-    scaled: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-    for key, pt in distinct.items():
-        d = lcm(*dens[key])
-        nums = tuple(map(_NUM, pt))
-        scaled[key] = (d, nums if d == 1 else tuple(map(mul, nums, map(floordiv, repeat(d), dens[key]))))
-    negative = {key for key, (_, nums) in scaled.items() if min(nums, default=0) < 0}
+    # each distinct point as (d, d * point), d the lcm of its denominators
+    scaled: List[Tuple[int, Tuple[int, ...]]] = []
+    for pt in points:
+        nums, dens = pt[0::2], pt[1::2]
+        d = lcm(*dens)
+        scaled.append((d, nums if d == 1 else tuple(map(mul, nums, map(floordiv, repeat(d), dens)))))
+    flawed = {i for i, pt in enumerate(points) if len(pt) != 2 * n}
+    negative = {i for i, (_, nums) in enumerate(scaled) if min(nums, default=0) < 0}
 
     # the values that meet at each point, summed per denominator
-    parts: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
-
-    def credit(pt: Tuple[int, Tuple[int, ...]], num: int, den: int) -> None:
-        by_den = parts.get(pt)
-        if by_den is None:
-            parts[pt] = {den: num}
-        else:
-            by_den[den] = by_den.get(den, 0) + num
-    for t, pa, qa, pb, qb, pc, qc in zip(triples, p[0::3], q[0::3], p[1::3], q[1::3], p[2::3], q[2::3]):
-        if len(t.u) != n or len(t.v) != n or len(t.w) != n:
+    parts: List[Dict[int, int]] = [{} for _ in points]
+    for iu, iv, iw, pa, qa, pb, qb, pc, qc in zip(
+        refs[0::3], refs[1::3], refs[2::3], slots[0::6], slots[1::6], slots[2::6], slots[3::6], slots[4::6], slots[5::6]
+    ):
+        if flawed and (iu in flawed or iv in flawed or iw in flawed):
             return VerifyResult(False, "shape-mismatch")
-        keys = id(t.u), id(t.v), id(t.w)
-        (du, pu), (dv, pv), (dw, pw) = u, v, w = scaled[keys[0]], scaled[keys[1]], scaled[keys[2]]
-        # v + w = 2u, over the three points' own denominators
+        (du, pu), (dv, pv), (dw, pw) = scaled[iu], scaled[iv], scaled[iw]
+        # v + w = 2u, over the three points' own denominators; equal points
+        # share one index
         if (
-            v == w
-            or not negative.isdisjoint(keys)
+            iv == iw
+            or (negative and (iu in negative or iv in negative or iw in negative))
             or list(map(add, map(mul, pv, repeat(dw * du)), map(mul, pw, repeat(dv * du))))
             != list(map(mul, pu, repeat(2 * dv * dw)))
         ):
             return VerifyResult(False, "bad-midpoint")
         if not _in_cone(pa, qa, pb, qb, pc, qc):
             return VerifyResult(False, "cone-violation")
-        credit(v, 2 * pa, qa)
-        credit(w, pb, qb)
-        credit(u, -2 * pc, qc)
+        at_v, at_w, at_u = parts[iv], parts[iw], parts[iu]
+        at_v[qa] = at_v.get(qa, 0) + 2 * pa
+        at_w[qb] = at_w.get(qb, 0) + pb
+        at_u[qc] = at_u.get(qc, 0) - 2 * pc
+    # from here on a point is keyed by its integers; an exponent exp is the
+    # point (exp_1, 1, exp_2, 1, ...)
+    at = dict(zip(points, parts))
     for exp, coef in cert.passthrough:
         if not is_even(exp) or coef <= 0:
             return VerifyResult(False, "bad-passthrough")
-        credit((1, tuple(exp)), coef.numerator, coef.denominator)
+        by_den = at.setdefault(tuple(chain.from_iterable(zip(exp, repeat(1)))), {})
+        by_den[coef.denominator] = by_den.get(coef.denominator, 0) + coef.numerator
 
     # the companion of f - xi, point by point
     tilde = pn_companion(f)
     terms = {**tilde.terms, (0,) * n: tilde.constant() - cert.xi}
-    target = {(1, exp): coef for exp, coef in terms.items() if coef}
-    sums = {pt: total for pt, total in zip(parts, map(_sum, parts.values())) if total[0]}
+    target = {tuple(chain.from_iterable(zip(exp, repeat(1)))): coef for exp, coef in terms.items() if coef}
+    sums = {pt: total for pt, by_den in at.items() if by_den and (total := _sum(by_den))[0]}
     if sums.keys() != target.keys() or any(
         num * target[pt].denominator != target[pt].numerator * den for pt, (num, den) in sums.items()
     ):
