@@ -9,7 +9,6 @@ from .polyring import (
     Circuit,
     is_even,
     support_partition,
-    is_nonneg_circuit,
     poly_from_json,
     poly_to_json,
     poly_sha256,
@@ -17,11 +16,8 @@ from .polyring import (
 from .mediated import (
     MediatedSet,
     med_seq,
-    med_seq_elements,
-    brute_min_med_seq,
     med_set,
     med_set_odd,
-    is_valid_mediated_set,
 )
 from .cover import (
     CoverInfeasible,
@@ -56,17 +52,13 @@ __all__ = [
     "Circuit",
     "is_even",
     "support_partition",
-    "is_nonneg_circuit",
     "poly_from_json",
     "poly_to_json",
     "poly_sha256",
     "MediatedSet",
     "med_seq",
-    "med_seq_elements",
-    "brute_min_med_seq",
     "med_set",
     "med_set_odd",
-    "is_valid_mediated_set",
     "CoverInfeasible",
     "CoverResult",
     "simplex_cover",

@@ -31,6 +31,7 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 Rational = Fraction | int
+_INT = frozenset((int,))
 
 
 class LpInfeasible(Exception):
@@ -64,9 +65,12 @@ def _pivot(rows: List[List[int]], r: int, c: int, den: int) -> int:
 
 def _integer_rows(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
     # Each row times the lcm of its denominators: the same rank and, for an
-    # augmented system, the same solutions.
+    # augmented system, the same solutions.  A row of ints is copied as is.
     work = []
     for row in rows:
+        if set(map(type, row)) <= _INT:
+            work.append(list(row))
+            continue
         scale = lcm(*(v.denominator for v in row))
         work.append([v.numerator * (scale // v.denominator) for v in row])
     return work

@@ -3,8 +3,7 @@
 A (0,p)-mediated sequence containing q is a set A with {0, q, p} subset of
 A subset of [0, p] such that every element of A except 0 and p is the
 average of two distinct elements of A. ``med_seq`` builds a near-minimal
-sequence in O(log p) justification triples; ``brute_min_med_seq`` is an
-exact minimal-size search used as an oracle in tests.
+sequence in O(log p) justification triples.
 
 A segment lift transports a scalar sequence onto a segment between two
 points, yielding triples (u, v, w) with u = (v + w)/2; these are the
@@ -24,7 +23,7 @@ one least common denominator.  A lift builds no point: it gives its
 segment's base point and direction over the segment's least denominator,
 found in closed form, with the scalar triples that sit on it.  Each point
 of a set is then built once, over the set's denominator.  Fractions appear
-only in ``MediatedSet.fractions`` and ``fraction_points``.
+only in ``fraction_points``.
 """
 
 from __future__ import annotations
@@ -33,12 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .polyring import Point, circuit_weights
 
 Triple = Tuple[int, int, int]  # (mid, lo, hi) with mid = (lo + hi) // 2
-PointTriple = Tuple[Point, Point, Point]  # (u, v, w) with u = (v + w)/2
 
 
 def _shift(triples: Iterable[Triple], t: int) -> List[Triple]:
@@ -99,74 +97,6 @@ def med_seq(p: int, q: int) -> List[Triple]:
     return out
 
 
-def med_seq_elements(p: int, q: int) -> Tuple[int, ...]:
-    """Sorted elements of the sequence produced by med_seq."""
-    return tuple(sorted({0, p} | {s for (s, _, _) in med_seq(p, q)}))
-
-
-def is_mediated_sequence(elements: Sequence[int], p: int, q: int) -> bool:
-    """Exact membership check against the definition."""
-    a = set(elements)
-    if not {0, q, p} <= a or not all(0 <= x <= p for x in a):
-        return False
-    for x in a - {0, p}:
-        if not any(2 * x - y in a and y != x for y in a if y < x):
-            return False
-    return True
-
-
-def brute_min_med_seq(p: int, q: int) -> Tuple[int, ...]:
-    """Minimum-size (0,p)-mediated sequence containing q, by exhaustive
-    iterative-deepening search over justification pairs. Exponential in the
-    worst case; intended for small p as a test oracle."""
-    if not 0 < q < p:
-        raise ValueError(f"need 0 < q < p, got q={q}, p={p}")
-    upper = len(med_seq(p, q)) + 2
-    for budget in range(3, upper + 1):
-        found = _brute_search(p, q, budget)
-        if found is not None:
-            return tuple(sorted(found))
-    raise AssertionError("search exceeded the constructive upper bound")
-
-
-def _brute_search(p: int, q: int, budget: int) -> frozenset | None:
-    seen: set[tuple[frozenset, frozenset]] = set()
-
-    def dfs(a: frozenset, unjust: frozenset) -> frozenset | None:
-        if not unjust:
-            return a
-        key = (a, unjust)
-        if key in seen:
-            return None
-        seen.add(key)
-        # most-constrained element first
-        best_x = None
-        best_pairs: List[Tuple[int, int, int]] | None = None
-        for x in unjust:
-            pairs = []
-            for v in range(max(0, 2 * x - p), x):
-                w = 2 * x - v
-                new = (v not in a) + (w not in a)
-                if len(a) + new <= budget:
-                    pairs.append((new, v, w))
-            if not pairs:
-                return None
-            if best_pairs is None or len(pairs) < len(best_pairs):
-                best_x, best_pairs = x, pairs
-        best_pairs.sort()
-        for _, v, w in best_pairs:
-            a2 = a | {v, w}
-            if len(a2) > budget:
-                continue
-            u2 = (unjust - {best_x}) | (frozenset({v, w}) - a - {0, p})
-            res = dfs(a2, u2)
-            if res is not None:
-                return res
-        return None
-
-    return dfs(frozenset({0, q, p}), frozenset({q}))
-
-
 # ---------------------------------------------------------------------------
 # lattice and rational lifts
 #
@@ -203,8 +133,7 @@ class MediatedSet:
     """Triples (u, v, w) with u = (v + w)/2 as integer points over den.
 
     The integer vector X stands for the point X / den, and den is the least
-    common denominator of all coordinates.  ``len`` counts the triples;
-    ``fractions`` gives them as tuples of Fractions.
+    common denominator of all coordinates.  ``len`` counts the triples.
     """
 
     den: int
@@ -212,10 +141,6 @@ class MediatedSet:
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    def fractions(self) -> List[PointTriple]:
-        view = fraction_points((pt for trip in self.triples for pt in trip), self.den)
-        return [(view[u], view[v], view[w]) for u, v, w in self.triples]
 
     def over(self, den: int) -> Sequence[IntTriple]:
         """The triples as integer points over den, a multiple of self.den."""
@@ -403,36 +328,3 @@ def _med_set_odd(
     out = [_segment_odd(pts[sel], den, rest, (p - q) * den, p - q, p)]
     out += _med_set_odd(pts[:sel] + pts[sel + 1 :], den, qs[:sel] + qs[sel + 1 :], p - q, rest)
     return out
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def is_valid_mediated_set(
-    mediated: MediatedSet, anchors: Sequence[Sequence], beta: Sequence
-) -> bool:
-    """Check the structural contract: each triple has u = (v + w)/2 with
-    v != w, every endpoint is an anchor or the mid of some triple, beta is
-    a mid, and mids are distinct."""
-
-    def scaled(pt: Sequence) -> Optional[IntPoint]:
-        xs = [Fraction(x) * mediated.den for x in pt]
-        return tuple(int(x) for x in xs) if all(x.denominator == 1 for x in xs) else None
-
-    anchor_set = {scaled(a) for a in anchors} - {None}
-    mids = [trip[0] for trip in mediated.triples]
-    if len(set(mids)) != len(mids):
-        return False
-    mid_set = set(mids)
-    if scaled(beta) not in mid_set:
-        return False
-    for u, v, w in mediated.triples:
-        if v == w or not len(u) == len(v) == len(w):
-            return False
-        if any(2 * x != y + z for x, y, z in zip(u, v, w)):
-            return False
-        for e in (v, w):
-            if e not in anchor_set and e not in mid_set:
-                return False
-    return True

@@ -24,18 +24,14 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, Mapping, Sequence, Tuple
+from math import lcm
+from typing import Dict, Sequence, Tuple
 
 from . import exact
 
 Exponent = Tuple[int, ...]
 # A rational exponent point, such as a mediated-set point or a certificate point.
 Point = Tuple[Fraction, ...]
-
-# Hard cap for the common weight denominator in the exact circuit test; the
-# comparison raises both sides to the power p, so huge p means huge integers.
-MAX_CIRCUIT_DENOMINATOR = 2**32
 
 # Largest decimal exponent magnitude parse_rational accepts, Python's default
 # int-string digit limit: Fraction("1e<exp>") builds 10^|exp| before any
@@ -273,39 +269,6 @@ def circuit_weights(
     if any(w <= 0 for w in sol):
         raise ValueError(f"{tuple(beta)} is not interior to the trellis {pts}")
     return tuple(sol)
-
-
-def is_nonneg_circuit(
-    circuit: Circuit, coeffs: Mapping[Exponent, Fraction], d: Fraction
-) -> bool:
-    """Exact nonnegativity test for sum_a c_a x^a - d x^beta.
-
-    Compares the circuit number Theta = prod (c_a / w_a)^{w_a} against d via
-    integer powers: with w_a = q_a / p the test is
-        prod (c_a p / q_a)^{q_a} >= |d|^p.
-    Even beta only constrains d from above (negative d is trivially fine);
-    odd beta constrains |d|.
-    """
-    weights = circuit.weights
-    p = 1
-    for w in weights:
-        p = p * w.denominator // gcd(p, w.denominator)
-    if p > MAX_CIRCUIT_DENOMINATOR:
-        raise ValueError(f"weight denominator {p} exceeds the 2^32 cap")
-    d = parse_rational(d)
-    cs = []
-    for alpha in circuit.trellis:
-        c = parse_rational(coeffs[alpha])
-        if c <= 0:
-            raise ValueError(f"coefficient at {alpha} must be positive")
-        cs.append(c)
-    if is_even(circuit.beta) and d <= 0:
-        return True
-    lhs = Fraction(1)
-    for c, w in zip(cs, weights):
-        q = int(w * p)
-        lhs *= (c / w) ** q
-    return lhs >= abs(d) ** p
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ from soncert.certify import (
 )
 from soncert.cover import simplex_cover
 from soncert.generate import POLY_CLASSES, random_instance
-from soncert.mediated import brute_min_med_seq, fraction_points, med_seq
+from soncert.mediated import fraction_points, med_seq
 from soncert.polyring import SparsePoly, poly_sha256, support_partition
 from soncert.socp import assemble, build_plan, pn_companion, lower_bound
 
 from conftest import project_fractions
+from oracles import brute_min_med_seq
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 REPORTED = SparsePoly(

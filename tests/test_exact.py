@@ -202,6 +202,15 @@ def test_forward_rank_matches_gauss_jordan(mat):
     assert exact.rank(mat) == len(exact.eliminate(mat, len(mat[0]))[1])
 
 
+@SETTINGS
+@given(integer_matrices())
+def test_integer_rows_eliminate_as_their_fractions(mat):
+    # integer rows skip the lcm scaling, Fraction rows take it
+    fractions = [[Fraction(v) for v in row] for row in mat]
+    assert exact.rank(mat) == exact.rank(fractions)
+    assert exact.eliminate(mat, len(mat[0])) == exact.eliminate(fractions, len(mat[0]))
+
+
 def test_rank_and_solve_edge_cases():
     assert exact.rank([]) == 0
     assert exact.rank([[0, 0], [0, 0]]) == 0

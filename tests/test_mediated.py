@@ -21,17 +21,9 @@ from conftest import (
     ref_med_set,
     ref_med_set_odd,
 )
+from oracles import brute_min_med_seq, fractions, is_mediated_sequence, is_valid_mediated_set, med_seq_elements
 from soncert import mediated
-from soncert.mediated import (
-    MediatedSet,
-    brute_min_med_seq,
-    is_mediated_sequence,
-    is_valid_mediated_set,
-    med_seq,
-    med_seq_elements,
-    med_set,
-    med_set_odd,
-)
+from soncert.mediated import MediatedSet, med_seq, med_set, med_set_odd
 from soncert.cover import CoverResult
 from soncert.polyring import affinely_independent
 from soncert.socp import build_plan
@@ -48,7 +40,7 @@ def pt(*coords):
 def fr(mediated):
     # the goldens are written in Fractions; the lifts return integer points
     # over a denominator
-    return mediated.fractions()
+    return fractions(mediated)
 
 
 def test_med_seq_goldens():
@@ -268,9 +260,9 @@ def outcome(lift, *args):
         return "ValueError"
     if isinstance(result, MediatedSet):
         # den is the least common denominator of the coordinates
-        dens = {x.denominator for trip in result.fractions() for p in trip for x in p}
+        dens = {x.denominator for trip in fractions(result) for p in trip for x in p}
         assert result.den == lcm(1, *dens)
-        return result.fractions()
+        return fractions(result)
     return result
 
 

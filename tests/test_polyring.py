@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import is_nonneg_circuit
 from soncert.polyring import (
     Circuit,
     SparsePoly,
@@ -15,7 +16,6 @@ from soncert.polyring import (
     circuit_weights,
     format_rational,
     is_even,
-    is_nonneg_circuit,
     parse_rational,
     poly_dumps,
     poly_from_json,
