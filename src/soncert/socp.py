@@ -57,11 +57,10 @@ class ConeTriplePlan:
     reduced coordinate denominators.  circuit_triples groups the triples
     (u, v, w) with 2u = v + w by circuit, in cover order, each triple once
     (see build_plan), and triples lists them flat in the same order; points
-    lists every distinct u/v/w in lex
-    order (the order of the rational points, as den > 0), and index maps
-    each point to its row.  passthrough lists square points outside every
-    trellis: they never enter the conic system and their coefficients must
-    stay nonnegative on their own.
+    lists every distinct u/v/w in lex order (the order of the rational
+    points, as den > 0), and index maps each point to its row.  passthrough
+    lists square points outside every trellis: they never enter the conic
+    system and their coefficients must stay nonnegative on their own.
     """
 
     den: int
@@ -103,7 +102,7 @@ def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
 
     lift = med_set_odd if odd_mode else med_set
     squares = sorted({pt for c in cover.circuits for pt in c.trellis})
-    heavy_first = bool(squares) and len(squares) <= len(squares[0]) + 1 and affinely_independent(squares)
+    heavy_first = affinely_independent(squares)
     sets = []
     for c in cover.circuits:
         pairs = list(zip(c.weights, c.trellis))
