@@ -202,7 +202,7 @@ class Certificate:
     """Exact nonnegativity witness for f - xi on the companion side.
 
     The circuits are checked, written and counted in integers (_Cones).  A
-    certificate made from CertTriples converts them on first use; one that
+    certificate made from CertTriples converts them on each use; one that
     exact_sobs or the reader makes holds the integers only, and builds its
     CertTriples the first time circuits is read.
     """
@@ -236,10 +236,9 @@ class Certificate:
         object.__setattr__(self, name, value)
 
     def _integers(self) -> _Cones:
-        cones = self.__dict__.get("_cones")
-        if cones is None:
-            cones = self.__dict__["_cones"] = _Cones.of(self.circuits)
-        return cones
+        # CertTriples are converted on each use: nothing derived from them
+        # is kept that a later change to a caller's lists could make stale
+        return self.__dict__.get("_cones") or _Cones.of(self.circuits)
 
     @property
     def triples(self) -> Tuple[CertTriple, ...]:
