@@ -7,8 +7,11 @@ decides between two branches:
 
 * Affinely independent Lambda (every simplex class): each beta has at most
   one representation, so one integer matrix-vector product per beta gives
-  its weights, and the circuit is their positive support.  Lambda points in
-  no circuit pass through as plain monomial squares.
+  its weights, and the circuit is their positive support.  The elimination
+  proves what ``Circuit(...)`` would check again, so these circuits are
+  built unchecked (``Circuit.settled``) once their points are known to be
+  even and of beta's dimension.  Lambda points in no circuit pass through
+  as plain monomial squares.
 * Affinely dependent Lambda: ``_AnchorSolver.circuit`` maximizes the weight
   of a chosen anchor point with the exact simplex method of
   ``exact.Tableau``; the support of the optimal basic solution is affinely
@@ -29,7 +32,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import LpInfeasible, Tableau, UniqueSolver
-from .polyring import Circuit, Exponent
+from .polyring import Circuit, Exponent, is_even
 
 
 class CoverInfeasible(Exception):
@@ -99,6 +102,8 @@ def simplex_cover(
         solver = UniqueSolver(_barycentric(lam, len(gam[0])))
     except ValueError:
         return _anchor_cover(lam, gam)
+    # the points of Lambda that can stand in a trellis over a beta
+    squares = [len(pt) == len(gam[0]) and is_even(pt) for pt in lam]
     circuits: List[Circuit] = []
     used = set()
     for beta in gam:
@@ -107,12 +112,16 @@ def simplex_cover(
         if y is None or min(y) < 0:
             raise _outside(beta)
         support = [i for i, v in enumerate(y) if v]
-        circuits.append(Circuit(
-            tuple(lam[i] for i in support),
-            beta,
-            tuple(Fraction(y[i], solver.den) for i in support),
-        ))
-        used.update(circuits[-1].trellis)
+        trellis = tuple(lam[i] for i in support)
+        weights = tuple(Fraction(y[i], solver.den) for i in support)
+        # The weights are positive, sum to one and reproduce beta over a
+        # subset of an independent Lambda, so only the trellis's shape is
+        # left to check; the full constructor reports a bad one.
+        if len(support) > 1 and all(squares[i] for i in support):
+            circuits.append(Circuit.settled(trellis, beta, weights))
+        else:
+            circuits.append(Circuit(trellis, beta, weights))
+        used.update(trellis)
     return CoverResult(tuple(circuits), tuple(pt for pt in lam if pt not in used))
 
 

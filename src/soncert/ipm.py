@@ -15,18 +15,26 @@ certifier produces each call costs more in fixed overhead than in
 arithmetic (Vandenberghe, "The CVXOPT linear and quadratic cone program
 solvers", 2010):
 
+* Every per-cone quantity is an (L, 3) array.  A per-cone scalar, such as
+  a row's dot product or W's factor eta, fills all three columns, so the
+  kernels multiply arrays of one shape and never broadcast an (L,) or a
+  length-3 array against (L, 3); a row sum reaches every column through
+  one product with a constant 3x3 matrix.
 * The scaling W and its inverse are kept once per iteration as the
-  coefficients of their rank-one forms, in contiguous (L, 3) arrays (see
-  _Scaling).  H = W W is applied as W(W u) everywhere, in the Newton step
-  and in the refinement alike; its 3x3 blocks are formed only for the
-  factor.
-* The predictor and the corrector take their step lengths from one
-  precompute of the stacked x and z (cone_points).
+  coefficients of their rank-one forms (see _Scaling).  H = W W is applied
+  as W(W u) everywhere, in the Newton step and in the refinement alike;
+  its 3x3 blocks are formed only for the factor.  nt_scaling scales x and
+  z in one stacked pass and hands back, from the same residuals, what the
+  predictor's and the corrector's step lengths read (cone_points).
 * Each Newton step factors A H A' by one sparse LU without pivoting, at
   every problem size.  Its pattern, the scatter of H's blocks into it and
-  its minimum-degree order are built once per solve; each iteration
-  refactors only the numbers (see _KktSolver).  The rotated, row-scaled A
-  is built straight from the caller's triplets.
+  its minimum-degree order are built once per solve, from A's nonzeros in
+  the caller's coordinates; each iteration refactors only the numbers (see
+  _KktSolver).  The rows are kept in that order for the whole solve, so an
+  LU solve gathers nothing, and the dual point is put back in the caller's
+  row order once, when the solve returns.
+* The rotated, row-scaled A and its transpose are raw CSR arrays, and
+  each product is one call of scipy's compiled kernel (_product).
 * Convergence is judged in the solver's own frame: the caller's residuals
   and objectives follow from the scaled residuals the step needs anyway,
   so the caller's A is never formed.  The reported point is rotated and
@@ -41,6 +49,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse._sparsetools import csr_matvec
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -54,16 +63,20 @@ _ROTATION = np.array(
     ]
 )
 
-# Diagonal of the reflection J = diag(1, -1, -1), the ones whose product
-# sums a row of three, and the cone's axis.
+# Diagonal of the reflection J = diag(1, -1, -1), and the ones whose product
+# sums a row of three.
 _J = np.array([1.0, -1.0, -1.0])
 _ONES = np.ones(3)
-_E0 = np.array([1.0, 0.0, 0.0])
-# A cone's 3x3 block of u u' in row-major order, as pairs of coordinates
-# of u, and J as such a block.
-_OUTER_ROW = np.repeat(np.arange(3), 3)
-_OUTER_COL = np.tile(np.arange(3), 3)
-_J_BLOCK = np.diag(_J).ravel()
+# Constant 3x3 products that fill all three columns of a row: u @ _SUMS
+# with u's row sum, u @ _JSUMS with u0 - u1 - u2, u @ _FIRSTS with u0.
+_SUMS = np.ones((3, 3))
+_JSUMS = np.outer(_J, _ONES)
+_FIRSTS = np.outer([1.0, 0.0, 0.0], _ONES)
+# A cone's 3x3 block of 2 u u' in row-major order as (u @ _TWICE_ROWS) *
+# (u @ _BLOCK_COLS), and s J as s @ _J_BLOCK for s filled with a scalar.
+_TWICE_ROWS = np.kron(2.0 * np.eye(3), np.ones((1, 3)))
+_BLOCK_COLS = np.tile(np.eye(3), (1, 3))
+_J_BLOCK = np.outer([1.0, 0.0, 0.0], np.diag(_J).ravel())
 
 # Interior-point iterations before a solve gives up with max-iterations.
 _MAX_ITER = 200
@@ -88,10 +101,23 @@ class ConeSolve:
         return self.status == "optimal"
 
 
-def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Rowwise dot products of (L, 3) arrays as one matrix-vector product,
-    # which adds the three products left to right.
-    return (u * v) @ _ONES
+# A matrix as the raw arrays of its CSR form: (rows, cols, indptr, indices, data).
+_Csr = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _csr(mat: scipy.sparse.spmatrix) -> _Csr:
+    mat = mat.tocsr()
+    return (*mat.shape, mat.indptr, mat.indices, mat.data)
+
+
+def _product(mat: _Csr, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for a contiguous float vector, as scipy's own kernel
+    computes it, without the dispatch of a sparse matrix's __matmul__."""
+
+    rows, cols, indptr, indices, data = mat
+    out = np.zeros(rows)
+    csr_matvec(rows, cols, indptr, indices, data, vec, out)
+    return out
 
 
 def _cone_residual(u: np.ndarray) -> np.ndarray:
@@ -99,12 +125,19 @@ def _cone_residual(u: np.ndarray) -> np.ndarray:
     return (u * u) @ _J
 
 
+def _full_j(rows: int) -> np.ndarray:
+    # J as an (rows, 3) array, to multiply arrays of that shape without a
+    # broadcast
+    out = np.empty((rows, 3))
+    out[...] = _J
+    return out
+
+
 def jordan_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Jordan product of Lorentz-cone triples, rows of (L, 3) arrays."""
 
-    out = u[:, :1] * v
-    out += v[:, :1] * u
-    out[:, 0] = _rowdot(u, v)
+    out = (u @ _FIRSTS) * v + (v @ _FIRSTS) * u
+    out[:, 0] = (u * v) @ _ONES
     return out
 
 
@@ -115,58 +148,69 @@ class _Scaling:
     J) / eta.  Both are kept as the coefficients of these rank-one forms,
     so W u = w_outer (v.u) - w_diag u and W^-1 u = winv_outer (Jv.u) -
     winv_diag u: each application is three elementwise products, one
-    subtraction and one product with a vector of ones, and no 3x3 block is
-    formed.  lam = W z =
-    W^-1 x comes with the reciprocals of its determinant and of its first
-    coordinate, by which jordan_solve scales.
+    subtraction and one product with a constant 3x3 matrix, and no 3x3
+    block is formed.  lam = W z = W^-1 x comes with the reciprocals of its
+    determinant and of its first coordinate, by which jordan_solve scales.
+    Every field is an (L, 3) array; eta, inv_det and inv_lam0 fill all
+    three columns.  points is cone_points of the stacked x and z.
     """
 
-    def __init__(self, eta: np.ndarray, wbar: np.ndarray, v: np.ndarray, z: np.ndarray) -> None:
-        self.eta = eta  # (L,)
-        self.wbar = wbar  # (L, 3), unit hyperbolic norm; H = eta^2 (2 wbar wbar' - J)
-        self.v = v  # (L, 3)
-        self.w_outer = (2.0 * eta)[:, None] * v
-        self.w_diag = eta[:, None] * _J
-        self.jv = v * _J
-        self.winv_outer = (2.0 / eta)[:, None] * self.jv
-        self.winv_diag = _J / eta[:, None]
+    def __init__(self, eta: np.ndarray, wbar: np.ndarray, v: np.ndarray, z: np.ndarray, j: np.ndarray) -> None:
+        self.eta = eta
+        self.wbar = wbar  # unit hyperbolic norm; H = eta^2 (2 wbar wbar' - J)
+        self.v = v
+        self.w_outer = (eta + eta) * v
+        self.w_diag = eta * j
+        self.jv = v * j
+        self.winv_outer = (2.0 / eta) * self.jv
+        self.winv_diag = j / eta
         self.lam = _apply_w(self, z)
-        self.lam_j = self.lam * _J
-        self.inv_det = 1.0 / _rowdot(self.lam_j, self.lam)
-        self.inv_lam0 = 1.0 / self.lam[:, :1]
+        self.lam_j = self.lam * j
+        self.inv_det = 1.0 / ((self.lam_j * self.lam) @ _SUMS)
+        self.inv_lam0 = 1.0 / (self.lam @ _FIRSTS)
+        self.points: Optional[_ConePoints] = None
 
     def hblocks(self) -> np.ndarray:
         """H = W W as (L, 3, 3) blocks, for the factor only."""
 
-        ew = self.eta[:, None] * self.wbar
-        blocks = (2.0 * ew)[:, _OUTER_ROW] * ew[:, _OUTER_COL] - np.outer(self.eta**2, _J_BLOCK)
+        ew = self.eta * self.wbar
+        blocks = (ew @ _TWICE_ROWS) * (ew @ _BLOCK_COLS) - (self.eta * self.eta) @ _J_BLOCK
         return blocks.reshape(-1, 3, 3)
 
 
-def nt_scaling(x: np.ndarray, z: np.ndarray) -> _Scaling:
-    """Nesterov-Todd scaling for interior points of Lorentz cones (rowwise)."""
+def nt_scaling(xz: np.ndarray) -> _Scaling:
+    """Nesterov-Todd scaling for interior points of Lorentz cones (rowwise).
 
+    xz stacks the (L, 3) points x over the (L, 3) points z; the scaling's
+    points are cone_points of that stack, from the same residuals.
+    """
+
+    count = len(xz) // 2
+    j2 = _full_j(2 * count)
+    j = j2[:count]
     # The determinant x0^2 - x1^2 - x2^2 cancels catastrophically for points
     # hugging the cone boundary and can evaluate to zero or negative noise;
     # floor it at a sliver of the squared norm so the scaling stays finite.
-    xx, zz = x * x, z * z
-    res_x = np.maximum(xx @ _J, 1e-18 * (xx @ _ONES))
-    res_z = np.maximum(zz @ _J, 1e-18 * (zz @ _ONES))
-    xh = x / np.sqrt(res_x)[:, None]
-    zh = z / np.sqrt(res_z)[:, None]
-    gamma = np.sqrt((1.0 + _rowdot(xh, zh)) / 2.0)
-    wbar = (xh + zh * _J) / (2.0 * gamma)[:, None]
-    v = wbar + _E0
-    v /= np.sqrt(2.0 * v[:, :1])
-    return _Scaling((res_x / res_z) ** 0.25, wbar, v, z)
+    sq = xz * xz
+    res = sq @ _JSUMS
+    floored = np.maximum(res, 1e-18 * (sq @ _SUMS))
+    h = xz / np.sqrt(floored)
+    xh, zh = h[:count], h[count:]
+    wbar = (xh + zh * j) / np.sqrt(2.0 + 2.0 * ((xh * zh) @ _SUMS))
+    v = wbar @ _FIRSTS + 1.0
+    v = (wbar + (0.5 * j + 0.5)) / np.sqrt(v + v)
+    eta = np.sqrt(np.sqrt(floored[:count] / floored[count:]))
+    scaling = _Scaling(eta, wbar, v, xz[count:], j)
+    scaling.points = _cone_points(xz, res[:, 0], j2)
+    return scaling
 
 
 def _apply_w(s: _Scaling, u: np.ndarray) -> np.ndarray:
-    return s.w_outer * ((s.v * u) @ _ONES)[:, None] - s.w_diag * u
+    return s.w_outer * ((s.v * u) @ _SUMS) - s.w_diag * u
 
 
 def _apply_winv(s: _Scaling, u: np.ndarray) -> np.ndarray:
-    return s.winv_outer * ((s.jv * u) @ _ONES)[:, None] - s.winv_diag * u
+    return s.winv_outer * ((s.jv * u) @ _SUMS) - s.winv_diag * u
 
 
 def _apply_h(s: _Scaling, u: np.ndarray) -> np.ndarray:
@@ -178,9 +222,9 @@ def _apply_h(s: _Scaling, u: np.ndarray) -> np.ndarray:
 def jordan_solve(s: _Scaling, d: np.ndarray) -> np.ndarray:
     """Solve lam o u = d rowwise for u, lam = s.lam interior to the cones."""
 
-    u0 = _rowdot(s.lam_j, d) * s.inv_det
-    out = (d - u0[:, None] * s.lam) * s.inv_lam0
-    out[:, 0] = u0
+    u0 = ((s.lam_j * d) @ _SUMS) * s.inv_det
+    out = (d - u0 * s.lam) * s.inv_lam0
+    out[:, 0] = u0[:, 0]
     return out
 
 
@@ -194,12 +238,15 @@ class _ConePoints:
     twice_jflip: np.ndarray  # 2 (p0, -p1, -p2)
 
 
+def _cone_points(p: np.ndarray, res: np.ndarray, j: np.ndarray) -> _ConePoints:
+    return _ConePoints(2.0 * res, -res, -p[:, 0], (p + p) * j)
+
+
 def cone_points(p: np.ndarray) -> _ConePoints:
     """What cone_max_step reads of the (L, 3) points p, computed once for
     every direction taken from them."""
 
-    res = _cone_residual(p)
-    return _ConePoints(2.0 * res, -res, -p[:, 0], p * (2.0 * _J))
+    return _cone_points(p, _cone_residual(p), _full_j(len(p)))
 
 
 def cone_max_step(p: _ConePoints, d: np.ndarray) -> float:
@@ -216,7 +263,8 @@ def cone_max_step(p: _ConePoints, d: np.ndarray) -> float:
     disc = bq * bq - two_a * p.twice_res
     sq = np.sqrt(np.maximum(disc, 0.0))
     falls = bq < 0.0
-    roots = np.full(len(aq), np.inf)
+    roots = np.empty(len(aq))
+    roots.fill(np.inf)
     # Linear, |a| < 1e-300: a root only when the residual decreases.
     np.divide(p.neg_res, bq, out=roots, where=(np.abs(aq) < 1e-300) & falls)
     # Opens downward with q(0) > 0: exactly one positive root.
@@ -227,7 +275,9 @@ def cone_max_step(p: _ConePoints, d: np.ndarray) -> float:
     best = float(np.fmin.reduce(roots, initial=np.inf))
     # First coordinate must also stay nonnegative when the quadratic allows it.
     d0 = d[:, 0]
-    clamp = np.divide(p.neg_first, d0, out=np.full(len(d0), np.inf), where=d0 < 0.0)
+    clamp = np.empty(len(d0))
+    clamp.fill(np.inf)
+    np.divide(p.neg_first, d0, out=clamp, where=d0 < 0.0)
     return min(best, float(np.min(clamp)))
 
 
@@ -235,7 +285,7 @@ def _rotated(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: Tuple[
     # A R for the block-diagonal rotation R, from A's triplets: an entry in a
     # cone's column k spreads over the cone's three columns as its products
     # with row k of _ROTATION.  Sums that cancel to zero are dropped, so that
-    # no stored zero widens the pattern of A H A'.
+    # no product multiplies a stored zero.
     k = cols % 3
     rot = scipy.sparse.csr_matrix(
         (
@@ -263,9 +313,11 @@ class _KktSolver:
     orders G by minimum degree on G + G' once, from a diagonally dominant
     matrix of the same pattern, and keeps the pattern in that order: each
     entry of the first pattern moves to its permuted place, and sorting the
-    moved entries gives the kept pattern and every entry's slot in it.  Each
-    factor then scatters the blocks into G's values and factors them in the
-    kept order, numerically only.
+    moved entries gives the kept pattern and every entry's slot in it.
+    Row i of A is row perm[i] of the kept order.  Each factor scatters the
+    blocks into G's values and factors them in the kept order, numerically
+    only, and solve takes and returns vectors in the kept order, so an LU
+    solve gathers nothing.
 
     The refinement step measures its residual with A H A' as the Newton
     step applies H, W(W u), not with the formed G: near the cone boundaries
@@ -283,15 +335,16 @@ class _KktSolver:
 
     def __init__(self, a_mat: scipy.sparse.spmatrix, num_cones: int) -> None:
         m = a_mat.shape[0]
-        # A's nonzeros by column, rows ascending within each column; a CSC
-        # matrix comes in as it is.
+        # A's nonzeros by column, rows ascending within each column
         csc = a_mat.tocsc()
+        csc.sort_indices()
         rows, vals = csc.indices.astype(np.int64), csc.data
         cols = np.repeat(np.arange(a_mat.shape[1]), np.diff(csc.indptr))
         # Every pair (i, j) of nonzeros within one cone's columns adds
         # a_i a_j H_t[k_i, k_j] to G[row_i, row_j].  Sorted by column, cone
         # t's nonzeros start at starts[t]; each is paired with all of them.
         cone = cols // 3
+        within = cols - 3 * cone
         counts = np.bincount(cone, minlength=num_cones)
         starts = np.cumsum(counts) - counts
         reps = counts[cone]
@@ -301,8 +354,9 @@ class _KktSolver:
 
         def pattern(keys: np.ndarray, values: np.ndarray) -> scipy.sparse.csc_matrix:
             # G's pattern from its sorted CSC keys col * m + row
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // m, minlength=m))])
-            return scipy.sparse.csc_matrix((values, keys % m, indptr), shape=(m, m))
+            col = keys // m
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=m))])
+            return scipy.sparse.csc_matrix((values, keys - col * m, indptr), shape=(m, m))
 
         # The keys of every pair's entry, the diagonal last; inverse maps
         # each to its slot among the distinct sorted keys.
@@ -312,41 +366,41 @@ class _KktSolver:
         # diagonally dominant, factor without breakdown.
         dominant = np.full(len(unique), -1.0)
         dominant[inverse[len(first) :]] = np.bincount(unique // m, minlength=m)
-        self._perm = scipy.sparse.linalg.splu(
+        self.perm = scipy.sparse.linalg.splu(
             pattern(unique, dominant),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
-        ).perm_c
+        ).perm_c.astype(np.int64)
         # The kept order moves entry (i, j) to (perm[i], perm[j]); an
         # entry's rank among the moved keys is its slot there.
-        perm = self._perm.astype(np.int64)
-        moved = perm[unique // m] * m + perm[unique % m]
+        col = unique // m
+        moved = self.perm[col] * m + self.perm[unique - col * m]
         order = np.argsort(moved)
         slot = np.empty_like(order)
         slot[order] = np.arange(len(order))
         self._diag = slot[inverse[len(first) :]]
         self._gmat = pattern(moved[order], np.zeros(len(order)))
-        # G's values are one sparse product with H's blocks, raveled: pair
-        # (i, j) puts a_i a_j on block entry 9t + 3k_i + k_j in its slot.
-        self._scatter = scipy.sparse.csr_matrix(
-            (
-                vals[first] * vals[second],
-                (slot[inverse[: len(first)]], 9 * cone[first] + 3 * (cols[first] % 3) + cols[second] % 3),
-            ),
-            shape=(len(order), 9 * num_cones),
-        )
-        self._unperm = np.empty_like(self._perm)
-        self._unperm[self._perm] = np.arange(m)
+        # G's values are one product with H's blocks, raveled: pair (i, j)
+        # puts a_i a_j on block entry 9t + 3k_i + k_j in its slot.  The
+        # pairs come in ascending order of that entry, so sorting them by
+        # slot, ties in that order, leaves each slot's row ascending, as a
+        # canonical CSR matrix holds it.
+        slots = slot[inverse[: len(first)]]
+        entries = 9 * cone[first] + 3 * within[first] + within[second]
+        by_slot = np.argsort(slots * len(slots) + np.arange(len(slots)))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(slots, minlength=len(order)))])
+        weights = vals[first] * vals[second]
+        self._scatter = (len(order), 9 * num_cones, indptr, entries[by_slot], weights[by_slot])
 
     def factor(self, hblocks: np.ndarray, gram: Callable[[np.ndarray], np.ndarray]) -> None:
         """Factor G for the (L, 3, 3) blocks of H.
 
-        gram(u) is A H A' u as the Newton step applies H; solve refines
-        against it rather than against the formed G.
+        gram(u) is A H A' u in the kept order, as the Newton step applies
+        H; solve refines against it rather than against the formed G.
         """
 
-        data = self._scatter @ hblocks.ravel()
+        data = _product(self._scatter, hblocks.ravel())
         self._gram = gram
         reg = 0.0
         while True:
@@ -371,12 +425,11 @@ class _KktSolver:
                 if reg > 1e-4 * diag_scale:
                     raise
 
-    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._factor.solve(rhs[self._unperm])[self._perm]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        sol = self._lu_solve(rhs)
-        sol += self._lu_solve(rhs - self._gram(sol))
+        """G^-1 rhs in the kept order, refined once against gram."""
+
+        sol = self._factor.solve(rhs)
+        sol += self._factor.solve(rhs - self._gram(sol))
         return sol
 
 
@@ -417,16 +470,29 @@ def solve_socp(
     vals = np.asarray(a_vals, dtype=float)
 
     # Internal problem: rotate cones to Lorentz form, scale rows of A to unit
-    # max coefficient, then scale b and c globally (cone-invariant).
-    a_s = _rotated(rows, cols, vals, (m, n))
-    row_counts = np.diff(a_s.indptr)
+    # max coefficient, then scale b and c globally (cone-invariant).  The
+    # rows are then renumbered into the KKT factor's order, in which they
+    # stay until the solve returns: the caller's row i is row perm[i].
+    rotated = _rotated(rows, cols, vals, (m, n))
+    row_counts = np.diff(rotated.indptr)
     row_max = np.full(m, 1e-300)
-    np.maximum.at(row_max, np.repeat(np.arange(m), row_counts), np.abs(a_s.data))
-    row_scale = 1.0 / row_max
-    a_s.data *= np.repeat(row_scale, row_counts)
-    a_st = a_s.T.tocsr()
-    b_scale = max(1.0, float(np.max(np.abs(b_ext * row_scale), initial=0.0)))
-    b_s = (b_ext * row_scale) / b_scale
+    np.maximum.at(row_max, np.repeat(np.arange(m), row_counts), np.abs(rotated.data))
+    rotated.data *= np.repeat(1.0 / row_max, row_counts)
+    by_cols = rotated.tocsc()
+    kkt = _KktSolver(by_cols, num_cones)
+    perm = kkt.perm
+    unperm = np.empty_like(perm)
+    unperm[perm] = np.arange(m)
+    # A_s's rows in the kept order, and A_s' with its columns renumbered
+    starts, counts = rotated.indptr[unperm], row_counts[unperm]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    a_s = (m, n, indptr, rotated.indices[take].astype(np.int64), rotated.data[take])
+    a_st = (n, m, by_cols.indptr.astype(np.int64), perm[by_cols.indices], by_cols.data)
+    row_scale = 1.0 / row_max[unperm]
+    b_kept = b_ext[unperm]
+    b_scale = max(1.0, float(np.max(np.abs(b_kept * row_scale), initial=0.0)))
+    b_s = (b_kept * row_scale) / b_scale
     c_int = _rotate_vector(c_ext)
     c_scale = max(1.0, float(np.max(np.abs(c_int), initial=0.0)))
     c_s = c_int / c_scale
@@ -436,45 +502,73 @@ def solve_socp(
     b_tol = _TOL * b_norm
     c_tol = _TOL * c_norm
 
-    # Homogeneous self-dual start: unit cone points, tau = kappa = 1.
-    x = np.tile(np.array([1.0, 0.0, 0.0]), num_cones)
-    z = x.copy()
+    # Homogeneous self-dual start: unit cone points, tau = kappa = 1.  x and
+    # z are the two halves of one array, xz; each step replaces the iterate
+    # with a new array, so the best one is kept by reference.
+    xz = np.tile(np.array([1.0, 0.0, 0.0]), 2 * num_cones)
     y = np.zeros(m)
     tau = 1.0
     kappa = 1.0
     degree = num_cones + 1
-    mu0 = (float(x @ z) + tau * kappa) / degree
+    mu0 = (num_cones + tau * kappa) / degree
 
-    def report(status: str, iterations: int, x, y, z, tau, kappa, pres, dres, gap) -> ConeSolve:
+    def report(status: str, iterations: int, xz, y, tau, kappa, pres, dres, gap) -> ConeSolve:
         # The one conversion to the caller's coordinates: x R b_scale / tau,
-        # y D c_scale / tau and z R c_scale / tau, with D = diag(row_scale).
-        x_c = _rotate_vector(x / tau) * b_scale
-        y_c = (y * row_scale / tau) * c_scale
-        z_c = _rotate_vector(z / tau) * c_scale
+        # y D c_scale / tau and z R c_scale / tau, with D = diag(row_scale),
+        # and y back in the caller's row order.
+        x_c = _rotate_vector(xz[:n] / tau) * b_scale
+        y_c = ((y * row_scale / tau) * c_scale)[perm]
+        z_c = _rotate_vector(xz[n:] / tau) * c_scale
         residuals = {"primal": pres, "dual": dres, "gap": gap, "comp": float(x_c @ z_c), "tau": tau, "kappa": kappa}
         return ConeSolve(status, x_c, y_c, z_c, float(c_ext @ x_c), iterations, residuals)
 
-    # A' in CSR is A in CSC: the pattern's column order, with no conversion
-    kkt = _KktSolver(a_st.T, num_cones)
-    # (metric, x, y, z, tau, kappa, pres, dres, gap) of the best iterate
+    # The scaling of the current iteration, which gram, newton and the step
+    # bound read; they are built once per solve.
+    scaling: Optional[_Scaling] = None
+
+    def gram(u: np.ndarray) -> np.ndarray:
+        return _product(a_s, _apply_h(scaling, _product(a_st, u)))
+
+    def newton(shrink: float, js: np.ndarray, d_kappa: float):
+        # The Newton direction for residuals shrink * (r_p, r_d, r_g) and
+        # the complementarity right-hand side whose Jordan solve with lam is
+        # js, with the tau-kappa one d_kappa; dx and dz come stacked.
+        d2 = r_d * -shrink
+        v0 = _apply_w(scaling, js + _apply_w(scaling, d2.reshape(-1, 3))).ravel()
+        u2 = kkt.solve(r_p * -shrink - _product(a_s, v0))
+        at_u2 = _product(a_st, u2)
+        x2 = v0 + _apply_h(scaling, at_u2)
+        dtau = (d_kappa / tau - shrink * r_g + c_s @ x2 - b_s @ u2) / denom
+        dxz = np.concatenate([x2, -(at_u2 + d2)]) + dtau * q1
+        dkappa = (d_kappa - kappa * dtau) / tau
+        # the largest step that keeps x, z, tau and kappa in their cones
+        alpha = cone_max_step(scaling.points, dxz.reshape(-1, 3))
+        if dtau < 0.0:
+            alpha = min(alpha, -tau / dtau)
+        if dkappa < 0.0:
+            alpha = min(alpha, -kappa / dkappa)
+        return dxz, u2 + dtau * u1, dtau, dkappa, alpha
+
+    # (metric, xz, y, tau, kappa, pres, dres, gap) of the best iterate
     best: Optional[tuple] = None
     status = "max-iterations"
     stall = 0
     for iteration in range(1, _MAX_ITER + 1):
-        r_p = a_s @ x - b_s * tau
-        r_d = c_s * tau - a_st @ y - z
-        cx = float(c_s @ x)
-        by = float(b_s @ y)
+        x, z = xz[:n], xz[n:]
+        r_p = _product(a_s, x) - b_s * tau
+        r_d = c_s * tau - _product(a_st, y) - z
+        cx = c_s @ x
+        by = b_s @ y
         r_g = by - cx - kappa
-        mu = (float(x @ z) + tau * kappa) / degree
+        mu = (x @ z + tau * kappa) / degree
 
         # The caller's residuals and objectives, from the scaled ones: with
         # A_s = D A R, R an orthogonal involution, A x_c - b = D^-1 r_p
         # b_scale / tau and A' y_c + z_c - c = -R r_d c_scale / tau.
         pres = float(np.abs(r_p / row_scale).max(initial=0.0)) * b_scale / tau
         dres = float(np.abs(_rotate_vector(r_d)).max(initial=0.0)) * c_scale / tau
-        pobj = cx * c_scale * b_scale / tau
-        dobj = by * b_scale * c_scale / tau
+        pobj = float(cx) * c_scale * b_scale / tau
+        dobj = float(by) * b_scale * c_scale / tau
         gap = abs(pobj - dobj)
         gap_norm = 1.0 + abs(pobj) + abs(dobj)
         gap_tol = _TOL * gap_norm
@@ -483,9 +577,9 @@ def solve_socp(
         metric = max(pres / b_norm, dres / c_norm, gap / gap_norm)
         stall = 0 if (best is None or metric < 0.99 * best[0]) else stall + 1
         if best is None or metric < best[0]:
-            best = (metric, x.copy(), y.copy(), z.copy(), tau, kappa, pres, dres, gap)
+            best = (metric, xz, y, tau, kappa, pres, dres, gap)
         if pres <= b_tol and dres <= c_tol and gap <= gap_tol:
-            return report("optimal", iteration, x, y, z, tau, kappa, pres, dres, gap)
+            return report("optimal", iteration, xz, y, tau, kappa, pres, dres, gap)
         if tau <= 1e-10 * max(1.0, kappa) and mu <= 1e-10 * mu0:
             status = "infeasible"
             break
@@ -496,87 +590,63 @@ def solve_socp(
 
         # a non-finite scaling ends the solve just below, without a warning
         with np.errstate(invalid="ignore", divide="ignore"):
-            scaling = nt_scaling(x.reshape(-1, 3), z.reshape(-1, 3))
+            scaling = nt_scaling(xz.reshape(-1, 3))
         lam = scaling.lam
-        if not (
-            np.isfinite(scaling.eta).all()
-            and np.isfinite(scaling.wbar).all()
-            and np.isfinite(lam).all()
-        ):
+        if not np.isfinite(lam).all():
             # numerical floor: an iterate hugs a cone boundary so tightly
-            # that the scaling degenerates; return the best point seen
+            # that the scaling degenerates; return the best point seen.
+            # lam = W z is built from eta and wbar, so a non-finite one of
+            # them shows in it.
             break
 
         try:
-            kkt.factor(scaling.hblocks(), lambda u: a_s @ _apply_h(scaling, a_st @ u))
+            kkt.factor(scaling.hblocks(), gram)
         except (RuntimeError, ValueError):
             break
 
         hc = _apply_h(scaling, c_s)
-        u1 = kkt.solve(b_s + a_s @ hc)
-        at_u1 = a_st @ u1
+        u1 = kkt.solve(b_s + _product(a_s, hc))
+        at_u1 = _product(a_st, u1)
         x1 = _apply_h(scaling, at_u1) - hc
-        denom = float(b_s @ u1) - float(c_s @ x1) + kappa / tau
+        # dx and dz for a unit dtau, stacked
+        q1 = np.concatenate([x1, c_s - at_u1])
+        denom = float(b_s @ u1 - c_s @ x1) + kappa / tau
         if not np.isfinite(denom) or denom == 0.0:
             break
 
-        def direction(d1, d2, d3, d_s, d_kappa):
-            v0 = _apply_w(scaling, jordan_solve(scaling, d_s) + _apply_w(scaling, d2.reshape(-1, 3))).ravel()
-            u2 = kkt.solve(d1 - a_s @ v0)
-            at_u2 = a_st @ u2
-            x2 = v0 + _apply_h(scaling, at_u2)
-            dtau = (d3 + float(c_s @ x2) - float(b_s @ u2) + d_kappa / tau) / denom
-            dy = u2 + dtau * u1
-            dx = x2 + dtau * x1
-            # A' dy from the two products already taken
-            dz = -(at_u2 + dtau * at_u1) + c_s * dtau - d2
-            dkappa = (d_kappa - kappa * dtau) / tau
-            return dx, dy, dz, dtau, dkappa
-
-        # The predictor and the corrector step from the same x and z.
-        xz = cone_points(np.concatenate([x, z]).reshape(-1, 3))
-
-        def step_bound(dx, dz, dtau, dkappa):
-            alpha = cone_max_step(xz, np.concatenate([dx, dz]).reshape(-1, 3))
-            if dtau < 0.0:
-                alpha = min(alpha, -tau / dtau)
-            if dkappa < 0.0:
-                alpha = min(alpha, -kappa / dkappa)
-            return alpha
-
-        # Predictor: pure Newton step toward feasibility and zero gap.
-        lam_sq = jordan_product(lam, lam)
-        dxa, dya, dza, dtaua, dkappaa = direction(-r_p, -r_d, -r_g, -lam_sq, -tau * kappa)
-        alpha_aff = min(1.0, step_bound(dxa, dza, dtaua, dkappaa))
+        # Predictor: pure Newton step toward feasibility and zero gap.  Its
+        # complementarity right-hand side is -lam o lam, whose Jordan solve
+        # is -lam.
+        dxza, _, dtaua, dkappaa, alpha_aff = newton(1.0, -lam, -tau * kappa)
+        alpha_aff = min(1.0, alpha_aff)
+        xz_aff = xz + alpha_aff * dxza
         mu_aff = (
-            float((x + alpha_aff * dxa) @ (z + alpha_aff * dza))
-            + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)
+            float(xz_aff[:n] @ xz_aff[n:]) + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)
         ) / degree
         sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
-        # Corrector: recenter and cancel the second-order error.
-        correction = jordan_product(
-            _apply_winv(scaling, dxa.reshape(-1, 3)), _apply_w(scaling, dza.reshape(-1, 3))
+        # Corrector: recenter and cancel the second-order error, with the
+        # right-hand side -lam o lam - (W^-1 dxa) o (W dza) + sigma mu e.
+        d_s = -jordan_product(
+            _apply_winv(scaling, dxza[:n].reshape(-1, 3)), _apply_w(scaling, dxza[n:].reshape(-1, 3))
         )
-        d_s = -lam_sq - correction
         d_s[:, 0] += sigma * mu
         d_kappa = -(tau * kappa + dtaua * dkappaa - sigma * mu)
-        shrink = 1.0 - sigma
-        dx, dy, dz, dtau, dkappa = direction(-shrink * r_p, -shrink * r_d, -shrink * r_g, d_s, d_kappa)
-        alpha = min(1.0, 0.99 * step_bound(dx, dz, dtau, dkappa))
+        dxz, dy, dtau, dkappa, alpha = newton(1.0 - sigma, jordan_solve(scaling, d_s) - lam, d_kappa)
+        alpha = min(1.0, 0.99 * alpha)
         if not np.isfinite(alpha) or alpha <= 1e-14:
             break
 
-        x += alpha * dx
-        y += alpha * dy
-        z += alpha * dz
+        xz = xz + alpha * dxz
+        y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
 
+    x, z = xz[:n], xz[n:]
     if status == "infeasible":
         # Certificate direction: b'y > 0 rules out primal feasibility,
         # c'x < 0 rules out dual feasibility (primal unbounded below).
-        y_ray = y * row_scale * (c_scale / b_scale)
+        y_ray = (y * row_scale * (c_scale / b_scale))[perm]
         x_ray = _rotate_vector(x)
         detail = "primal" if float(b_ext @ y_ray) > 0.0 else "dual"
         return ConeSolve(

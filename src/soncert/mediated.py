@@ -153,7 +153,10 @@ class MediatedSet:
 
 
 def _lattice(points: Sequence[Sequence]) -> Tuple[int, List[IntPoint]]:
-    # rational points as integer vectors over their least common denominator
+    # rational points as integer vectors over their least common denominator;
+    # integer points, such as exponents, are that already
+    if all(type(x) is int for pt in points for x in pt):
+        return 1, [tuple(pt) for pt in points]
     rats = [[x if isinstance(x, int) else Fraction(x) for x in pt] for pt in points]
     den = lcm(*(x.denominator for pt in rats for x in pt))
     return den, [tuple(x.numerator * (den // x.denominator) for x in pt) for pt in rats]
@@ -210,7 +213,7 @@ def _prepare(
         raise ValueError("dimension mismatch")
     if weights is None:
         weights = circuit_weights(trellis, beta)
-    ws = [w if isinstance(w, int) else Fraction(w) for w in weights]
+    ws = [w if isinstance(w, (int, Fraction)) else Fraction(w) for w in weights]
     if len(ws) != len(pts):
         raise ValueError("one weight per trellis point")
     p = lcm(*(w.denominator for w in ws))

@@ -222,7 +222,13 @@ def affinely_independent(points: Sequence[Sequence[Fraction | int]]) -> bool:
 @dataclass(frozen=True)
 class Circuit:
     """A trellis (affinely independent even points), an interior point beta,
-    and the exact convex weights writing beta over the trellis."""
+    and the exact convex weights writing beta over the trellis.
+
+    ``Circuit(...)`` validates all of it: two or more even points of beta's
+    dimension with one weight each, weights that are positive, sum to one
+    and reproduce beta, and, by an exact rank, an affinely independent
+    trellis.  ``Circuit.settled`` checks nothing.
+    """
 
     trellis: Tuple[Exponent, ...]
     beta: Exponent
@@ -252,6 +258,19 @@ class Circuit:
                 raise ValueError("weights do not reproduce beta")
         if not affinely_independent(self.trellis):
             raise ValueError("trellis points are affinely dependent")
+
+    @classmethod
+    def settled(
+        cls, trellis: Tuple[Exponent, ...], beta: Exponent, weights: Tuple[Fraction, ...]
+    ) -> "Circuit":
+        """A circuit built without any check, for a caller that has proved
+        every fact ``Circuit(...)`` validates, as one elimination of an
+        independent Lambda proves them for every circuit over it."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "trellis", trellis)
+        object.__setattr__(circuit, "beta", beta)
+        object.__setattr__(circuit, "weights", weights)
+        return circuit
 
 
 def circuit_weights(

@@ -13,9 +13,16 @@ from conftest import ref_simplex_cover
 from soncert.cover import CoverInfeasible, _AnchorSolver, simplex_cover
 from soncert.exact import LpInfeasible, LpUnbounded, Tableau
 from soncert.generate import POLY_CLASSES, random_instance
-from soncert.polyring import SparsePoly, support_partition
+from soncert.polyring import Circuit, SparsePoly, support_partition
 
 LAM8 = [(0, 0), (4, 0), (0, 4), (4, 4)]
+
+
+def assert_valid_circuits(result):
+    # the independent branch builds its circuits unchecked; the public
+    # constructor checks every fact of each again
+    for c in result.circuits:
+        assert Circuit(c.trellis, c.beta, c.weights) == c
 
 
 def maximize(matrix, rhs, objective):
@@ -157,6 +164,17 @@ def test_simplex_cover_outside_hull():
         simplex_cover([(0, 0)], [])
 
 
+@pytest.mark.parametrize("lam, gam, message", [
+    ([(0, 0), (2, 0)], [(2, 0)], "at least two points"),
+    ([(0, 0), (3, 0)], [(1, 0)], "not even"),
+    ([(0, 0), (2, 0, 0)], [(1, 0)], "dimension mismatch"),
+])
+def test_simplex_cover_rejects_a_bad_trellis(lam, gam, message):
+    # an independent Lambda proves the weights, not the trellis's shape
+    with pytest.raises(ValueError, match=message):
+        simplex_cover(lam, gam)
+
+
 def test_simplex_cover_independent_support_needs_no_tableau(monkeypatch):
     # affinely independent Lambda: one shared elimination gives every circuit
     inst = random_instance(n=4, degree=10, terms=20, seed=5)
@@ -206,6 +224,7 @@ def test_simplex_cover_random_properties():
         used = set().union(*(set(c.trellis) for c in result.circuits))
         assert used | set(result.uncovered) == set(lam) | used
         assert not (set(result.uncovered) & used)
+        assert_valid_circuits(result)
         # determinism
         again = simplex_cover(lam, sorted(gam))
         assert again == result
@@ -224,4 +243,6 @@ def test_simplex_cover_matches_fraction_engine(poly_class):
         rest = SparsePoly(n, {e: c for e, c in inst.poly.terms.items() if e != zero})
         part = support_partition(rest)
         lam = sorted(set(part.lambda_set) | {zero})
-        assert simplex_cover(lam, part.gamma_set) == ref_simplex_cover(lam, part.gamma_set)
+        result = simplex_cover(lam, part.gamma_set)
+        assert result == ref_simplex_cover(lam, part.gamma_set)
+        assert_valid_circuits(result)

@@ -18,6 +18,8 @@ from soncert.ipm import (
     _apply_w,
     _apply_winv,
     _cone_residual,
+    _csr,
+    _product,
     _rotated,
     cone_max_step,
     cone_points,
@@ -42,9 +44,14 @@ def _interior_points(rng: np.random.Generator, count: int) -> np.ndarray:
     return pts
 
 
+def _scaling(x: np.ndarray, z: np.ndarray):
+    # nt_scaling takes x stacked over z
+    return nt_scaling(np.concatenate([x, z]))
+
+
 def test_jordan_solve_roundtrip():
     rng = np.random.default_rng(11)
-    s = nt_scaling(_interior_points(rng, 40), _interior_points(rng, 40))
+    s = _scaling(_interior_points(rng, 40), _interior_points(rng, 40))
     d = rng.normal(size=(40, 3))
     u = jordan_solve(s, d)
     assert np.allclose(jordan_product(s.lam, u), d, atol=1e-10)
@@ -54,13 +61,16 @@ def test_nt_scaling_maps_both_points_to_lambda():
     rng = np.random.default_rng(12)
     x = _interior_points(rng, 60)
     z = _interior_points(rng, 60)
-    s = nt_scaling(x, z)
+    s = _scaling(x, z)
     assert np.allclose(_apply_w(s, z), s.lam, atol=1e-9)
     assert np.allclose(_apply_winv(s, x), s.lam, atol=1e-9)
     # lambda stays interior and W, W^-1 invert each other
     assert np.all(s.lam[:, 0] ** 2 - s.lam[:, 1] ** 2 - s.lam[:, 2] ** 2 > 0)
     probe = rng.normal(size=(60, 3))
     assert np.allclose(_apply_winv(s, _apply_w(s, probe)), probe, atol=1e-9)
+    # the step lengths read the same points as cone_points of the stack
+    d = rng.normal(size=(120, 3))
+    assert cone_max_step(s.points, d) == cone_max_step(cone_points(np.concatenate([x, z])), d)
 
 
 def test_cone_max_step_hits_boundary():
@@ -239,6 +249,10 @@ def test_random_feasible_instances():
         # the true residual of the returned x; residuals["primal"] is the
         # solver's estimate of it
         assert float(np.max(np.abs(dense @ res.x - b_vec))) <= 1e-8 * scale
+        # and of the returned y and z, which must come back in the caller's
+        # row order
+        dual_scale = 1.0 + float(np.max(np.abs(c_vec)))
+        assert float(np.max(np.abs(dense.T @ res.y + res.z - c_vec))) <= 1e-8 * dual_scale
         upper = float(c_vec @ xstar)
         lower = float(b_vec @ ystar)
         slack = 1e-6 * (1 + abs(upper) + abs(lower))
@@ -257,8 +271,8 @@ def _kkt_system(rng: np.random.Generator, m: int, num_cones: int):
          (slot_rows, np.arange(3 * num_cones))),
         shape=(m, 3 * num_cones),
     )
-    s = nt_scaling(_interior_points(rng, num_cones), _interior_points(rng, num_cones))
-    hblocks = (s.eta**2)[:, None, None] * (
+    s = _scaling(_interior_points(rng, num_cones), _interior_points(rng, num_cones))
+    hblocks = (s.eta[:, 0] ** 2)[:, None, None] * (
         2.0 * np.einsum("ij,ik->ijk", s.wbar, s.wbar) - np.diag([1.0, -1.0, -1.0])
     )
     return a_mat, hblocks
@@ -273,6 +287,17 @@ def _gram(a_mat, hblocks):
     return lambda u: a_mat @ np.einsum("tij,tj->ti", hblocks, (a_mat.T @ u).reshape(-1, 3)).ravel()
 
 
+def _kept_gram(kkt: _KktSolver, a_mat, hblocks):
+    # _gram for A's rows in the solver's kept order, where row i is row
+    # perm[i]: the operator solve refines against
+    return _gram(a_mat.tocsr()[np.argsort(kkt.perm)], hblocks)
+
+
+def _caller_solve(kkt: _KktSolver, rhs: np.ndarray) -> np.ndarray:
+    # G^-1 rhs in A's own row order, through the kept order's solve
+    return kkt.solve(rhs[np.argsort(kkt.perm)])[kkt.perm]
+
+
 @pytest.mark.parametrize("m", [80, 700])
 def test_kkt_solve_matches_dense_solve(m):
     # one size on each side of m = 600, the old switch from dense to sparse factoring
@@ -281,8 +306,8 @@ def test_kkt_solve_matches_dense_solve(m):
     rhs = rng.normal(size=m)
     want = np.linalg.solve(_dense_g(a_mat, hblocks), rhs)
     kkt = _KktSolver(a_mat, len(hblocks))
-    kkt.factor(hblocks, _gram(a_mat, hblocks))
-    got = kkt.solve(rhs)
+    kkt.factor(hblocks, _kept_gram(kkt, a_mat, hblocks))
+    got = _caller_solve(kkt, rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -309,10 +334,10 @@ def test_kkt_zero_row_is_shifted_and_solved(monkeypatch):
     kkt = _KktSolver(a_mat, len(hblocks))
     # recorded from here on, so the first outcome is the singular real factor
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    kkt.factor(hblocks, _gram(a_mat, hblocks))
+    kkt.factor(hblocks, _kept_gram(kkt, a_mat, hblocks))
     assert "singular" in outcomes[0] and outcomes[-1] == "factored"
     rhs = rng.normal(size=m)
-    sol = kkt.solve(rhs)
+    sol = _caller_solve(kkt, rhs)
     assert np.isfinite(sol).all()
     g = _dense_g(a_mat, hblocks)
     assert not g[0].any() and not g[:, 0].any()
@@ -327,7 +352,7 @@ def _factored_g(kkt: _KktSolver) -> np.ndarray:
     n = len(lu.perm_c)
     pr = scipy.sparse.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
     pc = scipy.sparse.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
-    return (pr.T @ lu.L @ lu.U @ pc.T).toarray()[np.ix_(kkt._perm, kkt._perm)]
+    return (pr.T @ lu.L @ lu.U @ pc.T).toarray()[np.ix_(kkt.perm, kkt.perm)]
 
 
 def _rotated_matrix(a_mat) -> scipy.sparse.csr_matrix:
@@ -350,6 +375,19 @@ def test_rotated_matches_the_block_product():
     assert got.has_canonical_format
 
 
+def test_raw_product_matches_scipy_bit_for_bit():
+    # _product calls scipy's private CSR kernel; it must agree with the
+    # public product exactly, on matrices with empty rows and columns
+    rng = np.random.default_rng(34)
+    for shape in [(1, 1), (7, 3), (40, 90), (300, 30)]:
+        dense = rng.normal(size=shape) * (rng.random(shape) < 0.2)
+        dense[rng.integers(0, shape[0])] = 0.0
+        dense[:, rng.integers(0, shape[1])] = 0.0
+        for mat in (scipy.sparse.csr_matrix(dense), scipy.sparse.csr_matrix(dense.T)):
+            vec = rng.normal(size=mat.shape[1])
+            assert np.array_equal(_product(_csr(mat), vec), mat @ vec)
+
+
 def test_scattered_g_matches_the_product():
     rng = np.random.default_rng(31)
     # soncert's shape: one slot per column, rotated within each cone
@@ -362,7 +400,7 @@ def test_scattered_g_matches_the_product():
     cases.append((scipy.sparse.csr_matrix(dense), many_blocks))
     for a, blocks in cases:
         kkt = _KktSolver(a, len(blocks))
-        kkt.factor(blocks, _gram(a, blocks))
+        kkt.factor(blocks, _kept_gram(kkt, a, blocks))
         want = _dense_g(a, blocks)
         assert np.max(np.abs(_factored_g(kkt) - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -379,7 +417,7 @@ def test_kept_order_fills_as_a_fresh_minimum_degree_factor():
     a_mat = _rotated(np.array(rows), np.array(cols), np.array(vals, dtype=float), (problem.num_rows, 3 * num_cones))
     _, hblocks = _kkt_system(np.random.default_rng(32), 1, num_cones)
     kkt = _KktSolver(a_mat, num_cones)
-    kkt.factor(hblocks, _gram(a_mat, hblocks))
+    kkt.factor(hblocks, _kept_gram(kkt, a_mat, hblocks))
     fresh = scipy.sparse.linalg.splu(
         scipy.sparse.csc_matrix(_dense_g(a_mat, hblocks)),
         permc_spec="MMD_AT_PLUS_A",
