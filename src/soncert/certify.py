@@ -34,7 +34,7 @@ from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points
 # the CI step "Trace sites" fails without it
 from .socp import lower_bound
 from .socp import solve_problem, to_float
-from .verify import Certificate, CertTriple, _Cones, verify_certificate
+from .verify import Certificate, _Cones, verify_certificate
 
 
 # Bits k of the rounding grid 2^-k: 2^-17 is the grid xi is rounded on and

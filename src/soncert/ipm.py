@@ -105,11 +105,6 @@ class ConeSolve:
 _Csr = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _csr(mat: scipy.sparse.spmatrix) -> _Csr:
-    mat = mat.tocsr()
-    return (*mat.shape, mat.indptr, mat.indices, mat.data)
-
-
 def _product(mat: _Csr, vec: np.ndarray) -> np.ndarray:
     """mat @ vec for a contiguous float vector, as scipy's own kernel
     computes it, without the dispatch of a sparse matrix's __matmul__."""
@@ -155,7 +150,9 @@ class _Scaling:
     three columns.  points is cone_points of the stacked x and z.
     """
 
-    def __init__(self, eta: np.ndarray, wbar: np.ndarray, v: np.ndarray, z: np.ndarray, j: np.ndarray) -> None:
+    def __init__(
+        self, eta: np.ndarray, wbar: np.ndarray, v: np.ndarray, z: np.ndarray, j: np.ndarray, points: "_ConePoints"
+    ) -> None:
         self.eta = eta
         self.wbar = wbar  # unit hyperbolic norm; H = eta^2 (2 wbar wbar' - J)
         self.v = v
@@ -168,7 +165,7 @@ class _Scaling:
         self.lam_j = self.lam * j
         self.inv_det = 1.0 / ((self.lam_j * self.lam) @ _SUMS)
         self.inv_lam0 = 1.0 / (self.lam @ _FIRSTS)
-        self.points: Optional[_ConePoints] = None
+        self.points = points
 
     def hblocks(self) -> np.ndarray:
         """H = W W as (L, 3, 3) blocks, for the factor only."""
@@ -196,13 +193,11 @@ def nt_scaling(xz: np.ndarray) -> _Scaling:
     floored = np.maximum(res, 1e-18 * (sq @ _SUMS))
     h = xz / np.sqrt(floored)
     xh, zh = h[:count], h[count:]
-    wbar = (xh + zh * j) / np.sqrt(2.0 + 2.0 * ((xh * zh) @ _SUMS))
+    wbar = (xh + zh * j) / (2.0 * np.sqrt((1.0 + (xh * zh) @ _SUMS) / 2.0))
     v = wbar @ _FIRSTS + 1.0
     v = (wbar + (0.5 * j + 0.5)) / np.sqrt(v + v)
-    eta = np.sqrt(np.sqrt(floored[:count] / floored[count:]))
-    scaling = _Scaling(eta, wbar, v, xz[count:], j)
-    scaling.points = _cone_points(xz, res[:, 0], j2)
-    return scaling
+    eta = (floored[:count] / floored[count:]) ** 0.25
+    return _Scaling(eta, wbar, v, xz[count:], j, _cone_points(xz, res[:, 0], j2))
 
 
 def _apply_w(s: _Scaling, u: np.ndarray) -> np.ndarray:
@@ -538,8 +533,8 @@ def solve_socp(
         u2 = kkt.solve(r_p * -shrink - _product(a_s, v0))
         at_u2 = _product(a_st, u2)
         x2 = v0 + _apply_h(scaling, at_u2)
-        dtau = (d_kappa / tau - shrink * r_g + c_s @ x2 - b_s @ u2) / denom
-        dxz = np.concatenate([x2, -(at_u2 + d2)]) + dtau * q1
+        dtau = (-shrink * r_g + float(c_s @ x2) - float(b_s @ u2) + d_kappa / tau) / denom
+        dxz = np.concatenate([x2 + dtau * x1, c_s * dtau - (at_u2 + dtau * at_u1) - d2])
         dkappa = (d_kappa - kappa * dtau) / tau
         # the largest step that keeps x, z, tau and kappa in their cones
         alpha = cone_max_step(scaling.points, dxz.reshape(-1, 3))
@@ -557,18 +552,18 @@ def solve_socp(
         x, z = xz[:n], xz[n:]
         r_p = _product(a_s, x) - b_s * tau
         r_d = c_s * tau - _product(a_st, y) - z
-        cx = c_s @ x
-        by = b_s @ y
+        cx = float(c_s @ x)
+        by = float(b_s @ y)
         r_g = by - cx - kappa
-        mu = (x @ z + tau * kappa) / degree
+        mu = (float(x @ z) + tau * kappa) / degree
 
         # The caller's residuals and objectives, from the scaled ones: with
         # A_s = D A R, R an orthogonal involution, A x_c - b = D^-1 r_p
         # b_scale / tau and A' y_c + z_c - c = -R r_d c_scale / tau.
         pres = float(np.abs(r_p / row_scale).max(initial=0.0)) * b_scale / tau
         dres = float(np.abs(_rotate_vector(r_d)).max(initial=0.0)) * c_scale / tau
-        pobj = float(cx) * c_scale * b_scale / tau
-        dobj = float(by) * b_scale * c_scale / tau
+        pobj = cx * c_scale * b_scale / tau
+        dobj = by * b_scale * c_scale / tau
         gap = abs(pobj - dobj)
         gap_norm = 1.0 + abs(pobj) + abs(dobj)
         gap_tol = _TOL * gap_norm
@@ -608,8 +603,6 @@ def solve_socp(
         u1 = kkt.solve(b_s + _product(a_s, hc))
         at_u1 = _product(a_st, u1)
         x1 = _apply_h(scaling, at_u1) - hc
-        # dx and dz for a unit dtau, stacked
-        q1 = np.concatenate([x1, c_s - at_u1])
         denom = float(b_s @ u1 - c_s @ x1) + kappa / tau
         if not np.isfinite(denom) or denom == 0.0:
             break

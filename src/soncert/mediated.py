@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from itertools import chain
+from operator import add, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .polyring import Point, circuit_weights
@@ -155,7 +156,7 @@ class MediatedSet:
 def _lattice(points: Sequence[Sequence]) -> Tuple[int, List[IntPoint]]:
     # rational points as integer vectors over their least common denominator;
     # integer points, such as exponents, are that already
-    if all(type(x) is int for pt in points for x in pt):
+    if set(map(type, chain.from_iterable(points))) == {int}:
         return 1, [tuple(pt) for pt in points]
     rats = [[x if isinstance(x, int) else Fraction(x) for x in pt] for pt in points]
     den = lcm(*(x.denominator for pt in rats for x in pt))
@@ -220,7 +221,7 @@ def _prepare(
     qs = [w.numerator * (p // w.denominator) for w in ws]
     if any(q <= 0 for q in qs) or sum(qs) != p:
         raise ValueError("weights must be positive and sum to one")
-    total = tuple(sum(q * pt[i] for q, pt in zip(qs, pts)) for i in range(len(target)))
+    total = tuple([sum(map(mul, qs, col)) for col in zip(*pts)])
     if any(s != p * t for s, t in zip(total, target)):
         raise ValueError("weights do not reproduce the target point")
     return den, pts, qs, p, total
@@ -231,7 +232,13 @@ def med_set(
 ) -> MediatedSet:
     """Rational mediated set for beta over a trellis, by chaining segment
     lifts: peel trellis points off one at a time, each step connecting the
-    current point to the weighted combination of the remaining ones."""
+    current point to the weighted combination of the remaining ones.
+
+    The inputs are validated here, not by any ``Circuit``: two or more
+    trellis points of beta's dimension and weights (read off the trellis
+    when None) that are positive, sum to one and reproduce beta.  These
+    checks run on integers; integer points and Fraction weights, as a
+    circuit holds them, are taken as they are."""
     den, pts, qs, p, total = _prepare(trellis, beta, weights)
     # total is the sum of q_j pts[j] over the points not yet peeled, and rem
     # their weight; the last step ends at total over q_m den, the last point

@@ -21,7 +21,6 @@ from soncert import cli
 from soncert.certify import (
     BoundaryFailure,
     Certificate,
-    CertTriple,
     exact_sobs,
     verify_certificate,
 )
@@ -30,6 +29,7 @@ from soncert.generate import POLY_CLASSES, random_instance
 from soncert.mediated import fraction_points, med_seq
 from soncert.polyring import SparsePoly, poly_sha256, support_partition
 from soncert.socp import assemble, build_plan, pn_companion, lower_bound
+from soncert.verify import CertTriple
 
 from conftest import project_fractions
 from oracles import brute_min_med_seq

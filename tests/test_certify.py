@@ -15,7 +15,6 @@ from soncert.certify import (
     MIN_GRID_BITS,
     BoundaryFailure,
     Certificate,
-    CertTriple,
     _strictly_inside,
     exact_sobs,
     grid_bits,
@@ -26,7 +25,7 @@ from soncert.cover import simplex_cover
 from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, poly_sha256
 from soncert.socp import SocpProblem, SolverFailure, assemble, build_plan, lower_bound, pn_companion, solve_problem
-from soncert.verify import VerifyResult, check_cone
+from soncert.verify import CertTriple, VerifyResult, check_cone
 
 from conftest import project_fractions
 
