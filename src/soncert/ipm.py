@@ -105,6 +105,10 @@ class ConeSolve:
 _Csr = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
+def _csr(mat: scipy.sparse.csr_matrix) -> _Csr:
+    return (*mat.shape, mat.indptr, mat.indices, mat.data)
+
+
 def _product(mat: _Csr, vec: np.ndarray) -> np.ndarray:
     """mat @ vec for a contiguous float vector, as scipy's own kernel
     computes it, without the dispatch of a sparse matrix's __matmul__."""
@@ -332,7 +336,6 @@ class _KktSolver:
         m = a_mat.shape[0]
         # A's nonzeros by column, rows ascending within each column
         csc = a_mat.tocsc()
-        csc.sort_indices()
         rows, vals = csc.indices.astype(np.int64), csc.data
         cols = np.repeat(np.arange(a_mat.shape[1]), np.diff(csc.indptr))
         # Every pair (i, j) of nonzeros within one cone's columns adds
@@ -377,16 +380,16 @@ class _KktSolver:
         self._diag = slot[inverse[len(first) :]]
         self._gmat = pattern(moved[order], np.zeros(len(order)))
         # G's values are one product with H's blocks, raveled: pair (i, j)
-        # puts a_i a_j on block entry 9t + 3k_i + k_j in its slot.  The
-        # pairs come in ascending order of that entry, so sorting them by
-        # slot, ties in that order, leaves each slot's row ascending, as a
-        # canonical CSR matrix holds it.
-        slots = slot[inverse[: len(first)]]
-        entries = 9 * cone[first] + 3 * within[first] + within[second]
-        by_slot = np.argsort(slots * len(slots) + np.arange(len(slots)))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(slots, minlength=len(order)))])
-        weights = vals[first] * vals[second]
-        self._scatter = (len(order), 9 * num_cones, indptr, entries[by_slot], weights[by_slot])
+        # puts a_i a_j on block entry 9t + 3k_i + k_j in its slot.
+        self._scatter = _csr(
+            scipy.sparse.csr_matrix(
+                (
+                    vals[first] * vals[second],
+                    (slot[inverse[: len(first)]], 9 * cone[first] + 3 * within[first] + within[second]),
+                ),
+                shape=(len(order), 9 * num_cones),
+            )
+        )
 
     def factor(self, hblocks: np.ndarray, gram: Callable[[np.ndarray], np.ndarray]) -> None:
         """Factor G for the (L, 3, 3) blocks of H.
@@ -473,17 +476,13 @@ def solve_socp(
     row_max = np.full(m, 1e-300)
     np.maximum.at(row_max, np.repeat(np.arange(m), row_counts), np.abs(rotated.data))
     rotated.data *= np.repeat(1.0 / row_max, row_counts)
-    by_cols = rotated.tocsc()
-    kkt = _KktSolver(by_cols, num_cones)
+    kkt = _KktSolver(rotated, num_cones)
     perm = kkt.perm
     unperm = np.empty_like(perm)
     unperm[perm] = np.arange(m)
-    # A_s's rows in the kept order, and A_s' with its columns renumbered
-    starts, counts = rotated.indptr[unperm], row_counts[unperm]
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-    a_s = (m, n, indptr, rotated.indices[take].astype(np.int64), rotated.data[take])
-    a_st = (n, m, by_cols.indptr.astype(np.int64), perm[by_cols.indices], by_cols.data)
+    kept = rotated[unperm]
+    a_s = _csr(kept)
+    a_st = _csr(kept.T.tocsr())
     row_scale = 1.0 / row_max[unperm]
     b_kept = b_ext[unperm]
     b_scale = max(1.0, float(np.max(np.abs(b_kept * row_scale), initial=0.0)))
