@@ -28,11 +28,11 @@ solvers", 2010):
   predictor's and the corrector's step lengths read (cone_points).
 * Each Newton step factors A H A' by one sparse LU without pivoting, at
   every problem size.  Its pattern, the scatter of H's blocks into it and
-  its minimum-degree order are built once per solve, from A's nonzeros in
-  the caller's coordinates; each iteration refactors only the numbers (see
-  _KktSolver).  The rows are kept in that order for the whole solve, so an
-  LU solve gathers nothing, and the dual point is put back in the caller's
-  row order once, when the solve returns.
+  its minimum-degree order are built once per solve; each iteration
+  refactors only the numbers (see _KktSolver).  The rows are kept in that
+  order for the whole solve, so an LU solve gathers nothing, and the dual
+  point is put back in the caller's row order once, when the solve
+  returns.
 * The rotated, row-scaled A and its transpose are raw CSR arrays, and
   each product is one call of scipy's compiled kernel (_product).
 * Convergence is judged in the solver's own frame: the caller's residuals
