@@ -35,6 +35,11 @@ solvers", 2010):
   returns.
 * The rotated, row-scaled A and its transpose are raw CSR arrays, and
   each product is one call of scipy's compiled kernel (_product).
+* The set-up (_setup) sorts A's rotated nonzeros once, by cone and row,
+  keys G's pattern by the pairs of rows that meet in a cone, and places
+  the kept-order A, its transpose and the scatter with scipy's compiled
+  conversion kernels; the only sparse matrices it builds are the two
+  patterns SuperLU reads.
 * Convergence is judged in the solver's own frame: the caller's residuals
   and objectives follow from the scaled residuals the step needs anyway,
   so the caller's A is never formed.  The reported point is rotated and
@@ -49,7 +54,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import coo_tocsr, csr_matvec, csr_tocsc
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -105,8 +110,23 @@ class ConeSolve:
 _Csr = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _csr(mat: scipy.sparse.csr_matrix) -> _Csr:
-    return (*mat.shape, mat.indptr, mat.indices, mat.data)
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]) -> _Csr:
+    # The CSR arrays of the nonzeros (rows, cols, vals), no two at one
+    # place and each row's in ascending column order: scipy's kernel places
+    # them row by row and keeps their order within a row.
+    indptr = np.empty(shape[0] + 1, dtype=np.int64)
+    indices = np.empty(len(cols), dtype=np.int64)
+    data = np.empty(len(vals))
+    coo_tocsr(*shape, len(vals), rows, cols, vals, indptr, indices, data)
+    return (*shape, indptr, indices, data)
+
+
+def _transpose(mat: _Csr) -> _Csr:
+    # mat' as CSR arrays, each row's entries by ascending column
+    rows, cols, indptr, indices, data = mat
+    out = (cols, rows, np.empty(cols + 1, dtype=np.int64), np.empty_like(indices), np.empty_like(data))
+    csr_tocsc(rows, cols, indptr, indices, data, *out[2:])
+    return out
 
 
 def _product(mat: _Csr, vec: np.ndarray) -> np.ndarray:
@@ -232,13 +252,12 @@ class _ConePoints:
     """Rows p of Lorentz-cone points, as cone_max_step reads them."""
 
     twice_res: np.ndarray  # 2 (p0^2 - p1^2 - p2^2)
-    neg_res: np.ndarray  # -(p0^2 - p1^2 - p2^2)
     neg_first: np.ndarray  # -p0
     twice_jflip: np.ndarray  # 2 (p0, -p1, -p2)
 
 
 def _cone_points(p: np.ndarray, res: np.ndarray, j: np.ndarray) -> _ConePoints:
-    return _ConePoints(2.0 * res, -res, -p[:, 0], (p + p) * j)
+    return _ConePoints(2.0 * res, -p[:, 0], (p + p) * j)
 
 
 def cone_points(p: np.ndarray) -> _ConePoints:
@@ -262,14 +281,17 @@ def cone_max_step(p: _ConePoints, d: np.ndarray) -> float:
     disc = bq * bq - two_a * p.twice_res
     sq = np.sqrt(np.maximum(disc, 0.0))
     falls = bq < 0.0
+    down = aq <= -1e-300
     roots = np.empty(len(aq))
     roots.fill(np.inf)
-    # Linear, |a| < 1e-300: a root only when the residual decreases.
-    np.divide(p.neg_res, bq, out=roots, where=(np.abs(aq) < 1e-300) & falls)
-    # Opens downward with q(0) > 0: exactly one positive root.
-    np.divide(-bq - sq, two_a, out=roots, where=aq <= -1e-300)
-    # Opens upward, both roots positive; numerically stable smaller root.
-    np.divide(p.twice_res, sq - bq, out=roots, where=(aq >= 1e-300) & (disc > 0.0) & falls)
+    # Rising at t = 0, b >= 0: only a downward quadratic has a positive
+    # root, (-b - sq)/(2a), free of cancellation there.
+    np.divide(-bq - sq, two_a, out=roots, where=down & ~falls)
+    # Falling, b < 0: the first root is 2c/(sq - b) for any a with real
+    # roots, the one positive root of a downward quadratic, the smaller of
+    # an upward one and -c/b of a linear one, a = 0.  (-b - sq)/(2a) would
+    # cancel here: on a nearly lightlike direction, a ~ 0, it reads 0.
+    np.divide(p.twice_res, sq - bq, out=roots, where=falls & (down | (disc > 0.0)))
     # fmin skips NaN roots, as a running min() starting from inf does.
     best = float(np.fmin.reduce(roots, initial=np.inf))
     # First coordinate must also stay nonnegative when the quadratic allows it.
@@ -280,21 +302,32 @@ def cone_max_step(p: _ConePoints, d: np.ndarray) -> float:
     return min(best, float(np.min(clamp)))
 
 
-def _rotated(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]) -> scipy.sparse.csr_matrix:
-    # A R for the block-diagonal rotation R, from A's triplets: an entry in a
-    # cone's column k spreads over the cone's three columns as its products
-    # with row k of _ROTATION.  Sums that cancel to zero are dropped, so that
-    # no product multiplies a stored zero.
+def _rotated(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The nonzeros (rows, cols, vals) of A R, for the block-diagonal rotation
+    # R, from A's triplets over m rows, sorted by cone, then row, then
+    # column.  An entry in a cone's column k spreads over the cone's three
+    # columns as its products with row k of _ROTATION; the products at one
+    # place are summed in the triplets' order, and a sum that cancels to
+    # zero is dropped, so that no product multiplies a stored zero.
     k = cols % 3
-    rot = scipy.sparse.csr_matrix(
-        (
-            (vals[:, None] * _ROTATION[k]).ravel(),
-            (np.repeat(rows, 3), (np.repeat(cols - k, 3).reshape(-1, 3) + np.arange(3)).ravel()),
-        ),
-        shape=shape,
-    )
-    rot.eliminate_zeros()
-    return rot
+    # (cone * m + row) * 3 + the column within the cone
+    keys = ((cols - k) * m + 3 * rows)[:, None] + np.arange(3)
+    prods = vals[:, None] * _ROTATION[k]
+    nonzero = prods != 0.0
+    keys, prods = keys[nonzero], prods[nonzero]
+    order = np.argsort(keys, kind="stable")
+    keys, prods = keys[order], prods[order]
+    repeats = keys[1:] == keys[:-1]
+    if repeats.any():
+        starts = np.flatnonzero(np.concatenate([[True], ~repeats]))
+        keys, prods = keys[starts], np.add.reduceat(prods, starts)
+        nonzero = prods != 0.0
+        keys, prods = keys[nonzero], prods[nonzero]
+    cone_row = keys // 3
+    cone = cone_row // m
+    return cone_row - cone * m, 3 * cone + keys - 3 * cone_row, prods
 
 
 def _rotate_vector(vec: np.ndarray) -> np.ndarray:
@@ -305,18 +338,19 @@ class _KktSolver:
     """Sparse LU of G = A H A' with one step of iterative refinement.
 
     G is the sum over cones t of A_t H_t A_t', where A_t holds the cone's
-    three columns, so its pattern is fixed by A.  The constructor builds
-    that pattern, with every diagonal entry, and a sparse map from the 9L
-    entries of H's blocks onto its values, once per problem: the CSC keys
-    of the entries that pairs of one cone's nonzeros add to, sorted once.  It
-    orders G by minimum degree on G + G' once, from a diagonally dominant
-    matrix of the same pattern, and keeps the pattern in that order: each
-    entry of the first pattern moves to its permuted place, and sorting the
-    moved entries gives the kept pattern and every entry's slot in it.
-    Row i of A is row perm[i] of the kept order.  Each factor scatters the
-    blocks into G's values and factors them in the kept order, numerically
-    only, and solve takes and returns vectors in the kept order, so an LU
-    solve gathers nothing.
+    three columns, so its pattern is fixed by A: one entry for each pair of
+    rows that meet in a cone, at most nine per cone in soncert's problems,
+    where each slot lies in one row.  The constructor builds that pattern,
+    with every diagonal entry, from the CSC keys of those row pairs, sorted
+    once, and a sparse map from the 9L entries of H's blocks onto its
+    values, once per problem.  It orders G by minimum degree on G + G' once,
+    from a diagonally dominant matrix of the same pattern, and keeps the
+    pattern in that order: each entry of the first pattern moves to its
+    permuted place, and sorting the moved entries gives the kept pattern
+    and every entry's slot in it.  Row i of A is row perm[i] of the kept
+    order.  Each factor scatters the blocks into G's values and factors
+    them in the kept order, numerically only, and solve takes and returns
+    vectors in the kept order, so an LU solve gathers nothing.
 
     The refinement step measures its residual with A H A' as the Newton
     step applies H, W(W u), not with the formed G: near the cone boundaries
@@ -332,63 +366,73 @@ class _KktSolver:
     overhead low on these very sparse matrices.
     """
 
-    def __init__(self, a_mat: scipy.sparse.spmatrix, num_cones: int) -> None:
-        m = a_mat.shape[0]
-        # A's nonzeros by column, rows ascending within each column
-        csc = a_mat.tocsc()
-        rows, vals = csc.indices.astype(np.int64), csc.data
-        cols = np.repeat(np.arange(a_mat.shape[1]), np.diff(csc.indptr))
-        # Every pair (i, j) of nonzeros within one cone's columns adds
-        # a_i a_j H_t[k_i, k_j] to G[row_i, row_j].  Sorted by column, cone
-        # t's nonzeros start at starts[t]; each is paired with all of them.
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, num_cones: int) -> None:
+        # A's nonzeros, sorted by cone, then row, then column, as _rotated
+        # gives them.  A run of one row within one cone is a group.
         cone = cols // 3
         within = cols - 3 * cone
-        counts = np.bincount(cone, minlength=num_cones)
-        starts = np.cumsum(counts) - counts
-        reps = counts[cone]
-        first = np.repeat(np.arange(len(cols)), reps)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
-        second = starts[cone[first]] + offset
+        cone_row = cone * m + rows
+        opens = np.empty(len(rows), dtype=bool)
+        opens[:1] = True
+        np.not_equal(cone_row[1:], cone_row[:-1], out=opens[1:])
+        group = np.cumsum(opens) - 1
+        starts = np.flatnonzero(opens)
+        group_row = rows[starts]
+        # how many groups and nonzeros each cone holds
+        groups = np.bincount(cone[starts], minlength=num_cones)
+        nonzeros = np.bincount(cone, minlength=num_cones)
+        # Group a is paired with the reps[a] groups of its cone, b among
+        # them, and the pair (a, b) is pair number pair_base[a] + b.
+        reps = groups[cone[starts]]
+        pair_base = np.cumsum(reps) - reps - (np.cumsum(groups) - groups)[cone[starts]]
+        pair_b = np.arange(int(reps.sum())) - np.repeat(pair_base, reps)
+        num_pairs = len(pair_b)
 
         def pattern(keys: np.ndarray, values: np.ndarray) -> scipy.sparse.csc_matrix:
             # G's pattern from its sorted CSC keys col * m + row
             col = keys // m
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=m))])
-            return scipy.sparse.csc_matrix((values, keys - col * m, indptr), shape=(m, m))
+            indptr = np.zeros(m + 1, dtype=np.intc)
+            np.cumsum(np.bincount(col, minlength=m), out=indptr[1:])
+            return scipy.sparse.csc_matrix((values, (keys - col * m).astype(np.intc), indptr), shape=(m, m))
 
-        # The keys of every pair's entry, the diagonal last; inverse maps
+        # The key of every pair's entry, the diagonal last; inverse maps
         # each to its slot among the distinct sorted keys.
-        keys = np.concatenate([rows[second] * m + rows[first], np.arange(m) * (m + 1)])
+        keys = np.concatenate([group_row[pair_b] * m + np.repeat(group_row, reps), np.arange(m) * (m + 1)])
         unique, inverse = np.unique(keys, return_inverse=True)
+        col = unique // m
         # The order depends on the pattern alone; these values, strictly
         # diagonally dominant, factor without breakdown.
         dominant = np.full(len(unique), -1.0)
-        dominant[inverse[len(first) :]] = np.bincount(unique // m, minlength=m)
+        dominant[inverse[num_pairs:]] = np.bincount(col, minlength=m)
         self.perm = scipy.sparse.linalg.splu(
             pattern(unique, dominant),
             permc_spec="MMD_AT_PLUS_A",
+            panel_size=1,
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         ).perm_c.astype(np.int64)
         # The kept order moves entry (i, j) to (perm[i], perm[j]); an
         # entry's rank among the moved keys is its slot there.
-        col = unique // m
         moved = self.perm[col] * m + self.perm[unique - col * m]
         order = np.argsort(moved)
         slot = np.empty_like(order)
         slot[order] = np.arange(len(order))
-        self._diag = slot[inverse[len(first) :]]
+        self._diag = slot[inverse[num_pairs:]]
         self._gmat = pattern(moved[order], np.zeros(len(order)))
-        # G's values are one product with H's blocks, raveled: pair (i, j)
-        # puts a_i a_j on block entry 9t + 3k_i + k_j in its slot.
+        # G's values are one product with H's blocks, raveled: each pair
+        # (i, j) of one cone's nonzeros puts a_i a_j on block entry 9t +
+        # 3k_i + k_j in the slot of its groups' pair.  Nonzero i pairs with
+        # the per[i] nonzeros of its cone, listed in second, so a value of
+        # i repeats per[i] times.  Taken by cone, then i, then j, the block
+        # entries of each slot ascend, and _csr keeps them in that order.
+        per = nonzeros[cone]
+        first_nonzero = np.cumsum(nonzeros) - nonzeros
+        second = np.arange(int(per.sum())) - np.repeat(np.cumsum(per) - per - first_nonzero[cone], per)
         self._scatter = _csr(
-            scipy.sparse.csr_matrix(
-                (
-                    vals[first] * vals[second],
-                    (slot[inverse[: len(first)]], 9 * cone[first] + 3 * within[first] + within[second]),
-                ),
-                shape=(len(order), 9 * num_cones),
-            )
+            slot[inverse[:num_pairs]][np.repeat(pair_base[group], per) + group[second]],
+            np.repeat(9 * cone + 3 * within, per) + within[second],
+            np.repeat(vals, per) * vals[second],
+            (len(order), 9 * num_cones),
         )
 
     def factor(self, hblocks: np.ndarray, gram: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -431,6 +475,25 @@ class _KktSolver:
         return sol
 
 
+def _setup(
+    a_rows: Sequence[int], a_cols: Sequence[int], a_vals: Sequence[float], m: int, num_cones: int
+) -> Tuple[_KktSolver, _Csr, _Csr, np.ndarray]:
+    """The KKT solver of the rotated A with unit row maxima, that A and its
+    transpose with the rows in the solver's kept order, and each row's
+    largest rotated |coefficient| in the caller's order."""
+
+    rows, cols, vals = _rotated(
+        np.asarray(a_rows, dtype=np.int64), np.asarray(a_cols, dtype=np.int64), np.asarray(a_vals, dtype=float), m
+    )
+    row_max = np.full(m, 1e-300)
+    np.maximum.at(row_max, rows, np.abs(vals))
+    vals = vals * (1.0 / row_max)[rows]
+    kkt = _KktSolver(rows, cols, vals, m, num_cones)
+    # sorted by cone, each row's nonzeros come by ascending column
+    a_s = _csr(kkt.perm[rows], cols, vals, (m, 3 * num_cones))
+    return kkt, a_s, _transpose(a_s), row_max
+
+
 def solve_socp(
     a_rows: Sequence[int],
     a_cols: Sequence[int],
@@ -463,26 +526,14 @@ def solve_socp(
             residuals={"primal": 0.0 if m == 0 else float(np.max(np.abs(b_ext), initial=0.0))},
         )
 
-    rows = np.asarray(a_rows, dtype=np.int64)
-    cols = np.asarray(a_cols, dtype=np.int64)
-    vals = np.asarray(a_vals, dtype=float)
-
     # Internal problem: rotate cones to Lorentz form, scale rows of A to unit
     # max coefficient, then scale b and c globally (cone-invariant).  The
-    # rows are then renumbered into the KKT factor's order, in which they
-    # stay until the solve returns: the caller's row i is row perm[i].
-    rotated = _rotated(rows, cols, vals, (m, n))
-    row_counts = np.diff(rotated.indptr)
-    row_max = np.full(m, 1e-300)
-    np.maximum.at(row_max, np.repeat(np.arange(m), row_counts), np.abs(rotated.data))
-    rotated.data *= np.repeat(1.0 / row_max, row_counts)
-    kkt = _KktSolver(rotated, num_cones)
+    # rows are renumbered into the KKT factor's order, in which they stay
+    # until the solve returns: the caller's row i is row perm[i].
+    kkt, a_s, a_st, row_max = _setup(a_rows, a_cols, a_vals, m, num_cones)
     perm = kkt.perm
     unperm = np.empty_like(perm)
     unperm[perm] = np.arange(m)
-    kept = rotated[unperm]
-    a_s = _csr(kept)
-    a_st = _csr(kept.T.tocsr())
     row_scale = 1.0 / row_max[unperm]
     b_kept = b_ext[unperm]
     b_scale = max(1.0, float(np.max(np.abs(b_kept * row_scale), initial=0.0)))

@@ -10,8 +10,9 @@ points, yielding triples (u, v, w) with u = (v + w)/2; these are the
 midpoint links a binomial-squares decomposition rides on.  A circuit's
 weights fix each segment's parameter q/p in closed form (Reznick 1989;
 Iliman and de Wolff 2016), so one lift, given both endpoints and q/p,
-serves both modes.  ``med_set`` peels the trellis one point at a time (on
-a two-point trellis it is the lift of that one segment).  ``med_set_odd``
+serves both modes.  ``med_set`` peels the trellis one point at a time, in
+the order given (on a two-point trellis it is the lift of that one
+segment); ``socp.build_plan`` picks that order.  ``med_set_odd``
 produces mediated sets whose endpoint coordinates are even rationals with
 odd denominators, so that after substituting an odd root every square
 point becomes an even lattice point and each binomial square is globally

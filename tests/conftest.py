@@ -470,21 +470,44 @@ def _ref_med_set_odd(
     return out
 
 
+def _ref_cheapest_first(weights: Sequence[Fraction]) -> List[int]:
+    # Each step peels the point whose segment, from it through the rest's
+    # combination, has the shortest mediated sequence, ties to the heavier
+    # point, then to the earlier one; unlike build_plan, it compares the
+    # last two points too.
+    left = sorted(range(len(weights)), key=lambda i: -weights[i])
+    order = []
+    rest = Fraction(1)
+
+    def length(i: int) -> int:
+        step = (rest - weights[i]) / rest
+        return len(med_seq(step.denominator, step.numerator))
+
+    while len(left) > 1:
+        i = min(left, key=length)
+        left.remove(i)
+        order.append(i)
+        rest -= weights[i]
+    return order + left
+
+
 def ref_plan(cover, odd_mode: bool = False):
     """build_plan on the reference lifts: (circuit_triples, triples, points,
-    index, passthrough), all in Fractions.  Each trellis is lifted heaviest
-    weight first when the cover's trellis points are affinely independent,
-    a triple is kept in the first circuit that lifts it, and a circuit left
-    with none is dropped."""
+    index, passthrough), all in Fractions.  When the cover's trellis points
+    are affinely independent, each trellis is lifted cheapest first in even
+    mode and heaviest weight first in odd mode, a triple is kept in the
+    first circuit that lifts it, and a circuit left with none is dropped."""
     lift = ref_med_set_odd if odd_mode else ref_med_set
     squares = sorted({pt for c in cover.circuits for pt in c.trellis})
-    heavy_first = len(ref_reduce([[1, *pt] for pt in squares], len(squares[0]) + 1)[1]) == len(squares)
+    independent = len(ref_reduce([[1, *pt] for pt in squares], len(squares[0]) + 1)[1]) == len(squares)
     seen = set()
     groups = []
     for c in cover.circuits:
         order = range(len(c.weights))
-        if heavy_first:
+        if independent and odd_mode:
             order = sorted(order, key=lambda i: -c.weights[i])
+        elif independent:
+            order = _ref_cheapest_first(c.weights)
         group = []
         for t in lift([c.trellis[i] for i in order], c.beta, [c.weights[i] for i in order]):
             if t not in seen:

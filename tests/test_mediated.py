@@ -84,6 +84,15 @@ def test_med_seq_is_valid_and_small():
         assert len(triples) <= 0.5 * (math.log2(p) + 1.5) ** 2
 
 
+def test_med_seq_length_is_the_same_from_either_end():
+    # socp's cheapest-first peel reads this to leave the last two points
+    # untried: the segment from one to the other is the reflection of the
+    # segment back
+    for p in range(2, 300):
+        for q in range(1, p):
+            assert len(med_seq(p, q)) == len(med_seq(p, p - q)), (p, q)
+
+
 def test_brute_min_med_seq_goldens():
     assert brute_min_med_seq(2, 1) == (0, 1, 2)
     assert len(brute_min_med_seq(8, 1)) == 5
