@@ -10,6 +10,11 @@ polynomial per line, and fans the work out over a bounded process pool.
 Every batch item gets its own JSON report (and, like a single item, an
 "error:" line on stderr when its status is error), an item that fails does
 not stop the others, and the exit code is the worst one seen.
+
+A certificate is written in the pieces Certificate.pieces gives, straight
+to the -o file, to stdout, or into the --json line between its opening
+'{"certificate": ' and the rest of the report; bound --dump-socp writes
+the standard form with json.dump.  Neither text is held whole.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .certify import BoundaryFailure, exact_sobs
@@ -125,7 +130,7 @@ def _bound_work(text: str, odd_mode: bool, dump: Optional[str]) -> tuple:
         report.num_triples = result.problem.plan.num_triples
         if dump:
             with open(dump, "w", encoding="utf-8") as handle:
-                handle.write(result.problem.to_json())
+                result.problem.dump(handle)
     return report, None
 
 
@@ -147,24 +152,28 @@ def _emit(report: RunReport, cert: Optional[Certificate], as_json: bool, output:
     As JSON the item is one line with the certificate inlined.  Otherwise
     the certificate goes to stdout unless written to output, and the report
     lines go to stdout, or to stderr when a certificate came with them.
+    The certificate is written as Certificate.pieces gives it, wherever it
+    goes, and never held as one string.
     """
     if cert is not None and output:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(cert.dumps())
+            handle.writelines(cert.pieces())
     if as_json:
         payload = asdict(report)
         if payload["xi"] is not None and not math.isfinite(payload["xi"]):
             # JSON has no infinities; the reason says why there is no bound
             payload["xi"] = None
         line = json.dumps(payload, sort_keys=True)
-        if cert is not None:
+        if cert is None:
+            print(line)
+        else:
             # the line is json.dumps(payload, sort_keys=True), and
             # "certificate" sorts before every report field
-            line = f'{{"certificate": {cert.dumps_compact()}, {line[1:]}'
-        print(line)
+            sys.stdout.writelines(chain(['{"certificate": '], cert.pieces(compact=True), [f", {line[1:]}\n"]))
     else:
         if cert is not None and not output:
-            print(cert.dumps())
+            sys.stdout.writelines(cert.pieces())
+            print()
         for line in report.lines():
             print(line, file=sys.stdout if cert is None else sys.stderr)
     if report.status == "error":

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, log10
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .cover import CoverResult, simplex_cover
 from .ipm import ConeSolve, solve_socp
@@ -170,6 +170,10 @@ def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
     )
 
 
+# the layout of SocpProblem.to_json and SocpProblem.dump
+_JSON_LAYOUT = {"indent": 2, "sort_keys": True}
+
+
 @dataclass
 class SocpProblem:
     """Standard-form data: min objective'slots s.t. rows, slots in cones.
@@ -203,8 +207,20 @@ class SocpProblem:
         return 3 * self.plan.num_triples
 
     def to_json(self) -> str:
+        """The standard form as JSON in the json.dumps(indent=2,
+        sort_keys=True) layout."""
+
+        return json.dumps(self._data(), **_JSON_LAYOUT)
+
+    def dump(self, handle: TextIO) -> None:
+        """Write to_json() to handle as json.dump encodes it, a token at a
+        time, without holding the text."""
+
+        json.dump(self._data(), handle, **_JSON_LAYOUT)
+
+    def _data(self) -> dict:
         view = fraction_points(self.row_points, self.plan.den)
-        data = {
+        return {
             "mode": self.mode,
             "num_cones": self.plan.num_triples,
             "cone_block": 3,
@@ -224,7 +240,6 @@ class SocpProblem:
                 for exp, coef in sorted(self.passthrough_terms.items())
             ],
         }
-        return json.dumps(data, indent=2, sort_keys=True)
 
 
 def assemble(plan: ConeTriplePlan, poly: SparsePoly, xi: object = None) -> SocpProblem:

@@ -32,6 +32,13 @@ writer renders each slot and coordinate once for both layouts, and
 bit_size counts the integers.  CertTriples of Fractions are a view, built
 only when a caller reads circuits or triples.
 
+The writer (Certificate.pieces) gives either layout as a stream of text
+pieces, one triple each, so that a certificate can be written to a file
+or stdout without its text ever being held whole: it holds the texts of
+the slots and of the distinct points (a third of the file on the scale
+ladder's n = 40 rung) and the one piece it is writing.  dumps and
+dumps_compact join the pieces.
+
 Past the caps neither D nor V is formed: the arithmetic runs on integers
 per triple and per distinct point.  Each distinct point is scaled once, by
 the lcm of its own coordinates' denominators; a midpoint is checked on the
@@ -47,10 +54,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import gcd, lcm
 from operator import add, floordiv, mul
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .polyring import _CANONICAL, _TOO_MANY_DIGITS, MAX_DECIMAL_EXPONENT, Exponent, Point, SparsePoly
 from .polyring import has_too_many_digits, is_even, parse_rational, pn_companion, poly_sha256
@@ -93,6 +100,23 @@ def _inline(items: Sequence[str], level: int, brackets: str = "[]") -> str:
     """The same list or object in the json.dumps layout without indent."""
 
     return f"{brackets[0]}{', '.join(items)}{brackets[1]}"
+
+
+def _pieces(
+    block: Callable[..., str], items: Iterable[Iterable[str]], level: int, brackets: str = "[]"
+) -> Iterator[str]:
+    """block(items, level, brackets) in pieces, each item given as its own
+    pieces: the text before an item is joined to its first piece, and the
+    closing bracket is a piece of its own."""
+
+    opening, separator, closing = block(["\0", "\0"], level, brackets).split("\0")
+    empty = True
+    for item in items:
+        item = iter(item)
+        yield (opening if empty else separator) + next(item)
+        yield from item
+        empty = False
+    yield brackets if empty else closing
 
 
 def _rational(num: int, den: int) -> str:
@@ -262,21 +286,27 @@ class Certificate:
 
     def dumps(self) -> str:
         """The certificate file: JSON in the json.dumps(indent=2,
-        sort_keys=True) layout."""
+        sort_keys=True) layout, the join of pieces()."""
 
-        return self._write(_indented)
+        return "".join(self.pieces())
 
     def dumps_compact(self) -> str:
         """The certificate in the json.dumps(sort_keys=True) layout, on one
-        line, as the CLI inlines it in a --json report."""
+        line, the join of pieces(compact=True)."""
 
-        return self._write(_inline)
+        return "".join(self.pieces(compact=True))
 
-    def _write(self, block: Callable[..., str]) -> str:
-        """The certificate JSON with sorted keys, each list and object laid
-        out by block.  The text of each slot is rendered once for both
-        layouts, and each distinct coordinate and point once per layout."""
+    def pieces(self, compact: bool = False) -> Iterator[str]:
+        """The certificate JSON with sorted keys, in the layout of dumps, or
+        of dumps_compact if compact, as pieces of text to write in turn.
 
+        Each triple is one piece, as is each passthrough term and each
+        other field, with the brackets and separators around it; the
+        document is never held whole.  The text of each slot is rendered
+        once for both layouts, and each distinct coordinate and point once
+        per layout and held while the pieces are written."""
+
+        block = _inline if compact else _indented
         cones = self._integers()
         if cones.leaves is None:
             slots = cones.slots
@@ -290,34 +320,35 @@ class Certificate:
         points = [block(list(map(coords.__getitem__, zip(pt[0::2], pt[1::2]))), 5) for pt in cones.points]
         template = block(['"a": %s', '"b": %s', '"c": %s', '"u": %s', '"v": %s', '"w": %s'], 4, "{}")
         refs = cones.refs
-        triples = [
-            template % (a, b, c, points[u], points[v], points[w])
+        triples = (
+            (template % (a, b, c, points[u], points[v], points[w]),)
             for a, b, c, u, v, w in zip(values[0::3], values[1::3], values[2::3], refs[0::3], refs[1::3], refs[2::3])
-        ]
-        circuits = []
-        start = 0
-        for size in cones.sizes:
-            circuits.append(block([f'"triples": {block(triples[start:start + size], 3)}'], 2, "{}"))
-            start += size
-        passthrough = [
-            block(
-                [
-                    f'"coef": {_rational(coef.numerator, coef.denominator)}',
-                    f'"exp": {block(list(map(json.dumps, exp)), 3)}',
-                ],
-                2,
-                "{}",
+        )
+        circuits = (
+            _pieces(block, [chain(['"triples": '], _pieces(block, islice(triples, size), 3))], 2, "{}")
+            for size in cones.sizes
+        )
+        passthrough = (
+            (
+                block(
+                    [
+                        f'"coef": {_rational(coef.numerator, coef.denominator)}',
+                        f'"exp": {block(list(map(json.dumps, exp)), 3)}',
+                    ],
+                    2,
+                    "{}",
+                ),
             )
             for exp, coef in self.passthrough
-        ]
+        )
         fields = [
-            f'"circuits": {block(circuits, 1)}',
-            f'"n": {json.dumps(self.n)}',
-            f'"passthrough": {block(passthrough, 1)}',
-            f'"poly_sha256": {json.dumps(self.poly_sha256)}',
-            f'"xi": {_rational(self.xi.numerator, self.xi.denominator)}',
+            chain(['"circuits": '], _pieces(block, circuits, 1)),
+            [f'"n": {json.dumps(self.n)}'],
+            chain(['"passthrough": '], _pieces(block, passthrough, 1)),
+            [f'"poly_sha256": {json.dumps(self.poly_sha256)}'],
+            [f'"xi": {_rational(self.xi.numerator, self.xi.denominator)}'],
         ]
-        return block(fields, 0, "{}")
+        return _pieces(block, fields, 0, "{}")
 
     @classmethod
     def from_json(cls, data: object) -> "Certificate":

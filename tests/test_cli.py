@@ -11,6 +11,7 @@ import pytest
 from soncert import cli
 from soncert.certify import Certificate
 from soncert.polyring import SparsePoly, poly_dumps
+from soncert.socp import lower_bound
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 # unbounded below: no finite bound exists for its support
@@ -53,6 +54,8 @@ def test_bound_dump_socp(motzkin_file, tmp_path, capsys):
     data = json.loads(dump.read_text())
     assert data["mode"] == "bound"
     assert data["num_cones"] == 3
+    # written a token at a time, the file is still to_json's text
+    assert dump.read_text() == lower_bound(MOTZKIN).problem.to_json()
 
 
 def test_certify_then_verify(motzkin_file, tmp_path, capsys):
@@ -96,6 +99,23 @@ def test_certify_json_line_is_json_dumps_of_the_report(motzkin_file, tmp_path, c
     ((report, cert),) = emitted
     text = cert.dumps() if batch else cert_path.read_text()
     assert line == json.dumps({**asdict(report), "certificate": json.loads(text)}, sort_keys=True)
+
+
+def test_certify_prints_the_certificate_file_on_stdout(motzkin_file, capsys, monkeypatch):
+    # without -o and --json the certificate is written in pieces to stdout,
+    # and the report lines go to stderr
+    emitted, emit = [], cli._emit
+
+    def recording_emit(report, cert, as_json, output):
+        emitted.append(cert)
+        return emit(report, cert, as_json, output)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    assert cli.main(["certify", motzkin_file]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    (cert,) = emitted
+    assert captured.out == cert.dumps() + "\n"
+    assert "status=ok" in captured.err.splitlines()
 
 
 def test_certify_at_boundary_exits_2(motzkin_file, capsys):

@@ -223,16 +223,50 @@ def test_bit_size_counts_every_point_reference(cert):
     assert Certificate.loads(cert.dumps()).bit_size == ref_bit_size(cert)
 
 
+_EDGE_TRIPLE = CertTriple(
+    (Fraction(-1, 3),), (Fraction(0),), (Fraction(-2, 3),), Fraction(-5), Fraction(0), Fraction(7, 2)
+)
+WRITER_EDGE_CASES = (
+    Certificate(1, Fraction(-1, 2), 'a"b\\cé☃\n', (), ()),
+    Certificate(1, Fraction(0), "", ((), (_EDGE_TRIPLE,)), ()),
+    Certificate(1, Fraction(3), "x", ((_EDGE_TRIPLE, _EDGE_TRIPLE),), (((4,), Fraction(-9, 4)),)),
+)
+
+
 def test_writer_edge_cases():
-    t = CertTriple((Fraction(-1, 3),), (Fraction(0),), (Fraction(-2, 3),), Fraction(-5), Fraction(0), Fraction(7, 2))
-    for cert in (
-        Certificate(1, Fraction(-1, 2), 'a"b\\cé☃\n', (), ()),
-        Certificate(1, Fraction(0), "", ((), (t,)), ()),
-        Certificate(1, Fraction(3), "x", ((t, t),), (((4,), Fraction(-9, 4)),)),
-    ):
+    for cert in WRITER_EDGE_CASES:
         _assert_written_as_before(cert)
     for _, cert in VALID:
         _assert_written_as_before(cert)
+
+
+# what a piece may hold beyond one triple, passthrough term or scalar field:
+# the brackets, separators, indentation and keys around it
+PIECE_MARGIN = 32
+
+
+def _unit_texts(cert, indent):
+    """The texts of the writer's units in a layout: each triple, each
+    passthrough term and each scalar field, indented as written."""
+
+    data = ref_certificate_json(cert)
+
+    def text(value, level):
+        return json.dumps(value, indent=indent, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+    yield from (text(t, 4) for group in data["circuits"] for t in group["triples"])
+    yield from (text(term, 2) for term in data["passthrough"])
+    yield from (text({key: data[key]}, 0) for key in ("n", "poly_sha256", "xi"))
+
+
+@SETTINGS
+@given(certificates() | st.sampled_from(WRITER_EDGE_CASES + tuple(cert for _, cert in VALID)))
+def test_writer_pieces_join_to_either_layout(cert):
+    for compact, indent, text in ((False, 2, cert.dumps()), (True, None, cert.dumps_compact())):
+        pieces = list(cert.pieces(compact=compact))
+        assert "".join(pieces) == text
+        # the document is never joined: a piece holds one unit at most
+        assert max(map(len, pieces)) <= max(map(len, _unit_texts(cert, indent))) + PIECE_MARGIN
 
 
 JSON = st.recursive(
