@@ -42,7 +42,7 @@ from .certify import (
     exact_sobs,
     project_slots,
 )
-from .verify import Certificate, CertTriple, VerifyResult, check_cone, verify_certificate
+from .verify import Certificate, VerifyResult, verify_certificate
 from .generate import POLY_CLASSES, GenInstance, random_instance
 
 __all__ = [
@@ -76,10 +76,8 @@ __all__ = [
     "solve_problem",
     "BoundaryFailure",
     "Certificate",
-    "CertTriple",
     "VerifyResult",
     "project_slots",
-    "check_cone",
     "exact_sobs",
     "verify_certificate",
     "POLY_CLASSES",

@@ -149,7 +149,7 @@ def _trivial_certificate(tilde: SparsePoly, xi: Fraction, sha: str) -> Certifica
         n=tilde.n,
         xi=xi,
         poly_sha256=sha,
-        circuits=(),
+        cones=_Cones([], [], [], []),
         passthrough=tuple(sorted(passthrough)),
     )
 
@@ -181,7 +181,7 @@ def _certificate(
     sizes = [len(group) for group in plan.circuit_triples]
     cones = _Cones.over(plan.den, plan.points, refs, sizes, *slots)
     passthrough = tuple(sorted(problem.passthrough_terms.items()))
-    cert = Certificate._of(f.n, xi, sha, cones, passthrough)
+    cert = Certificate(f.n, xi, sha, cones, passthrough)
     check = verify_certificate(f, cert)
     if check.reason == "too-large":
         raise ValueError(f"certificate denominators at bound {xi} are too large to verify")

@@ -141,7 +141,7 @@ def _certify_work(text: str, xi: Optional[str], odd_mode: bool) -> tuple:
     if cert is not None:
         report.xi = float(cert.xi)
         report.exact_xi = format_rational(cert.xi)
-        report.num_triples = len(cert._integers().refs) // 3  # three points per triple
+        report.num_triples = cert.num_triples
         report.certificate_bits = cert.bit_size
     return report, cert
 

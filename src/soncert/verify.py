@@ -24,13 +24,12 @@ common denominator without big-integer arithmetic.  A cap is settled by
 the summed bit lengths of the distinct denominators when those stay below
 it, and only otherwise by building the lcm, which stops at the cap.
 
-A certificate keeps its circuits in integers (_Cones): each distinct
-point once, as its coordinates in lowest terms, and each slot as a
-numerator and a positive denominator in lowest terms, as Fraction keeps
+A certificate holds its circuits in one form, integers (_Cones): each
+distinct point once, as its coordinates in lowest terms, and each slot as
+a numerator and a positive denominator in lowest terms, as Fraction keeps
 them.  The reader builds that form straight from the JSON values, the
 writer renders each slot and coordinate once for both layouts, and
-bit_size counts the integers.  CertTriples of Fractions are a view, built
-only when a caller reads circuits or triples.
+bit_size and the verifier read the integers.
 
 The writer (Certificate.pieces) gives either layout as a stream of text
 pieces, one triple each, so that a certificate can be written to a file
@@ -59,31 +58,16 @@ from math import gcd, lcm
 from operator import add, floordiv, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .polyring import _CANONICAL, _TOO_MANY_DIGITS, MAX_DECIMAL_EXPONENT, Exponent, Point, SparsePoly
+from .polyring import _CANONICAL, _TOO_MANY_DIGITS, MAX_DECIMAL_EXPONENT, Exponent, SparsePoly
 from .polyring import has_too_many_digits, is_even, parse_rational, pn_companion, poly_sha256
 
 
 def _in_cone(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int) -> bool:
-    """check_cone on numerators p and positive denominators q: 2ab >= c^2
-    is 2 pa pb qc^2 >= pc^2 qa qb."""
+    """Exact membership of (a, b, c) in the closed rotated cone, a, b >= 0
+    and 2ab >= c^2, each given as a numerator p over a positive denominator
+    q: 2ab >= c^2 is 2 pa pb qc^2 >= pc^2 qa qb."""
 
     return pa >= 0 and pb >= 0 and 2 * pa * pb * qc * qc >= pc * pc * qa * qb
-
-
-def check_cone(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    """Exact membership in the closed rotated cone."""
-
-    return _in_cone(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)
-
-
-@dataclass(frozen=True)
-class CertTriple:
-    u: Point
-    v: Point
-    w: Point
-    a: Fraction
-    b: Fraction
-    c: Fraction
 
 
 def _indented(items: Sequence[str], level: int, brackets: str = "[]") -> str:
@@ -187,102 +171,37 @@ class _Cones:
         slots = list(chain.from_iterable(zip(map(floordiv, p, g), map(floordiv, q, g))))
         return cls(reduced, refs, slots, sizes)
 
-    @classmethod
-    def of(cls, circuits: Iterable[Iterable[CertTriple]]) -> "_Cones":
-        """From CertTriples of Fractions (or integers)."""
 
-        index: Dict[Tuple[int, ...], int] = {}
-        refs: List[int] = []
-        slots: List[int] = []
-        sizes: List[int] = []
-        for group in circuits:
-            group = tuple(group)
-            sizes.append(len(group))
-            for t in group:
-                for pt in (t.u, t.v, t.w):
-                    key = tuple(chain.from_iterable((x.numerator, x.denominator) for x in pt))
-                    refs.append(index.setdefault(key, len(index)))
-                for x in (t.a, t.b, t.c):
-                    slots += (x.numerator, x.denominator)
-        return cls(list(index), refs, slots, sizes)
-
-    def circuits(self) -> Tuple[Tuple[CertTriple, ...], ...]:
-        """The circuits as CertTriples of Fractions."""
-
-        points = [tuple(map(Fraction, pt[0::2], pt[1::2])) for pt in self.points]
-        values = iter(map(Fraction, self.slots[0::2], self.slots[1::2]))
-        refs = iter(self.refs)
-        return tuple(
-            tuple(
-                CertTriple(points[next(refs)], points[next(refs)], points[next(refs)], *(next(values) for _ in "abc"))
-                for _ in range(size)
-            )
-            for size in self.sizes
-        )
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Certificate:
-    """Exact nonnegativity witness for f - xi on the companion side.
+    """Exact nonnegativity witness for f - xi on the companion side, its
+    circuits held in integers (cones).
 
-    The circuits are checked, written and counted in integers (_Cones).  A
-    certificate made from CertTriples converts them on each use; one that
-    exact_sobs or the reader makes holds the integers only, and builds its
-    CertTriples the first time circuits is read.
-    """
+    == is identity (eq=False), since _Cones has no value equality: two
+    certificates are the same when their dumps() are."""
 
     n: int
     xi: Fraction
     poly_sha256: str
-    circuits: Tuple[Tuple[CertTriple, ...], ...]
+    cones: _Cones
     passthrough: Tuple[Tuple[Exponent, Fraction], ...]
 
-    @classmethod
-    def _of(
-        cls, n: int, xi: Fraction, sha: str, cones: _Cones, passthrough: Tuple[Tuple[Exponent, Fraction], ...]
-    ) -> "Certificate":
-        cert = cls.__new__(cls)
-        cert.__dict__.update(n=n, xi=xi, poly_sha256=sha, passthrough=passthrough, _cones=cones)
-        return cert
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute that is not set: the circuits of a
-        # certificate made by _of
-        cones = self.__dict__.get("_cones")
-        if name != "circuits" or cones is None:
-            raise AttributeError(name)
-        circuits = self.__dict__["circuits"] = cones.circuits()
-        return circuits
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name == "circuits":
-            self.__dict__.pop("_cones", None)
-        object.__setattr__(self, name, value)
-
-    def _integers(self) -> _Cones:
-        # CertTriples are converted on each use: nothing derived from them
-        # is kept that a later change to a caller's lists could make stale
-        return self.__dict__.get("_cones") or _Cones.of(self.circuits)
-
     @property
-    def triples(self) -> Tuple[CertTriple, ...]:
-        return tuple(t for group in self.circuits for t in group)
+    def num_triples(self) -> int:
+        return len(self.cones.refs) // 3  # three points per triple
 
     @property
     def bit_size(self) -> int:
         """Bits of every numerator and denominator written, a point's
         counted once per triple that refers to it."""
 
-        cones = self._integers()
+        cones = self.cones
         point_bits = [sum(map(int.bit_length, pt)) for pt in cones.points]
         return (
             sum(map(int.bit_length, cones.slots))
             + sum(map(point_bits.__getitem__, cones.refs))
             + _bits([self.xi, *(coef for _, coef in self.passthrough)])
         )
-
-    def to_json(self) -> dict:
-        return json.loads(self.dumps())
 
     def dumps(self) -> str:
         """The certificate file: JSON in the json.dumps(indent=2,
@@ -307,7 +226,7 @@ class Certificate:
         per layout and held while the pieces are written."""
 
         block = _inline if compact else _indented
-        cones = self._integers()
+        cones = self.cones
         if cones.leaves is None:
             slots = cones.slots
             cones.leaves = list(map(_rational, slots[0::2], slots[1::2]))
@@ -349,10 +268,6 @@ class Certificate:
             [f'"xi": {_rational(self.xi.numerator, self.xi.denominator)}'],
         ]
         return _pieces(block, fields, 0, "{}")
-
-    @classmethod
-    def from_json(cls, data: object) -> "Certificate":
-        return _Reader().certificate(data)
 
     @classmethod
     def loads(cls, text: str) -> "Certificate":
@@ -500,7 +415,7 @@ class _Reader:
             if len(exp) != n or any(x < 0 for x in exp):
                 raise ValueError(f"bad passthrough exponent {exp}")
             passthrough.append((exp, parse_rational(_field(item, "coef", "passthrough term"))))
-        return Certificate._of(n, xi, sha, _Cones(points, refs, slots, sizes), tuple(passthrough))
+        return Certificate(n, xi, sha, _Cones(points, refs, slots, sizes), tuple(passthrough))
 
 
 def _pairs(point: Sequence[int]) -> List[List[int]]:
@@ -572,7 +487,7 @@ def verify_certificate(f: SparsePoly, cert: Certificate) -> VerifyResult:
         return VerifyResult(False, "too-large")
     if cert.poly_sha256 != poly_sha256(f):
         return VerifyResult(False, "hash-mismatch")
-    cones = cert._integers()
+    cones = cert.cones
     points, refs, slots = cones.points, cones.refs, cones.slots
     q = slots[1::2]
     poly_bits = sum((d - 1).bit_length() for d in {c.denominator for c in f.terms.values()})

@@ -10,6 +10,8 @@ from typing import Iterable, List, Sequence, Tuple
 from soncert.mediated import med_seq
 from soncert.polyring import Exponent, circuit_weights
 
+from oracles import check_cone, circuits_of, triples_of
+
 
 def random_simplex_trellis(
     rng: random.Random, n: int, half_degree: int
@@ -617,7 +619,7 @@ def ref_certificate_json(cert) -> dict:
                     for t in group
                 ]
             }
-            for group in cert.circuits
+            for group in circuits_of(cert)
         ],
         "passthrough": [
             {"exp": list(exp), "coef": format_rational(coef)} for exp, coef in cert.passthrough
@@ -661,7 +663,7 @@ def ref_bit_size(cert) -> int:
         return abs(x.numerator).bit_length() + x.denominator.bit_length()
 
     total = frac_bits(cert.xi)
-    for t in cert.triples:
+    for t in triples_of(cert):
         for pt in (t.u, t.v, t.w):
             total += sum(frac_bits(x) for x in pt)
         total += frac_bits(t.a) + frac_bits(t.b) + frac_bits(t.c)
@@ -693,7 +695,7 @@ def _ref_reconstruct(cert):
         else:
             total.pop(pt, None)
 
-    for t in cert.triples:
+    for t in triples_of(cert):
         add(t.v, 2 * t.a)
         add(t.w, t.b)
         add(t.u, -2 * t.c)
@@ -727,14 +729,14 @@ def ref_verify_certificate(f, cert) -> Tuple[bool, str]:
         return False, "shape-mismatch"
     if cert.poly_sha256 != poly_sha256(f):
         return False, "hash-mismatch"
-    for t in cert.triples:
+    for t in triples_of(cert):
         if len(t.u) != cert.n or len(t.v) != cert.n or len(t.w) != cert.n:
             return False, "shape-mismatch"
         if t.v == t.w or any(x < 0 for x in t.u + t.v + t.w):
             return False, "bad-midpoint"
         if tuple((x + y) / 2 for x, y in zip(t.v, t.w)) != t.u:
             return False, "bad-midpoint"
-        if not (t.a >= 0 and t.b >= 0 and 2 * t.a * t.b >= t.c * t.c):
+        if not check_cone(t.a, t.b, t.c):
             return False, "cone-violation"
     for exp, coef in cert.passthrough:
         if not is_even(exp) or coef <= 0:

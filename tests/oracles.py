@@ -6,16 +6,25 @@ search, is_mediated_sequence and is_valid_mediated_set check the
 definitions, fractions gives a MediatedSet's triples in Fractions, and
 is_nonneg_circuit decides a circuit polynomial's nonnegativity by its
 circuit number.
+
+A Certificate holds its circuits in integers only.  The tests build and
+read them as CertTriples of Fractions: cones_of builds a certificate's
+integers from CertTriples, circuits_of and triples_of read them back,
+check_cone is the closed cone test on Fractions, and same_certificate
+compares two certificates by their files and their CertTriples.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from soncert.mediated import IntPoint, MediatedSet, fraction_points, med_seq
 from soncert.polyring import Circuit, Exponent, Point, is_even, parse_rational
+from soncert.verify import Certificate, _Cones
 
 PointTriple = Tuple[Point, Point, Point]  # (u, v, w) with u = (v + w)/2
 
@@ -158,3 +167,67 @@ def is_nonneg_circuit(
         q = int(w * p)
         lhs *= (c / w) ** q
     return lhs >= abs(d) ** p
+
+
+@dataclass(frozen=True)
+class CertTriple:
+    u: Point
+    v: Point
+    w: Point
+    a: Fraction
+    b: Fraction
+    c: Fraction
+
+
+def check_cone(a: Fraction, b: Fraction, c: Fraction) -> bool:
+    """Exact membership in the closed rotated cone: a, b >= 0, 2ab >= c^2."""
+    return a >= 0 and b >= 0 and 2 * a * b >= c * c
+
+
+def cones_of(circuits: Iterable[Iterable[CertTriple]]) -> _Cones:
+    """A certificate's integers from its circuits of CertTriples, of
+    Fractions or integers: each distinct point once, by value."""
+    index: Dict[Tuple[int, ...], int] = {}
+    refs: List[int] = []
+    slots: List[int] = []
+    sizes: List[int] = []
+    for group in circuits:
+        group = tuple(group)
+        sizes.append(len(group))
+        for t in group:
+            for pt in (t.u, t.v, t.w):
+                key = tuple(chain.from_iterable((x.numerator, x.denominator) for x in pt))
+                refs.append(index.setdefault(key, len(index)))
+            for x in (t.a, t.b, t.c):
+                slots += (x.numerator, x.denominator)
+    return _Cones(list(index), refs, slots, sizes)
+
+
+def circuits_of(cert: Certificate) -> Tuple[Tuple[CertTriple, ...], ...]:
+    """A certificate's circuits as CertTriples of Fractions."""
+    cones = cert.cones
+    points = [tuple(map(Fraction, pt[0::2], pt[1::2])) for pt in cones.points]
+    values = iter(map(Fraction, cones.slots[0::2], cones.slots[1::2]))
+    refs = iter(cones.refs)
+    return tuple(
+        tuple(
+            CertTriple(points[next(refs)], points[next(refs)], points[next(refs)], *(next(values) for _ in "abc"))
+            for _ in range(size)
+        )
+        for size in cones.sizes
+    )
+
+
+def triples_of(cert: Certificate) -> Tuple[CertTriple, ...]:
+    """A certificate's triples, circuit after circuit."""
+    return tuple(t for group in circuits_of(cert) for t in group)
+
+
+def same_certificate(a: Certificate, b: Certificate) -> bool:
+    """Whether two certificates are equal field by field, their circuits
+    compared as CertTriples, and write the same file."""
+    return (
+        (a.n, a.xi, a.poly_sha256, a.passthrough) == (b.n, b.xi, b.poly_sha256, b.passthrough)
+        and circuits_of(a) == circuits_of(b)
+        and a.dumps() == b.dumps()
+    )

@@ -29,10 +29,8 @@ from soncert.generate import POLY_CLASSES, random_instance
 from soncert.mediated import fraction_points, med_seq
 from soncert.polyring import SparsePoly, poly_sha256, support_partition
 from soncert.socp import assemble, build_plan, pn_companion, lower_bound
-from soncert.verify import CertTriple
-
 from conftest import project_fractions
-from oracles import brute_min_med_seq
+from oracles import CertTriple, brute_min_med_seq, cones_of, triples_of
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 REPORTED = SparsePoly(
@@ -91,7 +89,7 @@ def test_criterion_02_transcribed_decompositions():
         n=2,
         xi=Fraction(0),
         poly_sha256=poly_sha256(MOTZKIN),
-        circuits=(triples,),
+        cones=cones_of((triples,)),
         passthrough=(),
     )
     check = verify_certificate(MOTZKIN, cert)
@@ -105,7 +103,7 @@ def test_criterion_02_transcribed_decompositions():
     }
     ok = (
         check.ok
-        and len(cert.triples) == 3
+        and len(triples_of(cert)) == 3
         and plan.num_triples == 5
         and plan.max_denominator == 3
         and dens <= {1, 3}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import warnings
@@ -25,9 +26,10 @@ from soncert.cover import simplex_cover
 from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, poly_sha256
 from soncert.socp import SocpProblem, SolverFailure, assemble, build_plan, lower_bound, pn_companion, solve_problem
-from soncert.verify import CertTriple, VerifyResult, check_cone
+from soncert.verify import VerifyResult, _in_cone
 
 from conftest import project_fractions
+from oracles import CertTriple, circuits_of, cones_of, same_certificate, triples_of
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 EX6 = SparsePoly(
@@ -41,11 +43,18 @@ def check_cone_strict(a: Fraction, b: Fraction, c: Fraction) -> bool:
 
 
 def test_cone_checks():
-    assert check_cone(Fraction(1, 2), Fraction(1), Fraction(1))  # boundary
+    # the verifier's closed check on numerators and positive denominators:
+    # (1/2, 1, 1) lies on the boundary 2ab = c^2, as does (1/3, 3/2, 1)
+    # over other denominators, and a c one step out leaves the cone
+    assert _in_cone(1, 2, 1, 1, 1, 1)  # boundary
+    assert _in_cone(1, 3, 3, 2, 1, 1)  # boundary
+    assert not _in_cone(1, 3, 3, 2, 1001, 1000)
+    assert not _in_cone(-1, 1, 1, 1, 0, 1)
+    assert not _in_cone(1, 1, -1, 1, 0, 1)
+    assert _in_cone(0, 1, 5, 1, 0, 1)  # pure square
     assert not check_cone_strict(Fraction(1, 2), Fraction(1), Fraction(1))
     assert check_cone_strict(Fraction(1), Fraction(1), Fraction(1))
     assert check_cone_strict(Fraction(0), Fraction(5), Fraction(0))  # pure square
-    assert not check_cone(Fraction(-1), Fraction(1), Fraction(0))
     assert not check_cone_strict(Fraction(1), Fraction(1), Fraction(0) * 0 + 2)
 
 
@@ -75,15 +84,15 @@ def test_motzkin_certificate_default_mode():
     cert = exact_sobs(MOTZKIN)
     assert verify_certificate(MOTZKIN, cert).ok
     assert -2e-4 < float(cert.xi) < 0
-    for t in cert.triples:
+    for t in triples_of(cert):
         assert check_cone_strict(t.a, t.b, t.c)
 
 
 def test_motzkin_certificate_odd_mode():
     cert = exact_sobs(MOTZKIN, odd_mode=True)
     assert verify_certificate(MOTZKIN, cert).ok
-    assert len(cert.triples) == 5
-    dens = {x.denominator for t in cert.triples for pt in (t.u, t.v, t.w) for x in pt}
+    assert cert.num_triples == len(triples_of(cert)) == 5
+    dens = {x.denominator for t in triples_of(cert) for pt in (t.u, t.v, t.w) for x in pt}
     assert dens <= {1, 3} and 3 in dens
 
 
@@ -119,7 +128,7 @@ def test_certificate_infeasible_bound():
 def test_trivial_certificate_no_interior_points():
     f = SparsePoly(2, {(0, 0): -3, (2, 0): 1, (2, 2): 4})
     cert = exact_sobs(f)
-    assert cert.xi == -3 and cert.circuits == ()
+    assert cert.xi == -3 and circuits_of(cert) == ()
     assert verify_certificate(f, cert).ok
     higher = exact_sobs(f, xi=-4)
     assert verify_certificate(f, higher).ok
@@ -133,11 +142,11 @@ def test_constant_polynomial_is_its_own_bound(constant):
     f = SparsePoly(1, terms)
     assert lower_bound(f).xi == float(Fraction(constant))
     cert = exact_sobs(f)
-    assert cert.xi == Fraction(constant) and cert.circuits == () and cert.passthrough == ()
+    assert cert.xi == Fraction(constant) and circuits_of(cert) == () and cert.passthrough == ()
     assert verify_certificate(f, cert).ok
     # the verifier answers with a reason, not a traceback
     assert verify_certificate(f, exact_sobs(f, xi=Fraction(constant) - 1)).ok
-    low = Certificate(n=1, xi=Fraction(constant) + 1, poly_sha256=poly_sha256(f), circuits=(), passthrough=())
+    low = Certificate(n=1, xi=Fraction(constant) + 1, poly_sha256=poly_sha256(f), cones=cones_of(()), passthrough=())
     assert verify_certificate(f, low) == VerifyResult(False, "reconstruction-mismatch")
     with pytest.raises(BoundaryFailure):
         exact_sobs(f, xi=Fraction(constant) + 1)
@@ -156,11 +165,11 @@ def test_too_large_coefficients_are_a_named_refusal():
 def test_certificate_json_roundtrip_and_tamper():
     cert = exact_sobs(MOTZKIN)
     again = Certificate.loads(cert.dumps())
-    assert again == cert
+    assert same_certificate(again, cert)
     # tampering with a slot value must flip reconstruction or cone checks
-    data = cert.to_json()
+    data = json.loads(cert.dumps())
     data["circuits"][0]["triples"][0]["a"] = "7/3"
-    bad = Certificate.from_json(data)
+    bad = Certificate.loads(json.dumps(data))
     assert not verify_certificate(MOTZKIN, bad).ok
 
 
@@ -169,12 +178,12 @@ def test_verify_reason_codes():
     other = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 2, (2, 2): -3})
     assert verify_certificate(other, cert).reason == "hash-mismatch"
 
-    t = cert.triples[0]
+    t = triples_of(cert)[0]
     broken = Certificate(
         n=2,
         xi=cert.xi,
         poly_sha256=cert.poly_sha256,
-        circuits=((CertTriple(u=t.v, v=t.v, w=t.w, a=t.a, b=t.b, c=t.c),),),
+        cones=cones_of(((CertTriple(u=t.v, v=t.v, w=t.w, a=t.a, b=t.b, c=t.c),),)),
         passthrough=(),
     )
     assert verify_certificate(MOTZKIN, broken).reason == "bad-midpoint"
@@ -183,7 +192,7 @@ def test_verify_reason_codes():
         n=2,
         xi=cert.xi,
         poly_sha256=cert.poly_sha256,
-        circuits=((CertTriple(u=t.u, v=t.v, w=t.w, a=-t.a, b=t.b, c=t.c),),),
+        cones=cones_of(((CertTriple(u=t.u, v=t.v, w=t.w, a=-t.a, b=t.b, c=t.c),),)),
         passthrough=(),
     )
     assert verify_certificate(MOTZKIN, negative).reason == "cone-violation"
@@ -192,7 +201,7 @@ def test_verify_reason_codes():
         n=2,
         xi=cert.xi,
         poly_sha256=cert.poly_sha256,
-        circuits=(),
+        cones=cones_of(()),
         passthrough=(((1, 0), Fraction(1)),),
     )
     assert verify_certificate(MOTZKIN, odd_exp).reason == "bad-passthrough"
@@ -201,7 +210,7 @@ def test_verify_reason_codes():
         n=2,
         xi=cert.xi - 1,
         poly_sha256=cert.poly_sha256,
-        circuits=cert.circuits,
+        cones=cert.cones,
         passthrough=cert.passthrough,
     )
     assert verify_certificate(MOTZKIN, wrong_xi).reason == "reconstruction-mismatch"
@@ -222,7 +231,7 @@ def test_hand_built_certificate_verifies():
         n=2,
         xi=Fraction(0),
         poly_sha256=poly_sha256(MOTZKIN),
-        circuits=(triples,),
+        cones=cones_of((triples,)),
         passthrough=(),
     )
     assert verify_certificate(MOTZKIN, cert).ok
@@ -315,7 +324,7 @@ def test_one_rounding_per_certificate(monkeypatch, poly):
     k = grid_bits(problems[0], solutions[0].x)
     assert 17 <= k <= 52
     rounded = project_fractions(problems[0], [Fraction(round(s * 2**k), 2**k) for s in solutions[0].x])
-    assert [v for t in cert.triples for v in (t.a, t.b, t.c)] == rounded
+    assert [v for t in triples_of(cert) for v in (t.a, t.b, t.c)] == rounded
 
 
 # The first item of acceptance criterion 7 and the two-circuit instance of

@@ -27,8 +27,9 @@ from soncert.cover import simplex_cover
 from soncert.generate import random_instance
 from soncert.polyring import SparsePoly, pn_companion, poly_sha256
 from soncert.socp import assemble, build_plan, cover_points, solve_problem
-from soncert.verify import Certificate, CertTriple, verify_certificate
+from soncert.verify import Certificate, verify_certificate
 
+from oracles import CertTriple, circuits_of, cones_of, same_certificate, triples_of
 from conftest import (
     project_fractions,
     ref_bit_size,
@@ -64,12 +65,15 @@ def test_verify_imports_only_polyring_and_the_standard_library():
 
 
 def test_moved_names_stay_importable_as_the_same_objects():
-    # certify uses Certificate and verify_certificate; CertTriple, which it
-    # does not use, is imported from soncert or soncert.verify
+    # certify uses Certificate and verify_certificate; a certificate has no
+    # Fraction form in the library: CertTriple and check_cone are test oracles
     for name in ("Certificate", "verify_certificate"):
         assert getattr(soncert.certify, name) is getattr(soncert.verify, name)
-    assert not hasattr(soncert.certify, "CertTriple")
-    for name in ("Certificate", "CertTriple", "VerifyResult", "check_cone", "verify_certificate"):
+    for name in ("CertTriple", "check_cone"):
+        assert name not in soncert.__all__
+        for module in (soncert, soncert.certify, soncert.verify):
+            assert not hasattr(module, name), (module.__name__, name)
+    for name in ("Certificate", "VerifyResult", "verify_certificate"):
         assert getattr(soncert, name) is getattr(soncert.verify, name)
     assert soncert.socp.pn_companion is soncert.polyring.pn_companion
     assert soncert.pn_companion is soncert.polyring.pn_companion
@@ -86,7 +90,7 @@ def test_target_off_the_value_grid_is_a_mismatch():
     # V = 4, and the target 1/3 is no multiple of 1/4: 1/4 must not pass as
     # the 4/3 of the companion rounded down
     f = SparsePoly(1, {(2,): Fraction(1, 3), (0,): 1})
-    cert = Certificate(1, Fraction(1), poly_sha256(f), (), (((2,), Fraction(1, 4)),))
+    cert = Certificate(1, Fraction(1), poly_sha256(f), cones_of(()), (((2,), Fraction(1, 4)),))
     assert ref_verify_certificate(f, cert) == (False, "reconstruction-mismatch")
     assert verify_certificate(f, cert).reason == "reconstruction-mismatch"
     assert verify_certificate(f, dataclasses.replace(cert, passthrough=(((2,), Fraction(1, 3)),))).ok
@@ -110,9 +114,10 @@ def single_changes(draw):
         terms = list(cert.passthrough)
         terms[i] = (exp, new)
         return poly, dataclasses.replace(cert, passthrough=tuple(terms))
-    g = draw(st.integers(0, len(cert.circuits) - 1))
-    i = draw(st.integers(0, len(cert.circuits[g]) - 1))
-    t = cert.circuits[g][i]
+    circuits = list(circuits_of(cert))
+    g = draw(st.integers(0, len(circuits) - 1))
+    i = draw(st.integers(0, len(circuits[g]) - 1))
+    t = circuits[g][i]
     if kind == "slot":
         name = draw(st.sampled_from("abc"))
         if new == getattr(t, name):
@@ -126,11 +131,10 @@ def single_changes(draw):
             new += 1
         pt[j] = new
         t = dataclasses.replace(t, **{name: tuple(pt)})
-    group = list(cert.circuits[g])
+    group = list(circuits[g])
     group[i] = t
-    circuits = list(cert.circuits)
     circuits[g] = tuple(group)
-    return poly, dataclasses.replace(cert, circuits=tuple(circuits))
+    return poly, dataclasses.replace(cert, cones=cones_of(circuits))
 
 
 @SETTINGS
@@ -198,7 +202,7 @@ def certificates(draw):
         n=n,
         xi=draw(RATIONALS),
         poly_sha256=draw(st.text()),
-        circuits=tuple(circuits),
+        cones=cones_of(circuits),
         passthrough=tuple(passthrough),
     )
 
@@ -206,14 +210,14 @@ def certificates(draw):
 def _assert_written_as_before(cert):
     assert cert.dumps() == json.dumps(ref_certificate_json(cert), indent=2, sort_keys=True)
     assert cert.dumps_compact() == json.dumps(ref_certificate_json(cert), sort_keys=True)
-    assert cert.to_json() == ref_certificate_json(cert)
+    assert json.loads(cert.dumps()) == ref_certificate_json(cert)
 
 
 @SETTINGS
 @given(certificates())
 def test_writer_matches_json_dumps(cert):
     _assert_written_as_before(cert)
-    assert Certificate.loads(cert.dumps()) == cert
+    assert same_certificate(Certificate.loads(cert.dumps()), cert)
 
 
 @SETTINGS
@@ -227,10 +231,21 @@ _EDGE_TRIPLE = CertTriple(
     (Fraction(-1, 3),), (Fraction(0),), (Fraction(-2, 3),), Fraction(-5), Fraction(0), Fraction(7, 2)
 )
 WRITER_EDGE_CASES = (
-    Certificate(1, Fraction(-1, 2), 'a"b\\cé☃\n', (), ()),
-    Certificate(1, Fraction(0), "", ((), (_EDGE_TRIPLE,)), ()),
-    Certificate(1, Fraction(3), "x", ((_EDGE_TRIPLE, _EDGE_TRIPLE),), (((4,), Fraction(-9, 4)),)),
+    Certificate(1, Fraction(-1, 2), 'a"b\\cé☃\n', cones_of(()), ()),
+    Certificate(1, Fraction(0), "", cones_of(((), (_EDGE_TRIPLE,))), ()),
+    Certificate(1, Fraction(3), "x", cones_of(((_EDGE_TRIPLE, _EDGE_TRIPLE),)), (((4,), Fraction(-9, 4)),)),
 )
+
+
+def test_certificate_fields_cannot_be_assigned():
+    # the circuits are held once, as integers: no assignment can replace
+    # them, or any other field, behind the writer's or the verifier's back
+    cert = VALID[0][1]
+    text = cert.dumps()
+    for name, value in (("circuits", ()), ("cones", cones_of(())), ("xi", Fraction(0)), ("passthrough", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cert, name, value)
+    assert cert.dumps() == text and verify_certificate(MOTZKIN, cert).ok
 
 
 def test_writer_edge_cases():
@@ -302,13 +317,11 @@ def damaged_json(draw):
 
 @SETTINGS
 @given(damaged_json() | JSON)
-def test_from_json_raises_only_value_error(data):
-    # loads converts each triple while decoding, from_json afterwards
-    for load in (Certificate.from_json, lambda d: Certificate.loads(json.dumps(d))):
-        try:
-            load(data)
-        except ValueError:
-            pass
+def test_loads_raises_only_value_error(data):
+    try:
+        Certificate.loads(json.dumps(data))
+    except ValueError:
+        pass
 
 
 @pytest.mark.parametrize("damaged", [[["1", "2", "1"], ["1"]], ["12", ["1", "1"]], [["1", "2"], "11"]])
@@ -317,12 +330,11 @@ def test_reader_keys_each_point_on_its_pairs(damaged):
     # ["1", "2", "1", "1"], but is no list of [num, den] pairs
     half = (Fraction(1, 2), Fraction(1))
     t = CertTriple(half, (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), Fraction(1), Fraction(1), Fraction(1))
-    data = json.loads(Certificate(2, Fraction(0), "x", ((t, t),), ()).dumps())
-    assert Certificate.from_json(data).triples == (t, t)
+    data = json.loads(Certificate(2, Fraction(0), "x", cones_of(((t, t),)), ()).dumps())
+    assert triples_of(Certificate.loads(json.dumps(data))) == (t, t)
     data["circuits"][0]["triples"][1]["u"] = damaged
-    for load in (Certificate.from_json, lambda d: Certificate.loads(json.dumps(d))):
-        with pytest.raises(ValueError, match="coordinate"):
-            load(data)
+    with pytest.raises(ValueError, match="coordinate"):
+        Certificate.loads(json.dumps(data))
 
 
 
@@ -369,16 +381,15 @@ def test_reader_refuses_floats_and_bools_for_integers(name):
     cert = VALID[2][1] if name == "float-exponent" else MOTZKIN_XI
     data = json.loads(cert.dumps())
     damage(data)
-    for load in (Certificate.from_json, lambda d: Certificate.loads(json.dumps(d))):
-        with pytest.raises(ValueError, match=field):
-            load(data)
+    with pytest.raises(ValueError, match=field):
+        Certificate.loads(json.dumps(data))
 
 
 def test_reader_reads_json_integers_as_the_writer_strings():
     data = json.loads(MOTZKIN_XI.dumps())
     _coordinates(data, lambda num, den: [int(num), int(den)])
-    for load in (Certificate.from_json, lambda d: Certificate.loads(json.dumps(d))):
-        assert load(data) == MOTZKIN_XI
+    assert same_certificate(Certificate.loads(json.dumps(data)), MOTZKIN_XI)
+
 
 def _primes(count):
     out, k = [], 2
@@ -405,8 +416,8 @@ def _too_large_certificates():
     )
     sha = poly_sha256(MOTZKIN)
     return [
-        Certificate(2, Fraction(0), sha, (spread_points,), ()),
-        Certificate(2, Fraction(0), sha, (spread_values,), ()),
+        Certificate(2, Fraction(0), sha, cones_of((spread_points,)), ()),
+        Certificate(2, Fraction(0), sha, cones_of((spread_values,)), ()),
     ]
 
 
@@ -424,7 +435,7 @@ def test_work_bound_refuses_too_large_polynomials():
     huge = 3**900_000
     for coef in (Fraction(1, huge), Fraction(huge, 7)):
         f = SparsePoly(1, {(0,): 1, (2,): coef})
-        cert = Certificate(1, Fraction(0), "0" * 64, (), ())
+        cert = Certificate(1, Fraction(0), "0" * 64, cones_of(()), ())
         start = time.perf_counter()
         result = verify_certificate(f, cert)
         assert time.perf_counter() - start < 1.0
@@ -487,14 +498,14 @@ def test_many_large_denominators_verify_per_triple():
         u, v, w = (Fraction(4 * i + 3),), (Fraction(4 * i + 4),), (Fraction(4 * i + 2),)
         triples.append(CertTriple(u, v, w, Fraction(1, d), Fraction(1), Fraction(1, d)))
     f = SparsePoly(1, terms)
-    cert = Certificate(1, Fraction(0), poly_sha256(f), (tuple(triples),), ())
+    cert = Certificate(1, Fraction(0), poly_sha256(f), cones_of((triples,)), ())
     start = time.perf_counter()
     result = verify_certificate(f, cert)
     assert time.perf_counter() - start < 1.0
     assert (result.ok, result.reason) == (True, "ok") == ref_verify_certificate(f, cert)
     bad = list(triples)
     bad[50] = dataclasses.replace(bad[50], b=Fraction(1, 2))
-    result = verify_certificate(f, dataclasses.replace(cert, circuits=(tuple(bad),)))
+    result = verify_certificate(f, dataclasses.replace(cert, cones=cones_of((bad,))))
     assert (result.ok, result.reason) == (False, "reconstruction-mismatch")
 
 
@@ -509,7 +520,7 @@ def test_many_large_denominators_at_one_point_are_summed_evenly():
         CertTriple((Fraction(2 * i + 4),), (Fraction(2),), (Fraction(4 * i + 6),), Fraction(1, d), one, Fraction(0))
         for i, d in enumerate(dens)
     )
-    cert = Certificate(1, Fraction(0), poly_sha256(f), (triples,), ())
+    cert = Certificate(1, Fraction(0), poly_sha256(f), cones_of((triples,)), ())
     # CPU time of this process, so that a loaded host does not count
     start = time.process_time()
     result = verify_certificate(f, cert)
