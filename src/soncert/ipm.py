@@ -73,9 +73,8 @@ _ROTATION = np.array(
 _J = np.array([1.0, -1.0, -1.0])
 _ONES = np.ones(3)
 # Constant 3x3 products that fill all three columns of a row: u @ _SUMS
-# with u's row sum, u @ _JSUMS with u0 - u1 - u2, u @ _FIRSTS with u0.
+# with u's row sum, u @ _FIRSTS with u0.
 _SUMS = np.ones((3, 3))
-_JSUMS = np.outer(_J, _ONES)
 _FIRSTS = np.outer([1.0, 0.0, 0.0], _ONES)
 # A cone's 3x3 block of 2 u u' in row-major order as (u @ _TWICE_ROWS) *
 # (u @ _BLOCK_COLS), and s J as s @ _J_BLOCK for s filled with a scalar.
@@ -140,8 +139,11 @@ def _product(mat: _Csr, vec: np.ndarray) -> np.ndarray:
 
 
 def _cone_residual(u: np.ndarray) -> np.ndarray:
-    # u0^2 - u1^2 - u2^2 rowwise; the products by -1 are exact.
-    return (u * u) @ _J
+    # u0^2 - u1^2 - u2^2 rowwise, as (u0 - u1)(u0 + u1) - u2^2: near the
+    # boundary u0^2 - u1^2 cancels, and could read a point inside the cone
+    # as outside it, with a negative residual and so a negative step bound.
+    u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
+    return (u0 - u1) * (u0 + u1) - u2 * u2
 
 
 def _full_j(rows: int) -> np.ndarray:
@@ -213,15 +215,15 @@ def nt_scaling(xz: np.ndarray) -> _Scaling:
     # hugging the cone boundary and can evaluate to zero or negative noise;
     # floor it at a sliver of the squared norm so the scaling stays finite.
     sq = xz * xz
-    res = sq @ _JSUMS
-    floored = np.maximum(res, 1e-18 * (sq @ _SUMS))
+    res = _cone_residual(xz)
+    floored = np.maximum(np.repeat(res, 3).reshape(-1, 3), 1e-18 * (sq @ _SUMS))
     h = xz / np.sqrt(floored)
     xh, zh = h[:count], h[count:]
     wbar = (xh + zh * j) / (2.0 * np.sqrt((1.0 + (xh * zh) @ _SUMS) / 2.0))
     v = wbar @ _FIRSTS + 1.0
     v = (wbar + (0.5 * j + 0.5)) / np.sqrt(v + v)
     eta = (floored[:count] / floored[count:]) ** 0.25
-    return _Scaling(eta, wbar, v, xz[count:], j, _cone_points(xz, res[:, 0], j2))
+    return _Scaling(eta, wbar, v, xz[count:], j, _cone_points(xz, res, j2))
 
 
 def _apply_w(s: _Scaling, u: np.ndarray) -> np.ndarray:

@@ -10,9 +10,14 @@ points, yielding triples (u, v, w) with u = (v + w)/2; these are the
 midpoint links a binomial-squares decomposition rides on.  A circuit's
 weights fix each segment's parameter q/p in closed form (Reznick 1989;
 Iliman and de Wolff 2016), so one lift, given both endpoints and q/p,
-serves both modes.  ``med_set`` peels the trellis one point at a time, in
-the order given (on a two-point trellis it is the lift of that one
-segment); ``socp.build_plan`` picks that order.  ``med_set_odd``
+serves both modes.  ``med_set`` lifts the trellis along a binary merge
+tree: each merge of two nodes lifts the segment between their
+combinations, on which the merged node's combination lies at the ratio of
+their weights, and the root's combination is beta, so every point but a
+trellis point is a midpoint (Reznick 1989).  Its default tree, a
+caterpillar, peels the trellis one point at a time in the order given (on
+a two-point trellis it is the lift of that one segment);
+``socp.build_plan`` picks the tree.  ``med_set_odd``
 produces mediated sets whose endpoint coordinates are even rationals with
 odd denominators, so that after substituting an odd root every square
 point becomes an even lattice point and each binomial square is globally
@@ -228,28 +233,54 @@ def _prepare(
     return den, pts, qs, p, total
 
 
+def caterpillar(order: Sequence[int]) -> List[Tuple[int, int]]:
+    """The merge tree that peels the trellis points in order: the last two
+    merge first, and each earlier point then merges with the node of all
+    the points after it."""
+    k = len(order)
+    return [(order[k - 2 - j], k + j - 1 if j else order[-1]) for j in range(k - 1)]
+
+
 def med_set(
-    trellis: Sequence[Sequence], beta: Sequence, weights=None
+    trellis: Sequence[Sequence], beta: Sequence, weights=None, tree: Sequence[Tuple[int, int]] | None = None
 ) -> MediatedSet:
-    """Rational mediated set for beta over a trellis, by chaining segment
-    lifts: peel trellis points off one at a time, each step connecting the
-    current point to the weighted combination of the remaining ones.
+    """Rational mediated set for beta over a trellis, by one segment lift
+    per merge of a binary merge tree over the trellis points.
+
+    Nodes 0 .. k-1 are the trellis points, and merge j of the tree, a pair
+    (a, b) of nodes not merged before, makes node k + j; the last merge
+    makes the root.  A node S stands for gamma_S, the combination of its
+    points by their weights w, and gamma_S sits at w(b)/w(S) of the way from
+    gamma_a to gamma_b, so its merge lifts that segment; the root is beta.
+    The segments are lifted root first, and a midpoint keeps the first
+    triple that lifts it.  Without a tree the trellis is peeled in its
+    order (``caterpillar``); on a two-point trellis the set is the lift of
+    that one segment.
 
     The inputs are validated here, not by any ``Circuit``: two or more
     trellis points of beta's dimension and weights (read off the trellis
-    when None) that are positive, sum to one and reproduce beta.  These
-    checks run on integers; integer points and Fraction weights, as a
-    circuit holds them, are taken as they are."""
-    den, pts, qs, p, total = _prepare(trellis, beta, weights)
-    # total is the sum of q_j pts[j] over the points not yet peeled, and rem
-    # their weight; the last step ends at total over q_m den, the last point
+    when None) that are positive, sum to one and reproduce beta, and a tree
+    of k - 1 merges that merges each node at most once.  These checks run on
+    integers; integer points and Fraction weights, as a circuit holds them,
+    are taken as they are."""
+    den, pts, qs, _, _ = _prepare(trellis, beta, weights)
+    k = len(pts)
+    if tree is None:
+        tree = caterpillar(range(k))
+    if len(tree) != k - 1:
+        raise ValueError(f"a merge tree over {k} points has {k - 1} merges, not {len(tree)}")
+    # node i as the sum of q_j pts[j] over its points, over its weight times den
+    sums = [tuple([q * x for x in pt]) for pt, q in zip(pts, qs)]
     parts: List[_Part] = []
-    rem = p
-    for pt, q in zip(pts[:-1], qs):
-        total = tuple([s - q * x for s, x in zip(total, pt)])
-        parts.append(_lift(pt, den, total, (rem - q) * den, rem - q, rem))
-        rem -= q
-    return _merge(parts)
+    merged = set()
+    for a, b in tree:
+        if a == b or {a, b} & merged or not 0 <= min(a, b) <= max(a, b) < len(sums):
+            raise ValueError(f"merge {(a, b)} is not of two nodes left to merge")
+        merged |= {a, b}
+        sums.append(tuple(map(add, sums[a], sums[b])))
+        qs.append(qs[a] + qs[b])
+        parts.append(_lift(sums[a], qs[a] * den, sums[b], qs[b] * den, qs[b], qs[-1]))
+    return _merge(parts[::-1])
 
 
 # ---------------------------------------------------------------------------

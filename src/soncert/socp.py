@@ -22,12 +22,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, log10
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .cover import CoverResult, simplex_cover
 from .ipm import ConeSolve, solve_socp
-from .mediated import IntPoint, IntTriple, fraction_points, med_seq, med_set, med_set_odd
+from .mediated import (
+    IntPoint,
+    IntTriple,
+    caterpillar,
+    fraction_points,
+    med_seq,
+    med_set,
+    med_set_odd,
+)
 from .polyring import (
     Exponent,
     SparsePoly,
@@ -83,14 +92,66 @@ class ConeTriplePlan:
         return tuple(x * self.den for x in exp)
 
 
+# The largest trellis lifted along a merge tree; larger ones are peeled
+# cheapest first.  Trees share more rows between circuits than caterpillars
+# do, whose segments end at points only their circuit has, and each shared
+# row couples the circuits on it in the KKT factor.  On the seeded ladder
+# (standard simplex, interior, seed 1; 2 cores) trees take the n = 40
+# rung's solve (trellises of 17-32 points) from 3.6 s to 1.5 s, but on the
+# n = 60 rung (28-47 points) they end max-iterations, and trees up to 30 or
+# 32 points there take 43 iterations instead of 41, a solve 3-6% slower.
+# Every n = 60 trellis has 28 or more points, so that rung keeps its plan.
+TREE_MAX_POINTS = 27
+
+
+def _length(lengths: Dict[Tuple[int, int], int], s: int, q: int) -> int:
+    # the length of the sequence that lifts a segment of weight s at q/s,
+    # memoized by the reduced (s, q)
+    g = gcd(s, q)
+    key = (s // g, q // g)
+    count = lengths.get(key)
+    if count is None:
+        count = lengths[key] = len(med_seq(*key))
+    return count
+
+
+def _merge_tree(weights: Sequence[Fraction], lengths: Dict[Tuple[int, int], int]) -> List[Tuple[int, int]]:
+    # Greedy: merge the pair of nodes (a, b), a < b, whose segment has the
+    # fewest triples, ties to the lighter merged weight, then to the later
+    # pair.  A pair's key never changes, so each is keyed once, on a heap
+    # that drops pairs of nodes merged since.
+    p = lcm(*(w.denominator for w in weights))
+    qs = [w.numerator * (p // w.denominator) for w in weights]
+
+    def entry(a: int, b: int) -> Tuple[int, ...]:
+        s = qs[a] + qs[b]
+        return (_length(lengths, s, qs[b]), s, -a, -b)
+
+    heap = [entry(a, b) for b in range(len(qs)) for a in range(b)]
+    heapify(heap)
+    live = set(range(len(qs)))
+    tree: List[Tuple[int, int]] = []
+    while len(live) > 1:
+        *_, a, b = heappop(heap)
+        a, b = -a, -b
+        if a in live and b in live:
+            live -= {a, b}
+            tree.append((a, b))
+            qs.append(qs[a] + qs[b])
+            node = len(qs) - 1
+            for c in live:
+                heappush(heap, entry(c, node))
+            live.add(node)
+    return tree
+
+
 def _peel_order(weights: Sequence[Fraction], lengths: Dict[Tuple[int, int], int]) -> List[int]:
     # Trellis indices, cheapest first: each step peels the point whose
     # segment has the fewest triples, ties to the heavier point, then to
     # the earlier one.  With r the weight not yet peeled and q a point's,
-    # its segment is med_seq(r/g, (r - q)/g), g = gcd(r, q); lengths
-    # memoizes its length by (r/g, (r - q)/g).  The last two points tie,
-    # since a sequence and its reflection, med_seq(p, p - q), have one
-    # length, so the heavier of them is peeled without a lookup.
+    # its segment is med_seq(r/g, (r - q)/g), g = gcd(r, q).  The last two
+    # points tie, since a sequence and its reflection, med_seq(p, p - q),
+    # have one length, so the heavier of them is peeled without a lookup.
     p = lcm(*(w.denominator for w in weights))
     qs = [w.numerator * (p // w.denominator) for w in weights]
     left = sorted(range(len(qs)), key=qs.__getitem__, reverse=True)
@@ -99,11 +160,7 @@ def _peel_order(weights: Sequence[Fraction], lengths: Dict[Tuple[int, int], int]
     while len(left) > 2:
         best = fewest = None
         for i in left:
-            g = gcd(r, qs[i])
-            key = (r // g, (r - qs[i]) // g)
-            count = lengths.get(key)
-            if count is None:
-                count = lengths[key] = len(med_seq(*key))
+            count = _length(lengths, r, r - qs[i])
             if fewest is None or count < fewest:
                 best, fewest = i, count
         left.remove(best)
@@ -116,34 +173,44 @@ def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
     """Expand every circuit of a cover into mediated triples.
 
     Any mediated set containing beta gives the circuit's cone exactly, so
-    the peel order is free.  When the trellis points of the cover are
-    affinely independent, each trellis is peeled cheapest first: each step
-    peels the point whose segment has the shortest mediated sequence, ties
-    to the heavier point (see _peel_order), which on the seeded corpora
-    takes about a fifth fewer triples than heaviest first.  Odd mode, whose
-    lift picks its splits by the parity of the weights, peels heaviest
-    weight first there.  Otherwise the cover anchors several circuits on
-    shared trellis points, and their lifts in its common lexicographic
-    order share inner points, where the rows let circuits cancel one
-    another: there the cover's order stays (heaviest first loosened two of
-    the 48 seeded criterion-6 bounds, by up to 3.7e-3 relative).  A triple
-    is kept once, in the first circuit that lifts it, since two rotated
-    cones on one triple sum to one; a circuit left with no triple is
-    dropped.
+    the merge tree is free.  When the trellis points of the cover are
+    affinely independent, each trellis of at most TREE_MAX_POINTS (27)
+    points is lifted along a greedy merge tree (see _merge_tree): each
+    merge joins the pair of nodes whose segment has the shortest mediated
+    sequence, ties to the lighter merged weight, then to the later pair of
+    node indices.  On the seed-0 corpora that takes 5,751 triples where
+    peeling cheapest first took 7,929 (criterion 7) and 10,691 where it
+    took 14,233 (the criterion-6 simplex items).  A larger trellis, whose
+    tree shares enough rows with other circuits to slow the solve (see
+    TREE_MAX_POINTS), is peeled cheapest first (see _peel_order), which is
+    a caterpillar tree.  Odd mode, whose lift picks its splits by the
+    parity of the weights, peels heaviest weight first there.  Otherwise
+    the cover anchors several circuits on shared trellis points, and their
+    lifts in its common lexicographic order share inner points, where the
+    rows let circuits cancel one another: there the cover's order stays
+    (heaviest first loosened two of the 48 seeded criterion-6 bounds, by
+    up to 3.7e-3 relative).  A triple is kept once, in the first circuit
+    that lifts it, since two rotated cones on one triple sum to one; a
+    circuit left with no triple is dropped.
     """
 
-    lift = med_set_odd if odd_mode else med_set
     squares = sorted({pt for c in cover.circuits for pt in c.trellis})
     independent = affinely_independent(squares)
     lengths: Dict[Tuple[int, int], int] = {}
     sets = []
     for c in cover.circuits:
-        order: Sequence[int] = range(len(c.weights))
-        if independent and odd_mode:
-            order = sorted(order, key=c.weights.__getitem__, reverse=True)
+        if odd_mode:
+            order: Sequence[int] = range(len(c.weights))
+            if independent:
+                order = sorted(order, key=c.weights.__getitem__, reverse=True)
+            sets.append(med_set_odd([c.trellis[i] for i in order], c.beta, [c.weights[i] for i in order]))
+            continue
+        tree = None
+        if independent and len(c.weights) <= TREE_MAX_POINTS:
+            tree = _merge_tree(c.weights, lengths)
         elif independent:
-            order = _peel_order(c.weights, lengths)
-        sets.append(lift([c.trellis[i] for i in order], c.beta, [c.weights[i] for i in order]))
+            tree = caterpillar(_peel_order(c.weights, lengths))
+        sets.append(med_set(c.trellis, c.beta, c.weights, tree))
     den = lcm(*(ms.den for ms in sets))
     seen: set = set()
     groups = ([t for t in ms.over(den) if t not in seen and not seen.add(t)] for ms in sets)

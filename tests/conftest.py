@@ -9,6 +9,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from soncert.mediated import med_seq
 from soncert.polyring import Exponent, circuit_weights
+from soncert import socp
 
 from oracles import check_cone, circuits_of, triples_of
 
@@ -334,12 +335,24 @@ def _ref_prepare(
 
 
 def ref_med_set(
-    trellis: Sequence[Sequence], beta: Sequence, weights=None
+    trellis: Sequence[Sequence], beta: Sequence, weights=None, tree=None
 ) -> List[PointTriple]:
     """Rational mediated set for beta over a trellis, by chaining segment
-    lifts: peel trellis points off one at a time, each step connecting the
-    current point to the weighted combination of the remaining ones."""
+    lifts: without a tree, peel trellis points off one at a time, each step
+    connecting the current point to the weighted combination of the
+    remaining ones; with one, lift each merge (a, b) from node a's
+    combination to node b's, through theirs, root first."""
     pts, target, ws = _ref_prepare(trellis, beta, weights)
+    if tree is not None:
+        nodes = list(zip(pts, ws))
+        out: List[PointTriple] = []
+        for a, b in tree:
+            (pa, wa), (pb, wb) = nodes[a], nodes[b]
+            mid = tuple((wa * x + wb * y) / (wa + wb) for x, y in zip(pa, pb))
+            out = ref_l_med_set(pa, pb, mid) + out
+            nodes.append((mid, wa + wb))
+        assert nodes[-1][0] == target
+        return _ref_dedupe(out)
     m = len(pts)
     if m == 2:
         return _ref_dedupe(ref_l_med_set(pts[0], pts[1], target))
@@ -493,25 +506,55 @@ def _ref_cheapest_first(weights: Sequence[Fraction]) -> List[int]:
     return order + left
 
 
+def _ref_merge_tree(weights: Sequence[Fraction]) -> List[Tuple[int, int]]:
+    # Each step merges the pair of nodes (a, b), a < b, whose segment, from
+    # a's combination to b's through theirs, has the shortest mediated
+    # sequence, ties to the lighter merged weight, then to the later pair;
+    # every live pair is compared at every step.
+    ws = list(weights)
+    live = list(range(len(ws)))
+    tree = []
+
+    def key(pair: Tuple[int, int]) -> tuple:
+        a, b = pair
+        step = ws[b] / (ws[a] + ws[b])
+        return (len(med_seq(step.denominator, step.numerator)), ws[a] + ws[b], -a, -b)
+
+    while len(live) > 1:
+        a, b = min(((a, b) for i, a in enumerate(live) for b in live[i + 1 :]), key=key)
+        tree.append((a, b))
+        live = [i for i in live if i not in (a, b)] + [len(ws)]
+        ws.append(ws[a] + ws[b])
+    return tree
+
+
 def ref_plan(cover, odd_mode: bool = False):
     """build_plan on the reference lifts: (circuit_triples, triples, points,
     index, passthrough), all in Fractions.  When the cover's trellis points
-    are affinely independent, each trellis is lifted cheapest first in even
-    mode and heaviest weight first in odd mode, a triple is kept in the
-    first circuit that lifts it, and a circuit left with none is dropped."""
-    lift = ref_med_set_odd if odd_mode else ref_med_set
+    are affinely independent, each trellis is lifted along the greedy merge
+    tree in even mode (cheapest first past TREE_MAX_POINTS points) and
+    heaviest weight first in odd mode, a triple is kept in the first
+    circuit that lifts it, and a circuit left with none is dropped."""
     squares = sorted({pt for c in cover.circuits for pt in c.trellis})
     independent = len(ref_reduce([[1, *pt] for pt in squares], len(squares[0]) + 1)[1]) == len(squares)
     seen = set()
     groups = []
     for c in cover.circuits:
         order = range(len(c.weights))
+        tree = None
         if independent and odd_mode:
             order = sorted(order, key=lambda i: -c.weights[i])
+        elif independent and len(order) <= socp.TREE_MAX_POINTS:
+            tree = _ref_merge_tree(c.weights)
         elif independent:
             order = _ref_cheapest_first(c.weights)
+        trellis, weights = [c.trellis[i] for i in order], [c.weights[i] for i in order]
+        if odd_mode:
+            lifted = ref_med_set_odd(trellis, c.beta, weights)
+        else:
+            lifted = ref_med_set(trellis, c.beta, weights, tree)
         group = []
-        for t in lift([c.trellis[i] for i in order], c.beta, [c.weights[i] for i in order]):
+        for t in lifted:
             if t not in seen:
                 seen.add(t)
                 group.append(t)

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from soncert import ipm
+from soncert import ipm, socp
 from soncert.ipm import (
     _ROTATION,
     ConeSolve,
@@ -560,11 +560,14 @@ def test_kept_order_fills_as_a_fresh_minimum_degree_factor():
 
 
 @pytest.mark.parametrize("seed", [60009, 60011])
-def test_fragile_bound_solves_end_optimal(seed):
+def test_fragile_bound_solves_end_optimal(seed, monkeypatch):
     # Two seeded standard-simplex instances (n = 7, degree 30, 41 terms, 560
     # and 508 rows) that are fragile to how H is applied.  As W(W u) both
     # end optimal in 21 iterations.  Through H's formed 3x3 blocks 60009
     # takes 36, and 60011 stalls, where lower_bound raises SolverFailure.
+    # Those are the plans that peel each trellis cheapest first, along a
+    # caterpillar merge tree; greedy merge trees give 403 and 381 rows.
+    monkeypatch.setattr(socp, "TREE_MAX_POINTS", 1)
     inst = random_instance(n=7, degree=30, terms=41, poly_class="standard-simplex", seed=seed)
     result = lower_bound(inst.poly)
     assert result.problem.num_rows == {60009: 560, 60011: 508}[seed]

@@ -23,7 +23,7 @@ from conftest import (
 )
 from oracles import brute_min_med_seq, fractions, is_mediated_sequence, is_valid_mediated_set, med_seq_elements
 from soncert import mediated
-from soncert.mediated import MediatedSet, med_seq, med_set, med_set_odd
+from soncert.mediated import MediatedSet, caterpillar, med_seq, med_set, med_set_odd
 from soncert.cover import CoverResult
 from soncert.polyring import affinely_independent
 from soncert.socp import build_plan
@@ -157,16 +157,62 @@ def test_med_set_segment_and_chain_goldens():
     }
 
 
+def random_merge_tree(rng: random.Random, k: int) -> list:
+    """A binary merge tree over k nodes: each merge takes two nodes not
+    merged yet, in either order."""
+    live = list(range(k))
+    tree = []
+    while len(live) > 1:
+        a = live.pop(rng.randrange(len(live)))
+        b = live.pop(rng.randrange(len(live)))
+        tree.append((a, b))
+        live.append(k + len(tree) - 1)
+    return tree
+
+
 def test_med_set_random_circuits_are_valid():
+    # along the default tree and along a random merge tree
     rng = random.Random(31)
-    for _ in range(60):
-        maker = random_simplex_circuit if rng.random() < 0.7 else random_segment_circuit
-        trellis, beta, weights = maker(rng)
-        triples = med_set(trellis, beta, weights)
-        assert is_valid_mediated_set(triples, trellis, beta)
-        # the target always shows up as a justified midpoint
-        mids = {trip[0] for trip in fr(triples)}
-        assert tuple(Fraction(b) for b in beta) in mids
+    for _ in range(100):
+        if rng.random() < 0.7:
+            trellis, beta, weights = random_simplex_circuit(rng, n_max=6, d_max=8)
+        else:
+            trellis, beta, weights = random_segment_circuit(rng)
+        for tree in (None, random_merge_tree(rng, len(trellis))):
+            triples = med_set(trellis, beta, weights, tree)
+            # 2u = v + w for every triple, each midpoint once, and every
+            # endpoint a trellis point or a midpoint
+            assert is_valid_mediated_set(triples, trellis, beta)
+            # the target always shows up as a justified midpoint, and every
+            # trellis point lies on its leaf's segment
+            mids = {trip[0] for trip in fr(triples)}
+            assert tuple(Fraction(b) for b in beta) in mids
+            assert {pt(*a) for a in trellis} <= {p for trip in fr(triples) for p in trip}
+
+
+def test_caterpillar_peels_in_order():
+    assert caterpillar([0, 1]) == [(0, 1)]
+    assert caterpillar(range(4)) == [(2, 3), (1, 4), (0, 5)]
+    assert caterpillar([2, 0, 1]) == [(0, 1), (2, 3)]
+    # the default tree, and a reordered trellis is the same tree over the
+    # reordered indices
+    trellis, beta = ((0, 0), (2, 4), (4, 2)), (2, 2)
+    assert med_set(trellis, beta, tree=caterpillar(range(3))) == med_set(trellis, beta)
+    assert med_set(trellis, beta, tree=caterpillar([2, 1, 0])) == med_set(trellis[::-1], beta)
+
+
+def test_med_set_rejects_bad_trees():
+    trellis, beta = ((0, 0), (2, 4), (4, 2)), (2, 2)
+    for tree in (
+        [(1, 2)],  # too few merges
+        [(1, 2), (0, 3), (3, 4)],  # too many
+        [(1, 1), (0, 3)],  # a node with itself
+        [(1, 2), (1, 3)],  # a node merged twice
+        [(1, 2), (0, 4)],  # a node not made yet
+        [(1, 2), (0, -1)],  # nor a negative index
+    ):
+        with pytest.raises(ValueError):
+            med_set(trellis, beta, tree=tree)
 
 
 def test_med_set_odd_goldens():
@@ -323,6 +369,14 @@ def segments(draw, odd: bool):
 @given(circuits(odd=False))
 def test_med_set_matches_fraction_reference(circuit):
     assert outcome(med_set, *circuit) == outcome(ref_med_set, *circuit)
+
+
+@SETTINGS
+@given(circuits(odd=False), st.randoms(use_true_random=False))
+def test_med_set_over_a_merge_tree_matches_fraction_reference(circuit, rnd):
+    trellis, beta, weights = circuit
+    tree = random_merge_tree(rnd, len(trellis))
+    assert outcome(med_set, trellis, beta, weights, tree) == outcome(ref_med_set, trellis, beta, weights, tree)
 
 
 @SETTINGS

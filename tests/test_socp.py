@@ -57,6 +57,19 @@ def test_plan_motzkin_structure():
     assert len(plan.points) == 6
 
 
+def test_plan_motzkin_keeps_its_caterpillar_triples():
+    # three equal weights: every pair's segment is one midpoint, and the
+    # tie goes to the later pair, so the merge tree pairs (2, 4) with (4, 2)
+    # and then (0, 0) with their midpoint, as peeling in the cover's order did
+    assert soncert.socp._merge_tree([Fraction(1, 3)] * 3, {}) == [(1, 2), (0, 3)]
+    plan = _motzkin_plan()
+    assert _fractions(plan, plan.triples) == (
+        ((1, 1), (0, 0), (2, 2)),
+        ((2, 2), (1, 1), (3, 3)),
+        ((3, 3), (2, 4), (4, 2)),
+    )
+
+
 def test_plan_motzkin_odd_mode_denominator_three():
     plan = _motzkin_plan(odd_mode=True)
     assert plan.num_triples == 5
@@ -120,8 +133,8 @@ def test_assemble_rejects_missing_support():
 
 def test_plan_raises_when_mediated_triples_miss_a_circuit_point(monkeypatch):
     # a plain raise, not an assert, so it also holds under python -O
-    def without_beta(trellis, beta, weights):
-        ms = med_set(trellis, beta, weights)
+    def without_beta(trellis, beta, weights, tree):
+        ms = med_set(trellis, beta, weights, tree)
         mid = tuple(ms.den * x for x in beta)
         return MediatedSet(ms.den, tuple(t for t in ms.triples if mid not in t))
 
@@ -251,12 +264,12 @@ def _certify_c7_corpus():
     return polys
 
 
-@pytest.mark.parametrize("odd_mode, most", [(False, 7_929), (True, 16_782)], ids=["even", "odd"])
+@pytest.mark.parametrize("odd_mode, most", [(False, 5_751), (True, 16_782)], ids=["even", "odd"])
 def test_certify_c7_plans_stay_small(odd_mode, most):
-    # cheapest-first (even) or heaviest-first (odd) peeling and one cone per
-    # triple: the cover order with a cone per circuit and triple held 12,988
-    # triples (even) and 16,782 (odd) over this corpus, and heaviest first
-    # in even mode 9,807
+    # greedy merge trees (even) or heaviest-first peeling (odd) and one cone
+    # per triple: the cover order with a cone per circuit and triple held
+    # 12,988 triples (even) and 16,782 (odd) over this corpus, heaviest
+    # first in even mode 9,807 and cheapest first 7,929
     covers = [simplex_cover(*cover_points(poly)) for poly in _certify_c7_corpus()]
     total = 0
     for cover in covers:
@@ -317,6 +330,20 @@ def test_plan_and_assembly_match_fraction_reference(odd_mode):
         )
         checked += 1
     assert checked == 22
+
+
+def test_plans_past_the_tree_size_match_fraction_reference(monkeypatch):
+    # the long chain's trellises of 11 to 13 points peeled cheapest first,
+    # those of 8 to 10 lifted along merge trees
+    monkeypatch.setattr(soncert.socp, "TREE_MAX_POINTS", 10)
+    poly = random_instance(n=12, degree=20, terms=40, interior=True, seed=70_100).poly
+    cover = simplex_cover(*cover_points(poly))
+    assert min(len(c.trellis) for c in cover.circuits) <= 10 < max(len(c.trellis) for c in cover.circuits)
+    plan = build_plan(cover)
+    ref = ref_plan(cover)
+    assert tuple(_fractions(plan, group) for group in plan.circuit_triples) == ref[0]
+    tilde = pn_companion(poly)
+    assert assemble(plan, tilde).to_json() == ref_problem_json(ref, tilde)
 
 
 def test_float_conversion_names_out_of_range_values():
