@@ -38,6 +38,18 @@ the slots and of the distinct points (a third of the file on the scale
 ladder's n = 40 rung) and the one piece it is writing.  dumps and
 dumps_compact join the pieces.
 
+The reader (Certificate.loads) takes the text whole or an open text
+stream, which it reads _READ characters at a time.  It walks the
+top-level object and its circuits list itself, as json's decoder would,
+and decodes each circuit at once with json's scanner when the text read
+holds all of it, else each of its triples on its own.  So it holds about
+one read's text, the decoded values of one circuit or triple, and the
+integers it keeps: each triple's point indices and slots, and each
+distinct point once.  Any JSON layout is read, and every refusal is the
+ValueError that json.loads and the checks after it would give the whole
+text, whatever the reads: a JSON syntax error names its line, column and
+character offset in the whole text.
+
 Past the caps neither D nor V is formed: the arithmetic runs on integers
 per triple and per distinct point.  Each distinct point is scaled once, by
 the lcm of its own coordinates' denominators; a midpoint is checked on the
@@ -54,11 +66,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
+from json.decoder import WHITESPACE
 from math import gcd, lcm
 from operator import add, floordiv, mul
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .polyring import _CANONICAL, _TOO_MANY_DIGITS, MAX_DECIMAL_EXPONENT, Exponent, SparsePoly
+from .polyring import _TOO_MANY_DIGITS, MAX_DECIMAL_EXPONENT, Exponent, SparsePoly
 from .polyring import has_too_many_digits, is_even, parse_rational, pn_companion, poly_sha256
 
 
@@ -127,13 +140,17 @@ def _reduced(num: int, den: int) -> Tuple[int, int]:
 
 def _value(value: object) -> Tuple[int, int]:
     """parse_rational(value) as its reduced numerator and denominator; the
-    form 'p' or 'p/q' that the writer emits is read by int() alone."""
+    form 'p' or 'p/q' that the writer emits (polyring._CANONICAL, ASCII
+    digits) is read by int() alone, told apart without a regular
+    expression, which took a third of the time."""
 
-    canonical = _CANONICAL.fullmatch(value) if type(value) is str and len(value) <= MAX_DECIMAL_EXPONENT else None
-    if canonical and canonical[2] is None:
-        return int(canonical[1]), 1
-    if canonical and canonical[2].strip("0"):
-        return _reduced(int(canonical[1]), int(canonical[2]))
+    if type(value) is str and len(value) <= MAX_DECIMAL_EXPONENT and value.isascii():
+        num, bar, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (not bar or den.isdigit()):
+            if not bar:
+                return int(num), 1
+            if den.strip("0"):
+                return _reduced(int(num), int(den))
     x = parse_rational(value)
     return x.numerator, x.denominator
 
@@ -270,10 +287,21 @@ class Certificate:
         return _pieces(block, fields, 0, "{}")
 
     @classmethod
-    def loads(cls, text: str) -> "Certificate":
+    def loads(cls, source: Union[str, TextIO]) -> "Certificate":
+        """The certificate in a JSON text: a str, taken as one read, or an
+        open text stream, read _READ characters at a time.
+
+        Any JSON layout is read.  The top-level object and its circuits
+        list are walked here and each circuit, or each triple of a circuit
+        not read whole, is decoded on its own, so the reader holds about
+        one read's text and one circuit's values besides the certificate
+        it builds.  A refusal is a ValueError whose text does not depend on
+        how the text is read; a JSON syntax error names its place in the
+        whole text, as json.loads would."""
+
         reader = _Reader()
         try:
-            data = json.loads(text, object_hook=reader.decoded)
+            data = reader.document(_Text(source, reader.decoded))
         except RecursionError:
             raise ValueError("JSON is nested too deeply") from None
         return reader.certificate(data)
@@ -316,16 +344,209 @@ def _refuse_point(obj: List[object]) -> None:
     raise ValueError(f"coordinates must hold two integers each: {obj!r}")
 
 
+_READ = 1 << 16  # characters asked of a stream per read
+
+
+class _Text:
+    """A JSON text, read from a stream in pieces or given whole, and a
+    cursor in it that moves as json's decoder does.
+
+    buf holds the text read and not yet passed, from index at on.  base is
+    the offset of buf[0] in the whole text, lines counts the newlines before
+    it and line_start is the offset after the last of them, so that a
+    syntax error names its place in the whole text.  A stream that can seek
+    back to start has those newlines counted only for an error, by reading
+    the text passed again; any other stream's are counted as they pass.
+    """
+
+    def __init__(self, source: Union[str, TextIO], hook: Callable[[dict], object]) -> None:
+        self.scan = json.JSONDecoder(object_hook=hook).scan_once  # raw_decode without its frame
+        whole = isinstance(source, str)
+        self.stream = None if whole else source
+        self.start = source.tell() if not whole and source.seekable() else None
+        self.buf = source if whole else ""
+        self.eof = whole  # the stream has given all its text
+        self.at = self.base = self.lines = self.line_start = 0
+        self.span = 0  # characters of the value decoded last
+
+    def count(self, text: str, offset: int, end: int) -> None:
+        """Count the newlines of text[:end], text being at offset offset
+        of the whole text."""
+
+        newlines = text.count("\n", 0, end)
+        if newlines:
+            self.lines += newlines
+            self.line_start = offset + text.rfind("\n", 0, end) + 1
+
+    def read(self) -> None:
+        """Drop the text passed and read on until the text left has grown
+        by its own length and by at least _READ characters, or the stream
+        ends: a value missed again and again costs time linear in its
+        length."""
+
+        buf, at = self.buf, self.at
+        if self.start is None:
+            self.count(buf, self.base, at)
+        self.base += at
+        pieces = [buf[at:]] if at < len(buf) else []  # a lone piece is joined without a copy
+        want = max(len(buf) - at, _READ)
+        while want > 0:
+            piece = self.stream.read(want)
+            if not piece:
+                self.eof = True
+                break
+            pieces.append(piece)
+            want -= len(piece)
+        self.buf, self.at = "".join(pieces), 0
+
+    def error(self, msg: str, at: int) -> json.JSONDecodeError:
+        """json's syntax error msg at buf[at], placed in the whole text."""
+
+        if self.start is not None:
+            self.stream.seek(self.start)
+            passed = 0
+            while passed < self.base:
+                piece = self.stream.read(min(_READ, self.base - passed))
+                if not piece:  # the stream no longer holds the text read
+                    break
+                self.count(piece, passed, len(piece))
+                passed += len(piece)
+        pos = self.base + at
+        newline = self.buf.rfind("\n", 0, at)
+        line = self.lines + self.buf.count("\n", 0, at) + 1
+        column = at - newline if newline >= 0 else pos - self.line_start + 1
+        err = json.JSONDecodeError(msg, self.buf, at)
+        err.pos, err.lineno, err.colno = pos, line, column
+        err.args = (f"{msg}: line {line} column {column} (char {pos})",)
+        return err
+
+    def skip(self) -> str:
+        """Move past whitespace; the next character, or "" at the end."""
+
+        while True:
+            self.at = WHITESPACE.match(self.buf, self.at).end()
+            if self.at < len(self.buf) or self.eof:
+                return self.buf[self.at : self.at + 1]
+            self.read()
+
+    def value(self) -> object:
+        """Decode the value at the cursor whole, with the hook, and move past
+        it.  A value that does not parse, or ends within two characters of
+        the end of buf, is decoded again once more text is read, so that a
+        result or error is the one of the whole text: a number may go on
+        past buf, even after a "1." or "1e-" that the scanner leaves.  Text
+        left shorter than the value before is read on first, so that a run
+        of like values, such as triples, is seldom decoded twice."""
+
+        if not self.eof and len(self.buf) - self.at < self.span:
+            self.read()
+        while True:
+            try:
+                value, end = self.scan(self.buf, self.at)
+                if end + 2 < len(self.buf) or self.eof:
+                    self.span = end - self.at
+                    self.at = end
+                    return value
+            except StopIteration as stop:  # no value starts here
+                if self.eof:
+                    raise self.error("Expecting value", stop.value) from None
+            except json.JSONDecodeError as err:
+                if self.eof:
+                    raise self.error(err.msg, err.pos) from None
+            self.read()
+
+    def whole(self) -> object:
+        """The value at the cursor decoded at once, with the hook, if the
+        text read holds all of it, and move past it; else None, with the
+        cursor where it was and the hook run on the objects read."""
+
+        if self.eof:
+            return self.value()
+        try:
+            value, end = self.scan(self.buf, self.at)
+        except (StopIteration, json.JSONDecodeError):  # cut off by the end of buf, or no JSON
+            return None
+        if end + 2 >= len(self.buf):
+            return None
+        self.at = end
+        return value
+
+    def members(self) -> Iterator[str]:
+        """The keys of the object at the cursor, each given with the cursor
+        at its value, which the caller passes; then move past the object.
+        The checks and errors are those of json.decoder.JSONObject."""
+
+        self.at += 1  # the "{"
+        if self.skip() == "}":
+            self.at += 1
+            return
+        while True:
+            if self.skip() != '"':
+                raise self.error("Expecting property name enclosed in double quotes", self.at)
+            key = self.value()
+            if self.skip() != ":":
+                raise self.error("Expecting ':' delimiter", self.at)
+            self.at += 1
+            self.skip()
+            yield key
+            after = self.skip()
+            self.at += 1
+            if after == "}":
+                return
+            if after != ",":
+                raise self.error("Expecting ',' delimiter", self.at - 1)
+
+    def elements(self) -> Iterator[None]:
+        """Yield once per element of the array at the cursor, with the cursor
+        at the element, which the caller passes; then move past the array.
+        The checks and errors are those of json.decoder.JSONArray."""
+
+        self.at += 1  # the "["
+        if self.skip() == "]":
+            self.at += 1
+            return
+        while True:
+            yield
+            after = self.skip()
+            self.at += 1
+            if after == "]":
+                return
+            if after != ",":
+                raise self.error("Expecting ',' delimiter", self.at - 1)
+            self.skip()
+
+
+class _Circuits(list):
+    """A certificate's circuits list as the reader streams it.
+
+    As a list it is empty, so that the certificate's field check takes it
+    for the list it was.  refs, slots and sizes hold its triples as _Cones
+    does, up to the first circuit or triple that is malformed, and error is
+    the ValueError of that one, raised once the checks before it pass.
+    """
+
+    __slots__ = ("refs", "slots", "sizes", "error")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.refs: List[int] = []
+        self.slots: List[int] = []
+        self.sizes: List[int] = []
+        self.error: Optional[ValueError] = None
+
+
 class _Reader:
-    """The certificate from its decoded JSON, in integers.
+    """The certificate from its JSON text, in integers.
 
     A point recurs in many triples: each distinct point, keyed on its raw
     JSON values, is converted once per reader, and points of equal value
-    share one index.  Certificate.loads passes decoded as json's
-    object_hook, so that every triple becomes a tuple (its three point
-    indices and six slot integers) as soon as it is decoded and its point
-    lists are freed at once, instead of the whole tree of lists living
-    until the end; JSON decodes to no tuple, so a tuple is such a triple.
+    share one index.  decoded is the object hook of every object decoded,
+    so that every triple becomes a tuple (its three point indices and six
+    slot integers) as soon as it is decoded and its point lists are freed
+    at once; JSON decodes to no tuple, so a tuple is such a triple.
+    document reads the text as json.loads would with that hook, in the
+    same order and with the same errors, save that the circuits list of
+    the top-level object becomes a _Circuits as its triples are decoded.
     """
 
     def __init__(self) -> None:
@@ -367,10 +588,11 @@ class _Reader:
                     if kinds == {str}:
                         self.coords[pair] = xd
                 coords += xd
-            i = self.index.get(tuple(coords))
+            pt = tuple(coords)  # one tuple for the index and the points
+            i = self.index.get(pt)
             if i is None:
-                i = self.index[tuple(coords)] = len(self.points)
-                self.points.append(tuple(coords))
+                i = self.index[pt] = len(self.points)
+                self.points.append(pt)
             if kinds == {str}:
                 self.keys[key] = i
         return i
@@ -385,24 +607,117 @@ class _Reader:
         point = self.point
         return (point(u), point(v), point(w), *_value(a), *_value(b), *_value(c))
 
+    def document(self, text: _Text) -> object:
+        """The JSON value of the whole text, as json.loads gives it with
+        decoded as the object hook; a top-level object is read key by key,
+        its circuits list by circuits."""
+
+        first = text.skip()
+        if first == "\ufeff" and text.base + text.at == 0:
+            raise text.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+        if first != "{":
+            data = text.value()
+        else:
+            data = {}
+            for key in text.members():
+                data[key] = self.circuits(text) if key == "circuits" and text.skip() == "[" else text.value()
+            data = self.decoded(data)
+        if text.skip():
+            raise text.error("Extra data", text.at)
+        return data
+
+    def circuits(self, text: _Text) -> _Circuits:
+        """The circuits list at the cursor, its triples taken into a
+        _Circuits in the order that certificate checks them: up to the
+        first element that is no circuit, or the first malformed triple."""
+
+        found = _Circuits()
+        refs, slots = found.refs, found.slots
+        # characters of the element before: twice as many read is taken
+        # to hold the next one, since a circuit decoded at once and cut off
+        # by the end of the text read has its triples decoded twice
+        last = 0
+        for _ in text.elements():
+            start, mark = text.base + text.at, len(refs)
+            group, error = self.circuit(text, refs, slots, 2 * last)
+            last = text.base + text.at - start
+            if found.error is not None:  # nothing after the first error is kept
+                del refs[mark:], slots[2 * mark :]
+                continue
+            try:
+                triples = _field(group, "triples", "circuit", list)
+            except ValueError as err:  # the element keeps none of its triples
+                del refs[mark:], slots[2 * mark :]
+                found.error = err
+                continue
+            # a triple's error keeps the triples before it
+            found.error = self.take(triples, refs, slots) or error
+            found.sizes.append((len(refs) - mark) // 3)
+        return found
+
+    def circuit(
+        self, text: _Text, refs: List[int], slots: List[int], room: int
+    ) -> Tuple[object, Optional[ValueError]]:
+        """Read one element of the circuits list.  A circuit is decoded at
+        once if the text read holds all of it, which is tried when room
+        characters of it are read, after reading on if room is at most one
+        read.  Else its triples list is read one triple at a time, each
+        taken into refs and slots as it comes and left empty in the object
+        returned, with the error of the first malformed triple."""
+
+        if text.skip() != "{":
+            return text.value(), None
+        if not text.eof and len(text.buf) - text.at < room <= _READ:
+            text.read()
+        if text.eof or len(text.buf) - text.at >= room:
+            group = text.whole()
+            if group is not None:
+                return group, None
+        mark = len(refs)
+        group, error = {}, None
+        for key in text.members():
+            if key == "triples":  # of a key given twice the last counts
+                del refs[mark:], slots[2 * mark :]
+                error = None
+            if key == "triples" and text.skip() == "[":
+                group[key] = []
+                error = self.take((text.value() for _ in text.elements()), refs, slots)
+            else:
+                group[key] = text.value()
+        return self.decoded(group), error
+
+    def take(self, triples: Iterable[object], refs: List[int], slots: List[int]) -> Optional[ValueError]:
+        """Append the points and slots of each decoded triple to refs and
+        slots until one is no object with every field; return that one's
+        error, or None.  The triples are read to their end either way."""
+
+        error = None
+        for t in triples:
+            if error is not None:
+                continue
+            if type(t) is tuple:
+                refs += t[:3]
+                slots += t[3:]
+                continue
+            try:
+                self.triple(t)  # raises, as decoded has not made t a tuple
+            except ValueError as err:
+                error = err
+        return error
+
     def certificate(self, data: object) -> Certificate:
         n = _integer(_field(data, "n", "certificate"), "certificate field 'n'")
         xi = parse_rational(_field(data, "xi", "certificate"))
         sha = str(_field(data, "poly_sha256", "certificate"))
-        refs: List[int] = []
-        slots: List[int] = []
-        sizes: List[int] = []
-        points = self.points
-        for group in _field(data, "circuits", "certificate", list, []):
-            triples = _field(group, "triples", "circuit", list)
-            for t in triples:
-                t = t if type(t) is tuple else self.triple(t)
-                for i in t[:3]:
-                    if len(points[i]) != 2 * n:
-                        raise ValueError(f"point of dimension {n} expected: {_pairs(points[i])}")
-                refs += t[:3]
-                slots += t[3:]
-            sizes.append(len(triples))
+        circuits = _field(data, "circuits", "certificate", list, _Circuits())
+        points, refs, slots, sizes = self.points, circuits.refs, circuits.slots, circuits.sizes
+        # the triples before a malformed one are checked first, in order
+        wrong = {i for i, pt in enumerate(points) if len(pt) != 2 * n}
+        for i in refs if wrong else ():
+            if i in wrong:
+                raise ValueError(f"point of dimension {n} expected: {_pairs(points[i])}")
+        if circuits.error is not None:
+            raise circuits.error
         used = set(refs)
         if len(used) < len(points):  # points of triples decoded outside the circuits
             renumber = {i: k for k, i in enumerate(sorted(used))}

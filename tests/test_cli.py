@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 from dataclasses import asdict
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from soncert import cli
+from soncert import cli, verify
 from soncert.certify import Certificate
 from soncert.polyring import SparsePoly, poly_dumps
 from soncert.socp import lower_bound
@@ -315,8 +318,10 @@ def test_error_exit_on_missing_file(capsys):
         (["certify", "{poly}", "--margin", "1e-4"], "unrecognized arguments: --margin"),
         (["certify", "{poly}", "--delta-socp", "1e-8"], "unrecognized arguments: --delta-socp"),
         (["verify", "{poly}"], "the following arguments are required: certificate"),
+        # the polynomial would take all of stdin and leave no certificate
+        (["verify", "-", "-"], "the polynomial (input) and the certificate cannot both be read from stdin"),
     ],
-    ids=["removed-option", "removed-margin", "removed-delta-socp", "missing-argument"],
+    ids=["removed-option", "removed-margin", "removed-delta-socp", "missing-argument", "stdin-twice"],
 )
 def test_usage_error_exits_1(motzkin_file, capsys, argv, message):
     # exit 2 would read as a boundary failure
@@ -334,33 +339,25 @@ def test_help_exits_0(capsys):
     assert "--delta-socp" not in out
 
 
-@pytest.mark.parametrize(
-    "damage, field",
-    [
-        (lambda data: data["circuits"][0].pop("triples"), "triples"),
-        (lambda data: data["circuits"][0]["triples"][0].pop("b"), "'b'"),
-        (lambda data: data["circuits"][0]["triples"][0]["u"][0].__setitem__(1, "0"), "denominator"),
-        (lambda data: data.__setitem__("circuits", 5), "'circuits'"),
-        (lambda data: data.__setitem__("n", None), "'n'"),
-        (lambda data: data["circuits"][0]["triples"][0]["u"].__setitem__(0, [1, None]), "coordinate"),
-        (lambda data: data.__setitem__("passthrough", [{"exp": 5, "coef": "1"}]), "'exp'"),
-        (lambda data: data["circuits"][0]["triples"][0].__setitem__("a", "1e100000"), "exponent"),
-        # a string replaces the whole file
-        ("[" * 200_000, "nested too deeply"),
-    ],
-    ids=[
-        "group-without-triples",
-        "triple-without-b",
-        "zero-denominator",
-        "circuits-not-a-list",
-        "n-null",
-        "coordinate-null",
-        "passthrough-exp-not-a-list",
-        "huge-decimal-exponent",
-        "nested-too-deeply",
-    ],
-)
-def test_verify_malformed_certificate_exits_1(motzkin_file, tmp_path, capsys, damage, field):
+# each damage of the Motzkin certificate with the field its error names
+MALFORMED = {
+    "group-without-triples": (lambda data: data["circuits"][0].pop("triples"), "triples"),
+    "triple-without-b": (lambda data: data["circuits"][0]["triples"][0].pop("b"), "'b'"),
+    "zero-denominator": (lambda data: data["circuits"][0]["triples"][0]["u"][0].__setitem__(1, "0"), "denominator"),
+    "circuits-not-a-list": (lambda data: data.__setitem__("circuits", 5), "'circuits'"),
+    "n-null": (lambda data: data.__setitem__("n", None), "'n'"),
+    "coordinate-null": (lambda data: data["circuits"][0]["triples"][0]["u"].__setitem__(0, [1, None]), "coordinate"),
+    "passthrough-exp-not-a-list": (lambda data: data.__setitem__("passthrough", [{"exp": 5, "coef": "1"}]), "'exp'"),
+    "huge-decimal-exponent": (
+        lambda data: data["circuits"][0]["triples"][0].__setitem__("a", "1e100000"),
+        "exponent",
+    ),
+    # a string replaces the whole file
+    "nested-too-deeply": ("[" * 200_000, "nested too deeply"),
+}
+
+
+def _damaged_certificate(motzkin_file, tmp_path, capsys, damage):
     cert_path = tmp_path / "cert.json"
     assert cli.main(["certify", motzkin_file, "-o", str(cert_path)]) == cli.EXIT_OK
     capsys.readouterr()
@@ -370,10 +367,37 @@ def test_verify_malformed_certificate_exits_1(motzkin_file, tmp_path, capsys, da
     else:
         damage(data)
         cert_path.write_text(json.dumps(data))
+    return cert_path
+
+
+@pytest.mark.parametrize("damage, field", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_verify_malformed_certificate_exits_1(motzkin_file, tmp_path, capsys, damage, field):
+    cert_path = _damaged_certificate(motzkin_file, tmp_path, capsys, damage)
     code = cli.main(["verify", motzkin_file, str(cert_path)])
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+
+@pytest.mark.parametrize("damage, field", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_certificate_is_refused_alike_at_every_read_size(motzkin_file, tmp_path, capsys, damage, field):
+    text = _damaged_certificate(motzkin_file, tmp_path, capsys, damage).read_text()
+    refusals = set()
+    for read in (1, 2, 7, 64, 1 << 20):
+        with mock.patch.object(verify, "_READ", read), pytest.raises(ValueError) as refused:
+            Certificate.loads(io.StringIO(text))
+        refusals.add(str(refused.value))
+    (refusal,) = refusals
+    assert field in refusal
+
+
+def test_verify_reads_the_certificate_from_stdin(motzkin_file, tmp_path, capsys, monkeypatch):
+    cert_path = tmp_path / "cert.json"
+    assert cli.main(["certify", motzkin_file, "-o", str(cert_path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(cert_path.read_text()))
+    assert cli.main(["verify", motzkin_file, "-", "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "reason": "ok"}
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import io
+import itertools
 import json
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -389,6 +393,175 @@ def test_reader_reads_json_integers_as_the_writer_strings():
     data = json.loads(MOTZKIN_XI.dumps())
     _coordinates(data, lambda num, den: [int(num), int(den)])
     assert same_certificate(Certificate.loads(json.dumps(data)), MOTZKIN_XI)
+
+
+class _ShortReads(io.TextIOBase):
+    """A text stream whose reads return at most the next of sizes
+    characters, and which cannot seek."""
+
+    def __init__(self, text, sizes):
+        self.text, self.at, self.sizes = text, 0, itertools.cycle(sizes)
+
+    def read(self, size):
+        piece = self.text[self.at : self.at + min(size, next(self.sizes))]
+        self.at += len(piece)
+        return piece
+
+
+def _stream_loads(text, read, sizes=(1 << 16,)):
+    """Certificate.loads of text from a stream, asking read characters at a
+    time of a stream that returns short reads of sizes."""
+
+    with mock.patch.object(soncert.verify, "_READ", read):
+        return Certificate.loads(_ShortReads(text, sizes))
+
+
+def _shuffled(data, rnd):
+    if isinstance(data, dict):
+        items = [(key, _shuffled(value, rnd)) for key, value in data.items()]
+        rnd.shuffle(items)
+        return dict(items)
+    if isinstance(data, list):
+        return [_shuffled(value, rnd) for value in data]
+    return data
+
+
+def _with_duplicates(data, rnd):
+    """JSON text of data where some keys come twice, first with a decoy
+    value; the last one counts, as in json.loads."""
+
+    if isinstance(data, dict):
+        items = [f"{json.dumps(key)}: {_with_duplicates(value, rnd)}" for key, value in data.items()]
+        if items and rnd.random() < 0.5:
+            decoy = rnd.choice(["null", "7", '"x"', "[]", "{}", "[1, [2]]", "-0.5"])
+            items.insert(0, f"{json.dumps(rnd.choice(list(data)))}: {decoy}")
+        return "{" + ", ".join(items) + "}"
+    if isinstance(data, list):
+        return "[" + ", ".join(_with_duplicates(value, rnd) for value in data) + "]"
+    return json.dumps(data)
+
+
+def _integers(data, scale=1):
+    _coordinates(data, lambda num, den: [int(num) * scale, int(den) * scale])
+    return json.dumps(data, indent=1)
+
+
+LAYOUTS = {
+    "writer": lambda cert, rnd: cert.dumps(),
+    "compact": lambda cert, rnd: cert.dumps_compact(),
+    "indent-4": lambda cert, rnd: json.dumps(json.loads(cert.dumps()), indent=4),
+    "shuffled-keys": lambda cert, rnd: json.dumps(_shuffled(json.loads(cert.dumps()), rnd)),
+    "crlf": lambda cert, rnd: cert.dumps().replace("\n", "\r\n"),
+    "extra-whitespace": lambda cert, rnd: " \n\t"
+    + json.dumps(json.loads(cert.dumps()), indent="\t", separators=(" ,\r\n ", " :  "))
+    + "\n\n ",
+    "duplicate-keys": lambda cert, rnd: _with_duplicates(json.loads(cert.dumps()), rnd),
+    # JSON numbers for the coordinates, which a read may cut
+    "integer-coordinates": lambda cert, rnd: _integers(json.loads(cert.dumps())),
+}
+# characters asked per read: down to one, so that every token meets a read's end
+READ_SIZES = st.sampled_from([1, 2, 3, 7, 64, 1000, 1 << 16])
+SHORT_READS = st.lists(st.integers(1, 16) | st.integers(1, 1 << 16), min_size=1, max_size=8)
+
+
+@SETTINGS
+@given(
+    st.sampled_from([cert for _, cert in VALID] + [MOTZKIN_XI]) | certificates(),
+    st.sampled_from(sorted(LAYOUTS)),
+    st.randoms(use_true_random=False),
+    READ_SIZES,
+    SHORT_READS,
+)
+def test_stream_reads_the_certificate_of_the_text(cert, layout, rnd, read, sizes):
+    if layout == "integer-coordinates" and cert is not MOTZKIN_XI:
+        layout = "writer"  # only the Motzkin coordinates are integers
+    text = LAYOUTS[layout](cert, rnd)
+    whole = Certificate.loads(text)
+    assert same_certificate(whole, cert)
+    assert _stream_loads(text, read, sizes).dumps() == whole.dumps()
+
+
+def _refusal(load):
+    try:
+        load()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _assert_refused_alike(text):
+    """The same refusal, or none, at every read size; and json's error
+    text where json.loads with the reader's hook refuses the text."""
+
+    whole = _refusal(lambda: Certificate.loads(text))
+    for read in (1, 2, 3, 7, 64, 1000):
+        assert _refusal(lambda: _stream_loads(text, read, (read, 1, 5))) == whole
+        with mock.patch.object(soncert.verify, "_READ", read):
+            assert _refusal(lambda: Certificate.loads(io.StringIO(text))) == whole  # a stream that seeks
+    try:
+        json.loads(text, object_hook=soncert.verify._Reader().decoded)
+    except RecursionError:
+        assert whole == "JSON is nested too deeply"
+    except ValueError as err:
+        assert whole == str(err)
+
+
+@SETTINGS
+@given(damaged_json() | JSON, st.booleans())
+def test_damaged_json_is_refused_alike_at_every_read_size(data, indent):
+    _assert_refused_alike(json.dumps(data, indent=2 if indent else None))
+
+
+def _cut(text, anchor, offset):
+    return text[: text.index(anchor) + offset]
+
+
+TRUNCATED = {
+    "inside-a-triple": lambda text: _cut(text, '"b": ', 3),
+    "inside-a-key": lambda text: _cut(text, '"triples"', 4),
+    "after-an-opening-brace": lambda text: _cut(text, "{", 1),
+    "inside-a-number": lambda text: _cut(_integers(json.loads(text), scale=1000003), "1000003", 3),
+    "inside-n": lambda text: _cut(text.replace('"n": 2', '"n": 21234'), '"n": 2', 8),
+    "trailing-data": lambda text: text + " x",
+    "trailing-object": lambda text: text + "\n{}",
+    "trailing-bracket": lambda text: text + "]",
+    "byte-order-mark": lambda text: "\ufeff" + text,
+}
+
+
+@pytest.mark.parametrize("name", list(TRUNCATED))
+def test_cut_and_extended_texts_are_refused_alike_at_every_read_size(name):
+    text = TRUNCATED[name](MOTZKIN_XI.dumps())
+    assert _refusal(lambda: Certificate.loads(text)) is not None
+    _assert_refused_alike(text)
+
+
+def _transient_bytes(text, read):
+    """tracemalloc's peak while a stream of text is read, less what the
+    certificate keeps."""
+
+    stream = io.StringIO(text)
+    with mock.patch.object(soncert.verify, "_READ", read):
+        tracemalloc.start()
+        try:
+            cert = Certificate.loads(stream)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert cert.num_triples
+    return peak - kept
+
+
+def test_reader_memory_does_not_grow_with_the_file():
+    circuits = circuits_of(MOTZKIN_XI)
+    read = 1 << 12
+    texts = [
+        dataclasses.replace(MOTZKIN_XI, cones=cones_of(circuits * copies)).dumps() for copies in (100, 400)
+    ]
+    assert len(texts[0]) > 20 * read
+    _transient_bytes(texts[0], read)  # caches filled once
+    small, large = (_transient_bytes(text, read) for text in texts)
+    assert abs(large - small) <= read
 
 
 def _primes(count):
