@@ -71,7 +71,7 @@ from math import gcd, lcm
 from operator import add, floordiv, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .polyring import _TOO_MANY_DIGITS, MAX_DECIMAL_EXPONENT, Exponent, SparsePoly
+from .polyring import _CANONICAL, _TOO_MANY_DIGITS, MAX_DECIMAL_EXPONENT, Exponent, SparsePoly
 from .polyring import has_too_many_digits, is_even, parse_rational, pn_companion, poly_sha256
 
 
@@ -140,17 +140,13 @@ def _reduced(num: int, den: int) -> Tuple[int, int]:
 
 def _value(value: object) -> Tuple[int, int]:
     """parse_rational(value) as its reduced numerator and denominator; the
-    form 'p' or 'p/q' that the writer emits (polyring._CANONICAL, ASCII
-    digits) is read by int() alone, told apart without a regular
-    expression, which took a third of the time."""
+    form 'p' or 'p/q' that the writer emits is read by int() alone."""
 
-    if type(value) is str and len(value) <= MAX_DECIMAL_EXPONENT and value.isascii():
-        num, bar, den = value.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit() and (not bar or den.isdigit()):
-            if not bar:
-                return int(num), 1
-            if den.strip("0"):
-                return _reduced(int(num), int(den))
+    canonical = _CANONICAL.fullmatch(value) if type(value) is str and len(value) <= MAX_DECIMAL_EXPONENT else None
+    if canonical and canonical[2] is None:
+        return int(canonical[1]), 1
+    if canonical and canonical[2].strip("0"):
+        return _reduced(int(canonical[1]), int(canonical[2]))
     x = parse_rational(value)
     return x.numerator, x.denominator
 
@@ -301,10 +297,10 @@ class Certificate:
 
         reader = _Reader()
         try:
-            data = reader.document(_Text(source, reader.decoded))
+            data, circuits = reader.document(_Text(source, reader.decoded))
         except RecursionError:
             raise ValueError("JSON is nested too deeply") from None
-        return reader.certificate(data)
+        return reader.certificate(data, circuits)
 
 
 def _field(obj: object, key: str, where: str, kind: type = object, default=None):
@@ -347,6 +343,21 @@ def _refuse_point(obj: List[object]) -> None:
 _READ = 1 << 16  # characters asked of a stream per read
 
 
+def _trailing_comma(text: str) -> Tuple[str, bool]:
+    """json's refusal of text, which ends in a comma before its close: the
+    message, and whether it is placed at the comma rather than the close.
+    Python versions differ here."""
+
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as err:
+        return err.msg, err.pos == text.rindex(",")
+    raise AssertionError(f"json.loads took {text!r}")
+
+
+_TRAILING_COMMA = {"}": _trailing_comma('{"": 0,}'), "]": _trailing_comma("[0,]")}
+
+
 class _Text:
     """A JSON text, read from a stream in pieces or given whole, and a
     cursor in it that moves as json's decoder does.
@@ -354,39 +365,28 @@ class _Text:
     buf holds the text read and not yet passed, from index at on.  base is
     the offset of buf[0] in the whole text, lines counts the newlines before
     it and line_start is the offset after the last of them, so that a
-    syntax error names its place in the whole text.  A stream that can seek
-    back to start has those newlines counted only for an error, by reading
-    the text passed again; any other stream's are counted as they pass.
+    syntax error names its place in the whole text.
     """
 
     def __init__(self, source: Union[str, TextIO], hook: Callable[[dict], object]) -> None:
         self.scan = json.JSONDecoder(object_hook=hook).scan_once  # raw_decode without its frame
         whole = isinstance(source, str)
         self.stream = None if whole else source
-        self.start = source.tell() if not whole and source.seekable() else None
         self.buf = source if whole else ""
         self.eof = whole  # the stream has given all its text
         self.at = self.base = self.lines = self.line_start = 0
-        self.span = 0  # characters of the value decoded last
-
-    def count(self, text: str, offset: int, end: int) -> None:
-        """Count the newlines of text[:end], text being at offset offset
-        of the whole text."""
-
-        newlines = text.count("\n", 0, end)
-        if newlines:
-            self.lines += newlines
-            self.line_start = offset + text.rfind("\n", 0, end) + 1
 
     def read(self) -> None:
-        """Drop the text passed and read on until the text left has grown
-        by its own length and by at least _READ characters, or the stream
-        ends: a value missed again and again costs time linear in its
-        length."""
+        """Drop the text passed, counting its newlines, and read on until
+        the text left has grown by its own length and by at least _READ
+        characters, or the stream ends: a value missed again and again
+        costs time linear in its length."""
 
         buf, at = self.buf, self.at
-        if self.start is None:
-            self.count(buf, self.base, at)
+        newlines = buf.count("\n", 0, at)
+        if newlines:
+            self.lines += newlines
+            self.line_start = self.base + buf.rfind("\n", 0, at) + 1
         self.base += at
         pieces = [buf[at:]] if at < len(buf) else []  # a lone piece is joined without a copy
         want = max(len(buf) - at, _READ)
@@ -402,15 +402,6 @@ class _Text:
     def error(self, msg: str, at: int) -> json.JSONDecodeError:
         """json's syntax error msg at buf[at], placed in the whole text."""
 
-        if self.start is not None:
-            self.stream.seek(self.start)
-            passed = 0
-            while passed < self.base:
-                piece = self.stream.read(min(_READ, self.base - passed))
-                if not piece:  # the stream no longer holds the text read
-                    break
-                self.count(piece, passed, len(piece))
-                passed += len(piece)
         pos = self.base + at
         newline = self.buf.rfind("\n", 0, at)
         line = self.lines + self.buf.count("\n", 0, at) + 1
@@ -420,31 +411,33 @@ class _Text:
         err.args = (f"{msg}: line {line} column {column} (char {pos})",)
         return err
 
-    def skip(self) -> str:
-        """Move past whitespace; the next character, or "" at the end."""
+    def skip(self, start: int = 0) -> int:
+        """The index in buf of the first character from at + start on that
+        is no whitespace, or len(buf) at the end of the text."""
 
         while True:
-            self.at = WHITESPACE.match(self.buf, self.at).end()
-            if self.at < len(self.buf) or self.eof:
-                return self.buf[self.at : self.at + 1]
+            end = WHITESPACE.match(self.buf, self.at + start).end()
+            if end < len(self.buf) or self.eof:
+                return end
             self.read()
+
+    def next(self) -> str:
+        """Move past whitespace; the next character, or "" at the end."""
+
+        self.at = self.skip()
+        return self.buf[self.at : self.at + 1]
 
     def value(self) -> object:
-        """Decode the value at the cursor whole, with the hook, and move past
-        it.  A value that does not parse, or ends within two characters of
-        the end of buf, is decoded again once more text is read, so that a
+        """Decode the value at the cursor, with the hook, and move past it.
+        A value that does not parse, or ends within two characters of the
+        end of buf, is decoded again once more text is read, so that its
         result or error is the one of the whole text: a number may go on
-        past buf, even after a "1." or "1e-" that the scanner leaves.  Text
-        left shorter than the value before is read on first, so that a run
-        of like values, such as triples, is seldom decoded twice."""
+        past buf, even after a "1." or "1e-" that the scanner leaves."""
 
-        if not self.eof and len(self.buf) - self.at < self.span:
-            self.read()
         while True:
             try:
                 value, end = self.scan(self.buf, self.at)
                 if end + 2 < len(self.buf) or self.eof:
-                    self.span = end - self.at
                     self.at = end
                     return value
             except StopIteration as stop:  # no value starts here
@@ -471,30 +464,44 @@ class _Text:
         self.at = end
         return value
 
+    def more(self, close: str) -> bool:
+        """Move past the "," or the close after a member or element, and
+        past whitespace after a ","; whether it was a ",".  A "," before
+        the close is refused as json refuses it."""
+
+        after = self.next()
+        if after == close:
+            self.at += 1
+            return False
+        if after != ",":
+            raise self.error("Expecting ',' delimiter", self.at)
+        end = self.skip(1)  # the comma stays in buf, for a message placed at it
+        if self.buf[end : end + 1] == close:
+            msg, at_comma = _TRAILING_COMMA[close]
+            raise self.error(msg, self.at if at_comma else end)
+        self.at = end
+        return True
+
     def members(self) -> Iterator[str]:
         """The keys of the object at the cursor, each given with the cursor
         at its value, which the caller passes; then move past the object.
         The checks and errors are those of json.decoder.JSONObject."""
 
         self.at += 1  # the "{"
-        if self.skip() == "}":
+        if self.next() == "}":
             self.at += 1
             return
         while True:
-            if self.skip() != '"':
+            if self.next() != '"':
                 raise self.error("Expecting property name enclosed in double quotes", self.at)
             key = self.value()
-            if self.skip() != ":":
+            if self.next() != ":":
                 raise self.error("Expecting ':' delimiter", self.at)
             self.at += 1
-            self.skip()
+            self.next()
             yield key
-            after = self.skip()
-            self.at += 1
-            if after == "}":
+            if not self.more("}"):
                 return
-            if after != ",":
-                raise self.error("Expecting ',' delimiter", self.at - 1)
 
     def elements(self) -> Iterator[None]:
         """Yield once per element of the array at the cursor, with the cursor
@@ -502,33 +509,24 @@ class _Text:
         The checks and errors are those of json.decoder.JSONArray."""
 
         self.at += 1  # the "["
-        if self.skip() == "]":
+        if self.next() == "]":
             self.at += 1
             return
         while True:
             yield
-            after = self.skip()
-            self.at += 1
-            if after == "]":
+            if not self.more("]"):
                 return
-            if after != ",":
-                raise self.error("Expecting ',' delimiter", self.at - 1)
-            self.skip()
 
 
-class _Circuits(list):
-    """A certificate's circuits list as the reader streams it.
-
-    As a list it is empty, so that the certificate's field check takes it
-    for the list it was.  refs, slots and sizes hold its triples as _Cones
-    does, up to the first circuit or triple that is malformed, and error is
-    the ValueError of that one, raised once the checks before it pass.
-    """
+class _Circuits:
+    """A certificate's circuits list as the reader streams it: refs, slots
+    and sizes hold its triples as _Cones does, up to the first circuit or
+    triple that is malformed, and error is the ValueError of that one,
+    raised once the checks before it pass."""
 
     __slots__ = ("refs", "slots", "sizes", "error")
 
     def __init__(self) -> None:
-        super().__init__()
         self.refs: List[int] = []
         self.slots: List[int] = []
         self.sizes: List[int] = []
@@ -546,7 +544,7 @@ class _Reader:
     at once; JSON decodes to no tuple, so a tuple is such a triple.
     document reads the text as json.loads would with that hook, in the
     same order and with the same errors, save that the circuits list of
-    the top-level object becomes a _Circuits as its triples are decoded.
+    the top-level object is taken into a _Circuits as it is read.
     """
 
     def __init__(self) -> None:
@@ -607,12 +605,14 @@ class _Reader:
         point = self.point
         return (point(u), point(v), point(w), *_value(a), *_value(b), *_value(c))
 
-    def document(self, text: _Text) -> object:
+    def document(self, text: _Text) -> Tuple[object, Optional[_Circuits]]:
         """The JSON value of the whole text, as json.loads gives it with
-        decoded as the object hook; a top-level object is read key by key,
-        its circuits list by circuits."""
+        decoded as the object hook, save that a circuits list of the
+        top-level object is taken circuit by circuit into a _Circuits,
+        which is given beside the value instead of in it."""
 
-        first = text.skip()
+        streamed = None
+        first = text.next()
         if first == "\ufeff" and text.base + text.at == 0:
             raise text.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
         if first != "{":
@@ -620,11 +620,17 @@ class _Reader:
         else:
             data = {}
             for key in text.members():
-                data[key] = self.circuits(text) if key == "circuits" and text.skip() == "[" else text.value()
+                if key == "circuits":  # of a key given twice the last counts
+                    data.pop(key, None)
+                    streamed = None
+                if key == "circuits" and text.next() == "[":
+                    streamed = self.circuits(text)
+                else:
+                    data[key] = text.value()
             data = self.decoded(data)
-        if text.skip():
+        if text.next():
             raise text.error("Extra data", text.at)
-        return data
+        return data, streamed
 
     def circuits(self, text: _Text) -> _Circuits:
         """The circuits list at the cursor, its triples taken into a
@@ -633,9 +639,10 @@ class _Reader:
 
         found = _Circuits()
         refs, slots = found.refs, found.slots
-        # characters of the element before: twice as many read is taken
-        # to hold the next one, since a circuit decoded at once and cut off
-        # by the end of the text read has its triples decoded twice
+        # characters of the element before: a circuit is tried whole once
+        # twice as many are read, since one cut off by the end of the text
+        # read has its triples decoded twice; decoding every circuit triple
+        # by triple costs a certify-c7 certificate 14% more (BENCH_34.json)
         last = 0
         for _ in text.elements():
             start, mark = text.base + text.at, len(refs)
@@ -665,7 +672,7 @@ class _Reader:
         taken into refs and slots as it comes and left empty in the object
         returned, with the error of the first malformed triple."""
 
-        if text.skip() != "{":
+        if text.next() != "{":
             return text.value(), None
         if not text.eof and len(text.buf) - text.at < room <= _READ:
             text.read()
@@ -679,7 +686,7 @@ class _Reader:
             if key == "triples":  # of a key given twice the last counts
                 del refs[mark:], slots[2 * mark :]
                 error = None
-            if key == "triples" and text.skip() == "[":
+            if key == "triples" and text.next() == "[":
                 group[key] = []
                 error = self.take((text.value() for _ in text.elements()), refs, slots)
             else:
@@ -705,11 +712,13 @@ class _Reader:
                 error = err
         return error
 
-    def certificate(self, data: object) -> Certificate:
+    def certificate(self, data: object, circuits: Optional[_Circuits]) -> Certificate:
         n = _integer(_field(data, "n", "certificate"), "certificate field 'n'")
         xi = parse_rational(_field(data, "xi", "certificate"))
         sha = str(_field(data, "poly_sha256", "certificate"))
-        circuits = _field(data, "circuits", "certificate", list, _Circuits())
+        if circuits is None:  # no list was read for the field: it is absent, or refused here
+            _field(data, "circuits", "certificate", list, [])
+            circuits = _Circuits()
         points, refs, slots, sizes = self.points, circuits.refs, circuits.slots, circuits.sizes
         # the triples before a malformed one are checked first, in order
         wrong = {i for i, pt in enumerate(points) if len(pt) != 2 * n}

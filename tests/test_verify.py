@@ -8,6 +8,7 @@ import dataclasses
 import io
 import itertools
 import json
+import re
 import sys
 import time
 import tracemalloc
@@ -497,7 +498,7 @@ def _assert_refused_alike(text):
     for read in (1, 2, 3, 7, 64, 1000):
         assert _refusal(lambda: _stream_loads(text, read, (read, 1, 5))) == whole
         with mock.patch.object(soncert.verify, "_READ", read):
-            assert _refusal(lambda: Certificate.loads(io.StringIO(text))) == whole  # a stream that seeks
+            assert _refusal(lambda: Certificate.loads(io.StringIO(text))) == whole  # full reads
     try:
         json.loads(text, object_hook=soncert.verify._Reader().decoded)
     except RecursionError:
@@ -526,6 +527,13 @@ TRUNCATED = {
     "trailing-object": lambda text: text + "\n{}",
     "trailing-bracket": lambda text: text + "]",
     "byte-order-mark": lambda text: "\ufeff" + text,
+    # a comma before a close, which json refuses in words that differ by Python version
+    "trailing-comma-in-the-certificate": lambda text: text[: text.rindex("\n}")] + ",\n}",
+    "trailing-comma-in-circuits": lambda text: text.replace('}\n  ],\n  "n"', '},\n  ],\n  "n"'),
+    "trailing-comma-in-a-circuit": lambda text: text.replace("]\n    }\n  ]", "],\n    }\n  ]"),
+    "trailing-comma-in-triples": lambda text: text.replace("}\n      ]\n    }", "},\n      ]\n    }"),
+    "trailing-comma-in-a-triple": lambda text: text.replace("]\n        }", "],\n        }", 1),
+    "trailing-comma-alone": lambda text: '{"n": 2,}',
 }
 
 
@@ -535,6 +543,22 @@ def test_cut_and_extended_texts_are_refused_alike_at_every_read_size(name):
     assert _refusal(lambda: Certificate.loads(text)) is not None
     _assert_refused_alike(text)
 
+
+@pytest.mark.parametrize("close, name", [("}", "trailing-comma-in-the-certificate"), ("]", "trailing-comma-in-circuits")])
+def test_a_trailing_comma_refused_at_the_comma_is_placed_alike(close, name):
+    """Where json names the comma of a trailing comma rather than the
+    close, as Python 3.13's does, the reader names it alike at every read
+    size in the top-level object and the circuits list, which it walks
+    itself."""
+
+    text = TRUNCATED[name](MOTZKIN_XI.dumps())
+    comma = re.search(r",\s*" + re.escape(close), text).start()
+    line, column = text.count("\n", 0, comma) + 1, comma - text.rindex("\n", 0, comma)
+    message = f"Illegal trailing comma: line {line} column {column} (char {comma})"
+    with mock.patch.dict(soncert.verify._TRAILING_COMMA, {close: ("Illegal trailing comma", True)}):
+        assert _refusal(lambda: Certificate.loads(text)) == message
+        for read in (1, 2, 3, 7, 64, 1000):
+            assert _refusal(lambda: _stream_loads(text, read, (read, 1, 5))) == message
 
 def _transient_bytes(text, read):
     """tracemalloc's peak while a stream of text is read, less what the
