@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cover import simplex_cover
-from .polyring import MAX_DECIMAL_EXPONENT, SparsePoly, has_too_many_digits
+from .polyring import MAX_DECIMAL_EXPONENT, Exponent, SparsePoly, has_too_many_digits
 from .polyring import parse_rational, pn_companion, poly_sha256
 from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points
 # unused here, but perfbench's tracer wraps soncert.certify.lower_bound and
@@ -133,25 +133,20 @@ def _strictly_inside(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int) -> bo
     return pc == 0 or 2 * pa * pb * qc * qc > pc * pc * qa * qb
 
 
-def _trivial_certificate(tilde: SparsePoly, xi: Fraction, sha: str) -> Certificate:
+def _trivial_certificate(f: SparsePoly, tilde: SparsePoly, xi: Fraction, sha: str) -> Certificate:
+    """The certificate of f at xi with no interior points: the companion's
+    monomial squares alone, once it has verified."""
+
     zero = (0,) * tilde.n
     constant = tilde.constant() - xi
     if constant < 0:
         raise BoundaryFailure(
             f"bound {xi} exceeds the constant term with no interior points to trade"
         )
-    passthrough = [
-        (exp, coef) for exp, coef in tilde.sorted_terms() if exp != zero
-    ]
+    passthrough = [(exp, coef) for exp, coef in tilde.terms.items() if exp != zero]
     if constant:
-        passthrough.insert(0, (zero, constant))
-    return Certificate(
-        n=tilde.n,
-        xi=xi,
-        poly_sha256=sha,
-        cones=_Cones([], [], [], []),
-        passthrough=tuple(sorted(passthrough)),
-    )
+        passthrough.append((zero, constant))
+    return _certificate(f, xi, sha, _Cones([], [], [], []), passthrough)
 
 
 def _round_and_project(problem: SocpProblem, x: Sequence[float]) -> Optional[Tuple[List[int], List[int]]]:
@@ -169,7 +164,7 @@ def _round_and_project(problem: SocpProblem, x: Sequence[float]) -> Optional[Tup
     return None
 
 
-def _certificate(
+def _projected_certificate(
     f: SparsePoly, problem: SocpProblem, slots: Tuple[List[int], List[int]], xi: Fraction, sha: str
 ) -> Certificate:
     """The certificate of f at xi from the exact slots p / q, once it has
@@ -180,15 +175,21 @@ def _certificate(
     refs = [index[pt] for t in plan.triples for pt in t]
     sizes = [len(group) for group in plan.circuit_triples]
     cones = _Cones.over(plan.den, plan.points, refs, sizes, *slots)
-    passthrough = tuple(sorted(problem.passthrough_terms.items()))
-    cert = Certificate(f.n, xi, sha, cones, passthrough)
+    return _certificate(f, xi, sha, cones, problem.passthrough_terms.items())
+
+
+def _certificate(
+    f: SparsePoly, xi: Fraction, sha: str, cones: _Cones, passthrough: Iterable[Tuple[Exponent, Fraction]]
+) -> Certificate:
+    """The certificate of f at xi, once verify_certificate has passed it:
+    every certificate exact_sobs returns is built here."""
+
+    cert = Certificate(f.n, xi, sha, cones, tuple(sorted(passthrough)))
     check = verify_certificate(f, cert)
     if check.reason == "too-large":
         raise ValueError(f"certificate denominators at bound {xi} are too large to verify")
     if not check.ok:
-        raise RuntimeError(
-            f"projected slots do not reconstruct the companion of f - {xi}: {check.reason}"
-        )
+        raise RuntimeError(f"certificate values do not reconstruct the companion of f - {xi}: {check.reason}")
     return cert
 
 
@@ -228,7 +229,7 @@ def exact_sobs(
     tilde = pn_companion(f)
     lam, gamma = cover_points(f)
     if not gamma:
-        return _trivial_certificate(tilde, target, sha)
+        return _trivial_certificate(f, tilde, target, sha)
     plan = build_plan(simplex_cover(lam, gamma), odd_mode=odd_mode)
 
     if xi is None:
@@ -240,7 +241,7 @@ def exact_sobs(
         if slots is not None:
             p, q = slots
             objective = sum(Fraction(coef * p[col], q[col]) for col, coef in enumerate(problem.objective) if coef)
-            return _certificate(f, problem, slots, problem.constant - objective, sha)
+            return _projected_certificate(f, problem, slots, problem.constant - objective, sha)
         if solution.status != "optimal":
             raise SolverFailure(
                 f"conic solver stopped with status {solution.status} "
@@ -259,4 +260,4 @@ def exact_sobs(
     slots = _round_and_project(problem, solution.x)
     if slots is None:
         raise BoundaryFailure(f"bound {target} is not strictly certifiable at this precision")
-    return _certificate(f, problem, slots, target, sha)
+    return _projected_certificate(f, problem, slots, target, sha)

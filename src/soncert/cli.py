@@ -9,7 +9,8 @@ the input as a directory of .json files, or as JSON lines with one
 polynomial per line, and fans the work out over a bounded process pool.
 Every batch item gets its own JSON report (and, like a single item, an
 "error:" line on stderr when its status is error), an item that fails does
-not stop the others, and the exit code is the worst one seen.
+not stop the others, and the exit code is the worst one seen.  A batch
+writes no file: --batch with -o or --dump-socp is a usage error.
 
 A certificate is written in the pieces Certificate.pieces gives, straight
 to the -o file, to stdout, or into the --json line between its opening
@@ -200,12 +201,14 @@ def _run(args, work: Callable[..., tuple], *params: Any) -> int:
 
 
 def _cmd_bound(args) -> int:
-    # --batch writes no standard form
-    dump = None if args.batch else args.dump_socp
-    return _run(args, _bound_work, args.odd_mode, dump)
+    if args.batch and args.dump_socp:
+        raise ValueError("--batch writes no standard form: --dump-socp cannot be combined with it")
+    return _run(args, _bound_work, args.odd_mode, args.dump_socp)
 
 
 def _cmd_certify(args) -> int:
+    if args.batch and args.output:
+        raise ValueError("--batch writes no certificate file: -o/--output cannot be combined with it")
     return _run(args, _certify_work, args.xi, args.odd_mode)
 
 

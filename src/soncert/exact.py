@@ -2,18 +2,19 @@
 
 Every exact elimination of the package runs here, on integer rows that share
 one positive denominator ``den``: the rational matrix the rows stand for is
-``rows / den``.  A pivot on entry ``p = rows[r][c]`` keeps row r and replaces
-every other row by ``(p * row - row[c] * rows[r]) // den``; by Sylvester's
-identity the division is exact (Bareiss, "Sylvester's identity and multistep
+``rows / den``.  A pivot (``_pivot``, the one step that updates a row) on
+entry ``p = rows[r][c]`` keeps row r and replaces every other row by
+``(p * row - row[c] * rows[r]) // den``; by Sylvester's identity the
+division is exact (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968), so the entries
 stay integers, minors of the input up to sign, and no gcd is ever taken.
 
-* ``eliminate`` (with ``solve`` on top) is fraction-free Gauss-Jordan
-  elimination, and ``rank`` its forward half alone.  ``UniqueSolver``
-  eliminates a matrix with independent columns once and then solves each
-  right-hand side with one integer matrix-vector product: the barycentric
-  weights over an affinely independent point set, for the cover and the
-  generator's hull test.
+* ``eliminate`` is fraction-free Gauss-Jordan elimination, and ``rank``
+  counts its pivots.  ``UniqueSolver`` eliminates a matrix with independent
+  columns once and then solves each right-hand side with one integer
+  matrix-vector product: the barycentric weights over an affinely
+  independent point set, for the cover, the generator's hull test and
+  ``polyring.circuit_weights``.  No other barycentric system is solved.
 * ``Tableau`` is a two-phase primal simplex method with Bland's rule on the
   same rows (Edmonds' integer pivoting, as in Applegate, Cook, Dash &
   Espinoza, "Exact solutions to linear programming problems", Oper. Res.
@@ -104,39 +105,8 @@ def eliminate(
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Rank by fraction-free forward elimination: only the rows below each
-    pivot are updated, on the columns past it, and nothing is substituted
-    back, since only the pivot count is read.  Bareiss' division by the
-    previous pivot is exact here as well."""
-    work = _integer_rows(rows)
-    count, den = 0, 1
-    for c in range(len(work[0]) if work else 0):
-        p = next((i for i in range(count, len(work)) if work[i][c]), None)
-        if p is None:
-            continue
-        work[count], work[p] = work[p], work[count]
-        prow = work[count]
-        piv = prow[c]
-        for i in range(count + 1, len(work)):
-            row = work[i]
-            f = row[c]
-            row[c + 1 :] = [(piv * a - f * b) // den for a, b in zip(row[c + 1 :], prow[c + 1 :])]
-        den = piv
-        count += 1
-        if count == len(work):
-            break
-    return count
-
-
-def solve(
-    rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
-) -> Optional[List[Fraction]]:
-    """The unique x with rows x = rhs; None when there is none or many."""
-    ncols = len(rows[0]) if rows else 0
-    work, pivots, den = eliminate([[*row, b] for row, b in zip(rows, rhs)], ncols)
-    if len(pivots) < ncols or any(row[-1] for row in work[len(pivots):]):
-        return None
-    return [Fraction(row[-1], den) for row in work[:ncols]]
+    """The number of pivots eliminate finds."""
+    return len(eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
 class UniqueSolver:
@@ -218,12 +188,13 @@ class Tableau:
         m, ncols = len(rows), len(cost)
         scale = lcm(*(v.denominator for v in cost))
         icost = [(v * scale).numerator for v in cost]
-        # reduced costs over den, kept as one more row of the tableau
-        reduced = [self.den * v for v in icost] + [0]
+        # reduced costs over den, kept as one more row of the tableau: a
+        # pivot on a basic entry, which is den, clears its column there and
+        # leaves the other rows as they are
+        rows.append([self.den * v for v in icost] + [0])
         for i, col in enumerate(basis):
             if icost[col]:
-                reduced = [a - icost[col] * b for a, b in zip(reduced, rows[i])]
-        rows.append(reduced)
+                _pivot(rows, i, col, self.den)
         try:
             while True:
                 entering = next((j for j in range(ncols) if rows[m][j] < 0), -1)

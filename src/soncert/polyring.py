@@ -10,6 +10,13 @@ where ``coef`` is an integer, a decimal string (converted exactly), or a
 "p/q" string. Exponent vectors are ordered lexicographically everywhere a
 deterministic order is needed.
 
+The rational grammar of the package lives here alone.  ``parse_parts``
+reads a value into its reduced (numerator, denominator), the canonical 'p'
+and 'p/q' by int() alone and anything else through the general parser, and
+``format_parts`` writes a reduced pair back in the canonical form.
+``parse_rational`` and ``format_rational`` are the same on Fractions, and
+the certificate reader and writer (soncert.verify) use the pairs.
+
 The support splits into Lambda (even exponents carrying a positive
 coefficient: candidate monomial-square points) and Gamma (all remaining
 exponents). A polynomial is PN when every Gamma coefficient is negative;
@@ -24,7 +31,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Sequence, Tuple
 
 from . import exact
@@ -41,7 +48,7 @@ MAX_DECIMAL_EXPONENT = 4300
 _TOO_MANY_DIGITS = 10**MAX_DECIMAL_EXPONENT
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*\Z")
 _DIGIT = re.compile(r"\d")
-# The form format_rational writes: parse_rational reads it with int() alone.
+# The form format_parts writes: parse_parts reads it with int() alone.
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -67,38 +74,55 @@ def _excerpt(value: object) -> str:
     return text if len(text) <= 60 else f"{text[:40]}... (length {size or len(text)})"
 
 
+def _reduced(num: int, den: int) -> Tuple[int, int]:
+    """num/den as Fraction keeps it: lowest terms, den > 0."""
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def parse_parts(value: object) -> Tuple[int, int]:
+    """parse_rational(value) as its reduced (numerator, denominator).
+
+    The canonical forms 'p' and 'p/q' that format_parts writes are read by
+    int() alone; every other input, and a zero denominator, goes through
+    the general parser, which refuses what parse_rational refuses."""
+    canonical = _CANONICAL.fullmatch(value) if type(value) is str and len(value) <= MAX_DECIMAL_EXPONENT else None
+    if canonical and canonical[2] is None:
+        return int(canonical[1]), 1
+    if canonical and canonical[2].strip("0"):
+        # neither part has more digits than the limit allows
+        return _reduced(int(canonical[1]), int(canonical[2]))
+    x = _parse_general(value)
+    return x.numerator, x.denominator
+
+
 def parse_rational(value: object) -> Fraction:
     """Parse an int, a decimal string, or a 'p/q' string into a Fraction.
 
-    The canonical forms 'p' and 'p/q' that format_rational writes are read
-    by int() alone; every other input goes through Fraction.  A decimal
-    exponent beyond MAX_DECIMAL_EXPONENT in magnitude, or a numerator or
-    denominator of more than MAX_DECIMAL_EXPONENT decimal digits, is a
-    ValueError."""
-    canonical = _CANONICAL.fullmatch(value) if isinstance(value, str) else None
-    if canonical and len(value) <= MAX_DECIMAL_EXPONENT:
-        # neither part has more digits than the limit allows
-        try:
-            return Fraction(int(canonical[1]), int(canonical[2] or 1))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"not a rational: {_excerpt(value)}") from exc
-    exponent = None
-    if not canonical:
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
-            raise ValueError(f"not a rational: {_excerpt(value)}")
-        if isinstance(value, float):
-            # JSON number written with a decimal point; repr round-trips the
-            # intended decimal, which Fraction parses exactly.
-            value = repr(value)
-        if isinstance(value, str):
-            exponent = _DECIMAL_EXPONENT.search(value)
-        if exponent:
-            digits = exponent.group(1).replace("_", "").lstrip("0")
-            too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
-            if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-                raise ValueError(
-                    f"decimal exponent of {_excerpt(value)} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
-                )
+    A decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude, or a
+    numerator or denominator of more than MAX_DECIMAL_EXPONENT decimal
+    digits, is a ValueError."""
+    return Fraction(*parse_parts(value))
+
+
+def _parse_general(value: object) -> Fraction:
+    """parse_rational's reading of any input, the canonical forms included."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
+        raise ValueError(f"not a rational: {_excerpt(value)}")
+    if isinstance(value, float):
+        # JSON number written with a decimal point; repr round-trips the
+        # intended decimal, which Fraction parses exactly.
+        value = repr(value)
+    exponent = _DECIMAL_EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+        if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"decimal exponent of {_excerpt(value)} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+            )
     if isinstance(value, str) and len(value) > MAX_DECIMAL_EXPONENT:
         # int() and Fraction would refuse too many digits with the
         # interpreter's message; a part of at most that many characters has
@@ -110,10 +134,7 @@ def parse_rational(value: object) -> Fraction:
                 if count > MAX_DECIMAL_EXPONENT:
                     raise ValueError(f"{part} of {count} digits exceeds {MAX_DECIMAL_EXPONENT} decimal digits")
     try:
-        if canonical:
-            frac = Fraction(int(canonical[1]), int(canonical[2] or 1))
-        else:
-            frac = Fraction(value)
+        frac = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {_excerpt(value)}") from exc
     for part, size in (("numerator", frac.numerator), ("denominator", frac.denominator)):
@@ -128,11 +149,15 @@ def _too_many_digits(value: int) -> bool:
     return value.bit_length() >= _TOO_MANY_DIGITS.bit_length() and abs(value) >= _TOO_MANY_DIGITS
 
 
+def format_parts(num: int, den: int) -> str:
+    """The canonical form of num/den, reduced with den > 0: 'p' for an
+    integer, 'p/q' otherwise.  Its characters need no JSON escape."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: 'p' for integers, 'p/q' otherwise."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_parts(value.numerator, value.denominator)
 
 
 @dataclass
@@ -282,12 +307,16 @@ def circuit_weights(
     """
     pts = list(trellis)
     rows = [[1] * len(pts)] + [[p[i] for p in pts] for i in range(len(beta))]
-    sol = exact.solve(rows, [1, *beta])
-    if sol is None:
+    try:
+        solver = exact.UniqueSolver(rows)
+        nums = solver.numerators([1, *beta])
+    except ValueError:  # dependent columns: many solutions or none
+        nums = None
+    if nums is None:
         raise ValueError(f"{tuple(beta)} has no barycentric representation over {pts}")
-    if any(w <= 0 for w in sol):
+    if any(v <= 0 for v in nums):
         raise ValueError(f"{tuple(beta)} is not interior to the trellis {pts}")
-    return tuple(sol)
+    return tuple(Fraction(v, solver.den) for v in nums)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,10 @@ A certificate holds its circuits in one form, integers (_Cones): each
 distinct point once, as its coordinates in lowest terms, and each slot as
 a numerator and a positive denominator in lowest terms, as Fraction keeps
 them.  The reader builds that form straight from the JSON values, the
-writer renders each slot and coordinate once for both layouts, and
-bit_size and the verifier read the integers.
+writer renders each slot and distinct coordinate once per layout, and
+bit_size and the verifier read the integers.  The rational grammar is
+polyring's alone: the reader reads each value with parse_parts and the
+writer writes each with format_parts.
 
 The writer (Certificate.pieces) gives either layout as a stream of text
 pieces, one triple each, so that a certificate can be written to a file
@@ -71,8 +73,8 @@ from math import gcd, lcm
 from operator import add, floordiv, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .polyring import _CANONICAL, _TOO_MANY_DIGITS, MAX_DECIMAL_EXPONENT, Exponent, SparsePoly
-from .polyring import has_too_many_digits, is_even, parse_rational, pn_companion, poly_sha256
+from .polyring import _TOO_MANY_DIGITS, Exponent, SparsePoly, _reduced, format_parts, format_rational
+from .polyring import has_too_many_digits, is_even, parse_parts, parse_rational, pn_companion, poly_sha256
 
 
 def _in_cone(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int) -> bool:
@@ -116,39 +118,10 @@ def _pieces(
     yield brackets if empty else closing
 
 
-def _rational(num: int, den: int) -> str:
-    """format_rational of num/den, reduced with den > 0, as a JSON string;
-    its characters need no escape."""
-
-    return f'"{num}"' if den == 1 else f'"{num}/{den}"'
-
-
 def _bits(values: Iterable[Fraction]) -> int:
     """Bits of the numerators and denominators of the values."""
 
     return sum(x.numerator.bit_length() + x.denominator.bit_length() for x in values)
-
-
-def _reduced(num: int, den: int) -> Tuple[int, int]:
-    """num/den as Fraction keeps it: lowest terms, den > 0."""
-
-    if den < 0:
-        num, den = -num, -den
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _value(value: object) -> Tuple[int, int]:
-    """parse_rational(value) as its reduced numerator and denominator; the
-    form 'p' or 'p/q' that the writer emits is read by int() alone."""
-
-    canonical = _CANONICAL.fullmatch(value) if type(value) is str and len(value) <= MAX_DECIMAL_EXPONENT else None
-    if canonical and canonical[2] is None:
-        return int(canonical[1]), 1
-    if canonical and canonical[2].strip("0"):
-        return _reduced(int(canonical[1]), int(canonical[2]))
-    x = parse_rational(value)
-    return x.numerator, x.denominator
 
 
 class _Cones:
@@ -159,15 +132,13 @@ class _Cones:
     d2, ...).  refs holds three point indices per triple, for u, v and w,
     and slots six integers per triple, (pa, qa, pb, qb, pc, qc) with a =
     pa/qa and so on, each in lowest terms with q > 0.  sizes counts the
-    triples of each circuit.  leaves keeps the writer's texts of the slots
-    once they are rendered, for either layout.
+    triples of each circuit.
     """
 
-    __slots__ = ("points", "refs", "slots", "sizes", "leaves")
+    __slots__ = ("points", "refs", "slots", "sizes")
 
     def __init__(self, points: List[Tuple[int, ...]], refs: List[int], slots: List[int], sizes: List[int]) -> None:
         self.points, self.refs, self.slots, self.sizes = points, refs, slots, sizes
-        self.leaves = None
 
     @classmethod
     def over(cls, den: int, points: Sequence[Sequence[int]], refs: List[int], sizes: List[int],
@@ -234,23 +205,21 @@ class Certificate:
 
         Each triple is one piece, as is each passthrough term and each
         other field, with the brackets and separators around it; the
-        document is never held whole.  The text of each slot is rendered
-        once for both layouts, and each distinct coordinate and point once
-        per layout and held while the pieces are written."""
+        document is never held whole.  The text of each slot, each distinct
+        coordinate and each distinct point is rendered once per call and
+        held while the pieces are written."""
 
         block = _inline if compact else _indented
         cones = self.cones
-        if cones.leaves is None:
-            slots = cones.slots
-            cones.leaves = list(map(_rational, slots[0::2], slots[1::2]))
-        values = cones.leaves
+        slots = cones.slots
+        values = list(map(format_parts, slots[0::2], slots[1::2]))
         coords: Dict[Tuple[int, int], str] = {}  # a coordinate (x, d) -> its block
         for pt in cones.points:
             for x, d in zip(pt[0::2], pt[1::2]):
                 if (x, d) not in coords:
                     coords[x, d] = block([f'"{x}"', f'"{d}"'], 6)
         points = [block(list(map(coords.__getitem__, zip(pt[0::2], pt[1::2]))), 5) for pt in cones.points]
-        template = block(['"a": %s', '"b": %s', '"c": %s', '"u": %s', '"v": %s', '"w": %s'], 4, "{}")
+        template = block(['"a": "%s"', '"b": "%s"', '"c": "%s"', '"u": %s', '"v": %s', '"w": %s'], 4, "{}")
         refs = cones.refs
         triples = (
             (template % (a, b, c, points[u], points[v], points[w]),)
@@ -264,7 +233,7 @@ class Certificate:
             (
                 block(
                     [
-                        f'"coef": {_rational(coef.numerator, coef.denominator)}',
+                        f'"coef": "{format_rational(coef)}"',
                         f'"exp": {block(list(map(json.dumps, exp)), 3)}',
                     ],
                     2,
@@ -278,7 +247,7 @@ class Certificate:
             [f'"n": {json.dumps(self.n)}'],
             chain(['"passthrough": '], _pieces(block, passthrough, 1)),
             [f'"poly_sha256": {json.dumps(self.poly_sha256)}'],
-            [f'"xi": {_rational(self.xi.numerator, self.xi.denominator)}'],
+            [f'"xi": "{format_rational(self.xi)}"'],
         ]
         return _pieces(block, fields, 0, "{}")
 
@@ -603,7 +572,7 @@ class _Reader:
         except KeyError as missing:
             raise ValueError(f"triple misses field {missing}") from None
         point = self.point
-        return (point(u), point(v), point(w), *_value(a), *_value(b), *_value(c))
+        return (point(u), point(v), point(w), *parse_parts(a), *parse_parts(b), *parse_parts(c))
 
     def document(self, text: _Text) -> Tuple[object, Optional[_Circuits]]:
         """The JSON value of the whole text, as json.loads gives it with

@@ -125,12 +125,21 @@ def test_certificate_infeasible_bound():
         exact_sobs(EX6, xi=0)
 
 
-def test_trivial_certificate_no_interior_points():
+def test_trivial_certificate_no_interior_points(monkeypatch):
     f = SparsePoly(2, {(0, 0): -3, (2, 0): 1, (2, 2): 4})
+    # exact_sobs checks this certificate once, as it checks every other one
+    checked = []
+
+    def counting(poly, cert):
+        checked.append(cert)
+        return verify_certificate(poly, cert)
+
+    monkeypatch.setattr(soncert.certify, "verify_certificate", counting)
     cert = exact_sobs(f)
-    assert cert.xi == -3 and circuits_of(cert) == ()
+    assert cert.xi == -3 and circuits_of(cert) == () and checked == [cert]
     assert verify_certificate(f, cert).ok
     higher = exact_sobs(f, xi=-4)
+    assert checked == [cert, higher]
     assert verify_certificate(f, higher).ok
     with pytest.raises(BoundaryFailure):
         exact_sobs(f, xi=-2)

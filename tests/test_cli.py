@@ -203,15 +203,17 @@ def test_batch_bound_directory(tmp_path, capsys):
     assert len(lines) == 2
 
 
-def test_batch_ignores_dump_socp_and_output(tmp_path, capsys):
+def test_batch_refuses_dump_socp_and_output(tmp_path, capsys):
+    # a batch writes no file, so an option that names one is a usage error
     batch = tmp_path / "batch.jsonl"
     batch.write_text(poly_dumps(MOTZKIN) + "\n" + poly_dumps(EX6) + "\n")
     target = tmp_path / "written.json"
-    for argv in (["bound", "--dump-socp", str(target)], ["certify", "-o", str(target)]):
-        code = cli.main([*argv, str(batch), "--batch"])
-        assert code == cli.EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert [json.loads(ln)["status"] for ln in lines] == ["ok", "ok"]
+    for command, option in (("bound", "--dump-socp"), ("certify", "-o")):
+        code = cli.main([command, option, str(target), str(batch), "--batch"])
+        assert code == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--batch" in captured.err and option in captured.err
         assert not target.exists()
 
 

@@ -19,6 +19,7 @@ from conftest import (
 )
 from soncert import exact
 from soncert.exact import LpInfeasible, LpUnbounded
+from soncert.polyring import circuit_weights
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -152,13 +153,20 @@ def test_bareiss_matches_fraction_elimination(mat, rhs):
     assert [[Fraction(v, den) for v in row] for row in rows] == ref
     assert exact.rank(mat) == len(pivots)
 
+    # UniqueSolver: ValueError on dependent columns, else the one solution
+    # or None when the right-hand side is inconsistent
     rhs = rhs[: len(mat)]
+    if len(pivots) < cols:
+        with pytest.raises(ValueError, match="dependent columns"):
+            exact.UniqueSolver(mat)
+        return
     ref, pivots = ref_reduce([row + [b] for row, b in zip(mat, rhs)], cols)
-    unique = len(pivots) == cols and all(row[-1] == 0 for row in ref[cols:])
-    x = exact.solve(mat, rhs)
-    if not unique:
-        assert x is None
+    solver = exact.UniqueSolver(mat)
+    nums = solver.numerators(rhs)
+    if any(row[-1] for row in ref[cols:]):
+        assert nums is None
     else:
+        x = [Fraction(v, solver.den) for v in nums]
         assert x == [row[-1] for row in ref[:cols]]
         assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(mat, rhs))
 
@@ -197,13 +205,6 @@ def integer_matrices(draw):
 
 @SETTINGS
 @given(integer_matrices())
-def test_forward_rank_matches_gauss_jordan(mat):
-    # rank eliminates forward only; Gauss-Jordan's pivot count is the reference
-    assert exact.rank(mat) == len(exact.eliminate(mat, len(mat[0]))[1])
-
-
-@SETTINGS
-@given(integer_matrices())
 def test_integer_rows_eliminate_as_their_fractions(mat):
     # integer rows skip the lcm scaling, Fraction rows take it
     fractions = [[Fraction(v) for v in row] for row in mat]
@@ -214,6 +215,14 @@ def test_integer_rows_eliminate_as_their_fractions(mat):
 def test_rank_and_solve_edge_cases():
     assert exact.rank([]) == 0
     assert exact.rank([[0, 0], [0, 0]]) == 0
-    assert exact.solve([[1, 1]], [2]) is None  # underdetermined
-    assert exact.solve([[1], [1]], [1, 2]) is None  # inconsistent
-    assert exact.solve([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+    with pytest.raises(ValueError, match="dependent columns"):
+        exact.UniqueSolver([[1, 1]])  # underdetermined
+    assert exact.UniqueSolver([[1], [1]]).numerators([1, 2]) is None  # inconsistent
+    solver = exact.UniqueSolver([[2, 0], [0, 3]])
+    assert [Fraction(v, solver.den) for v in solver.numerators([1, 1])] == [Fraction(1, 2), Fraction(1, 3)]
+    # circuit_weights solves on UniqueSolver: the unique weights, and one
+    # refusal for an inconsistent system and for dependent columns
+    assert circuit_weights([(0,), (4,)], (1,)) == (Fraction(3, 4), Fraction(1, 4))
+    for trellis, beta in (([(0, 0), (4, 0)], (1, 1)), ([(0, 0), (2, 2), (4, 4)], (2, 2))):
+        with pytest.raises(ValueError, match="has no barycentric representation over"):
+            circuit_weights(trellis, beta)

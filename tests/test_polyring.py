@@ -7,15 +7,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import is_nonneg_circuit
+from soncert import polyring
 from soncert.polyring import (
     Circuit,
     SparsePoly,
     affinely_independent,
     circuit_weights,
+    format_parts,
     format_rational,
     is_even,
+    parse_parts,
     parse_rational,
     poly_dumps,
     poly_from_json,
@@ -111,6 +116,39 @@ def test_format_rational_round_trip():
     for _ in range(200):
         q = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         assert parse_rational(format_rational(q)) == q
+        assert parse_parts(format_parts(q.numerator, q.denominator)) == (q.numerator, q.denominator)
+
+
+def _outcome(read, value):
+    try:
+        return read(value)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _pair(x: Fraction):
+    return x.numerator, x.denominator
+
+
+# the writer's outputs, up to the parser's digit limit
+WRITTEN = st.fractions(max_denominator=10**30).map(format_rational) | st.builds(
+    format_parts, st.integers(-(10**4300 - 1), 10**4300 - 1), st.just(1)
+)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.text("0123456789-/ .e+_", max_size=8) | WRITTEN)
+@example("9" * 4300)
+@example("-" + "9" * 4300)
+@example("1/" + "0" * 4299 + "6")
+@example("1/" + "0" * 4300)
+@example("-0/007")
+def test_canonical_reading_is_the_general_parser(value):
+    # parse_parts reads 'p' and 'p/q' by int() alone: the same reduced pair,
+    # or the same refusal, as the general parser and parse_rational give
+    want = _outcome(lambda v: _pair(polyring._parse_general(v)), value)
+    assert _outcome(parse_parts, value) == want
+    assert _outcome(lambda v: _pair(parse_rational(v)), value) == want
 
 
 def test_sparse_poly_drops_zero_and_validates():
