@@ -1,9 +1,13 @@
-"""Simplex covers: exact barycentric weights and the covering sweep.
+"""The circuit layer: support partitions, circuits, and simplex covers.
 
-Each negative-support point beta must be written as a convex combination of
-even positive-support points (Lambda). ``simplex_cover`` first eliminates
-Lambda's barycentric matrix once (``exact.UniqueSolver``), and the result
-decides between two branches:
+A polynomial's support splits into Lambda (even exponents with a positive
+coefficient, the candidate square points) and Gamma (every other exponent).
+A ``Circuit`` writes one point beta as a convex combination of an
+affinely independent trellis of even points, with exact weights.
+
+Each Gamma point beta must be written as a convex combination of Lambda
+points. ``simplex_cover`` first eliminates Lambda's barycentric matrix once
+(``exact.UniqueSolver``), and the result decides between two branches:
 
 * Affinely independent Lambda (every simplex class): each beta has at most
   one representation, so one integer matrix-vector product per beta gives
@@ -29,20 +33,129 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import LpInfeasible, Tableau, UniqueSolver
-from .polyring import Circuit, Exponent, is_even
+from .exact import LpInfeasible, Tableau, UniqueSolver, rank
+from .polyring import Exponent, SparsePoly, is_even
+
+# ---------------------------------------------------------------------------
+# support and circuits
 
 
-class CoverInfeasible(Exception):
-    """Some beta lies outside conv(Lambda); no circuit decomposition exists."""
+@dataclass(frozen=True)
+class SupportPartition:
+    """Support split: lambda_set = even exponents with positive coefficient,
+    gamma_set = everything else. Both are lex-sorted tuples."""
+
+    lambda_set: Tuple[Exponent, ...]
+    gamma_set: Tuple[Exponent, ...]
+
+
+def support_partition(f: SparsePoly) -> SupportPartition:
+    if f.is_zero():
+        raise ValueError("support partition of the zero polynomial")
+    lam = []
+    gam = []
+    for exp, coef in f.sorted_terms():
+        if is_even(exp) and coef > 0:
+            lam.append(exp)
+        else:
+            gam.append(exp)
+    return SupportPartition(tuple(lam), tuple(gam))
 
 
 def _barycentric(points: Sequence[Exponent], n: int) -> List[List[int]]:
     """Rows of: weights on points that write an n-vector and sum to one; the
     right-hand side is (beta, 1)."""
     return [[pt[i] for pt in points] for i in range(n)] + [[1] * len(points)]
+
+
+def affinely_independent(points: Sequence[Sequence[Fraction | int]]) -> bool:
+    """Exact rank test on the lifted vectors (1, point)."""
+    return rank([[1, *p] for p in points]) == len(points)
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """A trellis (affinely independent even points), an interior point beta,
+    and the exact convex weights writing beta over the trellis.
+
+    ``Circuit(...)`` validates all of it: two or more even points of beta's
+    dimension with one weight each, weights that are positive, sum to one
+    and reproduce beta, and, by an exact rank, an affinely independent
+    trellis.  ``Circuit.settled`` checks nothing.
+    """
+
+    trellis: Tuple[Exponent, ...]
+    beta: Exponent
+    weights: Tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.trellis) != len(self.weights):
+            raise ValueError("one weight per trellis point")
+        if len(self.trellis) < 2:
+            raise ValueError("a trellis needs at least two points")
+        n = len(self.beta)
+        for alpha in self.trellis:
+            if len(alpha) != n:
+                raise ValueError("dimension mismatch in trellis")
+            if not is_even(alpha):
+                raise ValueError(f"trellis point {alpha} is not even")
+        if any(w <= 0 for w in self.weights):
+            raise ValueError("weights must be positive")
+        # the weights over their common denominator, as integers
+        den = lcm(*(w.denominator for w in self.weights))
+        nums = [w.numerator * (den // w.denominator) for w in self.weights]
+        if sum(nums) != den:
+            raise ValueError("weights must sum to one")
+        for i in range(n):
+            acc = sum(q * alpha[i] for q, alpha in zip(nums, self.trellis))
+            if acc != self.beta[i] * den:
+                raise ValueError("weights do not reproduce beta")
+        if not affinely_independent(self.trellis):
+            raise ValueError("trellis points are affinely dependent")
+
+    @classmethod
+    def settled(
+        cls, trellis: Tuple[Exponent, ...], beta: Exponent, weights: Tuple[Fraction, ...]
+    ) -> "Circuit":
+        """A circuit built without any check, for a caller that has proved
+        every fact ``Circuit(...)`` validates, as one elimination of an
+        independent Lambda proves them for every circuit over it."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "trellis", trellis)
+        object.__setattr__(circuit, "beta", beta)
+        object.__setattr__(circuit, "weights", weights)
+        return circuit
+
+
+def circuit_weights(
+    trellis: Sequence[Exponent], beta: Sequence[Fraction | int]
+) -> Tuple[Fraction, ...]:
+    """Exact barycentric weights of beta over an affinely independent trellis.
+
+    Raises ValueError when beta is not in the relative interior.
+    """
+    pts = list(trellis)
+    try:
+        solver = UniqueSolver(_barycentric(pts, len(beta)))
+        nums = solver.numerators([*beta, 1])
+    except ValueError:  # dependent columns: many solutions or none
+        nums = None
+    if nums is None:
+        raise ValueError(f"{tuple(beta)} has no barycentric representation over {pts}")
+    if any(v <= 0 for v in nums):
+        raise ValueError(f"{tuple(beta)} is not interior to the trellis {pts}")
+    return tuple(Fraction(v, solver.den) for v in nums)
+
+
+# ---------------------------------------------------------------------------
+# the cover
+
+
+class CoverInfeasible(Exception):
+    """Some beta lies outside conv(Lambda); no circuit decomposition exists."""
 
 
 def _outside(beta: Exponent) -> CoverInfeasible:

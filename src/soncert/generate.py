@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import exact
-from .cover import simplex_cover
-from .polyring import Exponent, SparsePoly, affinely_independent, is_even
+from .cover import affinely_independent, simplex_cover
+from .polyring import Exponent, SparsePoly, is_even
 
 POLY_CLASSES = ("standard-simplex", "general-simplex", "arbitrary-polytope")
 

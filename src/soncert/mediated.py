@@ -41,7 +41,8 @@ from itertools import chain
 from operator import add, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .polyring import Point, circuit_weights
+from .cover import circuit_weights
+from .polyring import Point
 
 Triple = Tuple[int, int, int]  # (mid, lo, hi) with mid = (lo + hi) // 2
 
@@ -258,8 +259,8 @@ def med_set(
     that one segment.
 
     The inputs are validated here, not by any ``Circuit``: two or more
-    trellis points of beta's dimension and weights (read off the trellis
-    when None) that are positive, sum to one and reproduce beta, and a tree
+    trellis points of beta's dimension and weights (read off the trellis by
+    ``cover.circuit_weights`` when None) that are positive, sum to one and reproduce beta, and a tree
     of k - 1 merges that merges each node at most once.  These checks run on
     integers; integer points and Fraction weights, as a circuit holds them,
     are taken as they are."""

@@ -17,11 +17,14 @@ and 'p/q' by int() alone and anything else through the general parser, and
 ``parse_rational`` and ``format_rational`` are the same on Fractions, and
 the certificate reader and writer (soncert.verify) use the pairs.
 
-The support splits into Lambda (even exponents carrying a positive
-coefficient: candidate monomial-square points) and Gamma (all remaining
-exponents). A polynomial is PN when every Gamma coefficient is negative;
-``pn_companion`` flips signs to produce the PN companion, which bounds the
-original from below at every point (f(x) >= companion(|x|)).
+A polynomial is PN when every coefficient off the square points (even
+exponents with a positive coefficient) is negative; ``pn_companion`` flips
+signs to produce the PN companion, which bounds the original from below at
+every point (f(x) >= companion(|x|)).
+
+The module imports the standard library alone: with ``soncert.verify`` it
+is the whole trusted base.  Support splitting and circuits live in
+``soncert.cover``.
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Sequence, Tuple
-
-from . import exact
 
 Exponent = Tuple[int, ...]
 # A rational exponent point, such as a mediated-set point or a certificate point.
@@ -58,6 +59,8 @@ def is_even(exp: Exponent) -> bool:
 
 
 def _check_exponent(exp: Sequence[int], n: int) -> Exponent:
+    if not isinstance(exp, (list, tuple)):
+        raise ValueError(f"exponent {_excerpt(exp)} is not a list")
     tup = tuple(exp)
     if len(tup) != n:
         raise ValueError(f"exponent {tup} has length {len(tup)}, expected {n}")
@@ -195,33 +198,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-
-@dataclass(frozen=True)
-class SupportPartition:
-    """Support split: lambda_set = even exponents with positive coefficient,
-    gamma_set = everything else. Both are lex-sorted tuples."""
-
-    lambda_set: Tuple[Exponent, ...]
-    gamma_set: Tuple[Exponent, ...]
-
-
-def support_partition(f: SparsePoly) -> SupportPartition:
-    if f.is_zero():
-        raise ValueError("support partition of the zero polynomial")
-    lam = []
-    gam = []
-    for exp, coef in f.sorted_terms():
-        if is_even(exp) and coef > 0:
-            lam.append(exp)
-        else:
-            gam.append(exp)
-    return SupportPartition(tuple(lam), tuple(gam))
-
 
 def pn_companion(f: SparsePoly) -> SparsePoly:
     """PN companion: a coefficient on an even exponent stays when positive,
@@ -233,90 +209,6 @@ def pn_companion(f: SparsePoly) -> SparsePoly:
         f.n,
         {exp: c if c > 0 and is_even(exp) else -abs(c) for exp, c in f.terms.items()},
     )
-
-
-# ---------------------------------------------------------------------------
-# circuits
-
-
-def affinely_independent(points: Sequence[Sequence[Fraction | int]]) -> bool:
-    """Exact rank test on the lifted vectors (1, point)."""
-    return exact.rank([[1, *p] for p in points]) == len(points)
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """A trellis (affinely independent even points), an interior point beta,
-    and the exact convex weights writing beta over the trellis.
-
-    ``Circuit(...)`` validates all of it: two or more even points of beta's
-    dimension with one weight each, weights that are positive, sum to one
-    and reproduce beta, and, by an exact rank, an affinely independent
-    trellis.  ``Circuit.settled`` checks nothing.
-    """
-
-    trellis: Tuple[Exponent, ...]
-    beta: Exponent
-    weights: Tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.trellis) != len(self.weights):
-            raise ValueError("one weight per trellis point")
-        if len(self.trellis) < 2:
-            raise ValueError("a trellis needs at least two points")
-        n = len(self.beta)
-        for alpha in self.trellis:
-            if len(alpha) != n:
-                raise ValueError("dimension mismatch in trellis")
-            if not is_even(alpha):
-                raise ValueError(f"trellis point {alpha} is not even")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        # the weights over their common denominator, as integers
-        den = lcm(*(w.denominator for w in self.weights))
-        nums = [w.numerator * (den // w.denominator) for w in self.weights]
-        if sum(nums) != den:
-            raise ValueError("weights must sum to one")
-        for i in range(n):
-            acc = sum(q * alpha[i] for q, alpha in zip(nums, self.trellis))
-            if acc != self.beta[i] * den:
-                raise ValueError("weights do not reproduce beta")
-        if not affinely_independent(self.trellis):
-            raise ValueError("trellis points are affinely dependent")
-
-    @classmethod
-    def settled(
-        cls, trellis: Tuple[Exponent, ...], beta: Exponent, weights: Tuple[Fraction, ...]
-    ) -> "Circuit":
-        """A circuit built without any check, for a caller that has proved
-        every fact ``Circuit(...)`` validates, as one elimination of an
-        independent Lambda proves them for every circuit over it."""
-        circuit = object.__new__(cls)
-        object.__setattr__(circuit, "trellis", trellis)
-        object.__setattr__(circuit, "beta", beta)
-        object.__setattr__(circuit, "weights", weights)
-        return circuit
-
-
-def circuit_weights(
-    trellis: Sequence[Exponent], beta: Sequence[Fraction | int]
-) -> Tuple[Fraction, ...]:
-    """Exact barycentric weights of beta over an affinely independent trellis.
-
-    Raises ValueError when beta is not in the relative interior.
-    """
-    pts = list(trellis)
-    rows = [[1] * len(pts)] + [[p[i] for p in pts] for i in range(len(beta))]
-    try:
-        solver = exact.UniqueSolver(rows)
-        nums = solver.numerators([1, *beta])
-    except ValueError:  # dependent columns: many solutions or none
-        nums = None
-    if nums is None:
-        raise ValueError(f"{tuple(beta)} has no barycentric representation over {pts}")
-    if any(v <= 0 for v in nums):
-        raise ValueError(f"{tuple(beta)} is not interior to the trellis {pts}")
-    return tuple(Fraction(v, solver.den) for v in nums)
 
 
 # ---------------------------------------------------------------------------

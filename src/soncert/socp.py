@@ -26,7 +26,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm, log10
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
-from .cover import CoverResult, simplex_cover
+from .cover import CoverResult, affinely_independent, simplex_cover, support_partition
 from .ipm import ConeSolve, solve_socp
 from .mediated import (
     IntPoint,
@@ -37,15 +37,7 @@ from .mediated import (
     med_set,
     med_set_odd,
 )
-from .polyring import (
-    Exponent,
-    SparsePoly,
-    affinely_independent,
-    format_rational,
-    parse_rational,
-    pn_companion,
-    support_partition,
-)
+from .polyring import Exponent, SparsePoly, format_rational, parse_rational, pn_companion
 
 
 class UncoveredSupport(ValueError):

@@ -7,8 +7,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
+from soncert.cover import circuit_weights
 from soncert.mediated import med_seq
-from soncert.polyring import Exponent, circuit_weights
+from soncert.polyring import Exponent
 from soncert import socp
 
 from oracles import check_cone, circuits_of, triples_of
@@ -169,7 +170,7 @@ def ref_lp_solve(matrix, rhs, objective):
 def ref_simplex_cover(lambda_set, gamma_set):
     """The covering sweep of soncert.cover on the reference tableau."""
     from soncert.cover import CoverInfeasible, CoverResult
-    from soncert.polyring import Circuit
+    from soncert.cover import Circuit
 
     lam = sorted(set(map(tuple, lambda_set)))
     gam = sorted(set(map(tuple, gamma_set)))

@@ -22,8 +22,9 @@ from itertools import chain
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from soncert.cover import Circuit
 from soncert.mediated import IntPoint, MediatedSet, fraction_points, med_seq
-from soncert.polyring import Circuit, Exponent, Point, is_even, parse_rational
+from soncert.polyring import Exponent, Point, is_even, parse_rational
 from soncert.verify import Certificate, _Cones
 
 PointTriple = Tuple[Point, Point, Point]  # (u, v, w) with u = (v + w)/2

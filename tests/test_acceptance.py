@@ -24,10 +24,10 @@ from soncert.certify import (
     exact_sobs,
     verify_certificate,
 )
-from soncert.cover import simplex_cover
+from soncert.cover import simplex_cover, support_partition
 from soncert.generate import POLY_CLASSES, random_instance
 from soncert.mediated import fraction_points, med_seq
-from soncert.polyring import SparsePoly, poly_sha256, support_partition
+from soncert.polyring import SparsePoly, poly_sha256
 from soncert.socp import assemble, build_plan, pn_companion, lower_bound
 from conftest import project_fractions
 from oracles import CertTriple, brute_min_med_seq, cones_of, triples_of

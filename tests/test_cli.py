@@ -220,7 +220,12 @@ def test_batch_refuses_dump_socp_and_output(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["bound", "certify"])
 def test_batch_reports_every_item_past_a_bad_line(tmp_path, capsys, command):
     batch = tmp_path / "batch.jsonl"
-    for bad, reason in (("not json", "Expecting value"), ("[" * 200_000, "nested too deeply")):
+    bad_exponent = json.dumps({"n": 1, "terms": [{"exp": 5, "coef": "1"}]})
+    for bad, reason in (
+        ("not json", "Expecting value"),
+        ("[" * 200_000, "nested too deeply"),
+        (bad_exponent, "exponent 5 is not a list"),
+    ):
         batch.write_text(poly_dumps(MOTZKIN) + "\n" + bad + "\n" + poly_dumps(EX6) + "\n")
         code = cli.main([command, str(batch), "--batch"])
         assert code == cli.EXIT_ERROR

@@ -10,10 +10,10 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import ref_simplex_cover
-from soncert.cover import CoverInfeasible, _AnchorSolver, simplex_cover
+from soncert.cover import Circuit, CoverInfeasible, _AnchorSolver, simplex_cover, support_partition
 from soncert.exact import LpInfeasible, LpUnbounded, Tableau
 from soncert.generate import POLY_CLASSES, random_instance
-from soncert.polyring import Circuit, SparsePoly, support_partition
+from soncert.polyring import SparsePoly
 
 LAM8 = [(0, 0), (4, 0), (0, 4), (4, 4)]
 

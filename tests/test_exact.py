@@ -19,7 +19,7 @@ from conftest import (
 )
 from soncert import exact
 from soncert.exact import LpInfeasible, LpUnbounded
-from soncert.polyring import circuit_weights
+from soncert.cover import circuit_weights
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from soncert.cover import support_partition
 from soncert.generate import POLY_CLASSES, GenInstance, random_instance
-from soncert.polyring import is_even, poly_dumps, support_partition
+from soncert.polyring import is_even, poly_dumps
 from soncert.socp import lower_bound
 
 

@@ -24,8 +24,7 @@ from conftest import (
 from oracles import brute_min_med_seq, fractions, is_mediated_sequence, is_valid_mediated_set, med_seq_elements
 from soncert import mediated
 from soncert.mediated import MediatedSet, caterpillar, med_seq, med_set, med_set_odd
-from soncert.cover import CoverResult
-from soncert.polyring import affinely_independent
+from soncert.cover import CoverResult, affinely_independent
 from soncert.socp import build_plan
 
 

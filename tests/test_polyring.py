@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from oracles import is_nonneg_circuit
 from soncert import polyring
+from soncert.cover import Circuit, affinely_independent, circuit_weights, support_partition
 from soncert.polyring import (
-    Circuit,
     SparsePoly,
-    affinely_independent,
-    circuit_weights,
     format_parts,
     format_rational,
     is_even,
@@ -28,7 +26,6 @@ from soncert.polyring import (
     poly_sha256,
     pn_companion,
     poly_to_json,
-    support_partition,
 )
 
 
@@ -315,6 +312,10 @@ def test_poly_json_rejects_garbage():
         poly_from_json({"n": 0, "terms": []})
     with pytest.raises(ValueError):
         poly_from_json({"n": 2, "terms": [{"exp": [1], "coef": 1}]})
+    # an exponent that is no list is refused by name, not by tuple()'s TypeError
+    for exp, name in ((5, "5"), (None, "None"), ("22", "'22'")):
+        with pytest.raises(ValueError, match=f"exponent {name} is not a list"):
+            poly_from_json({"n": 2, "terms": [{"exp": exp, "coef": 1}]})
     # duplicate exponents are an input error, not silently merged
     with pytest.raises(ValueError):
         poly_from_json(

@@ -11,10 +11,10 @@ import pytest
 
 import soncert.socp
 from conftest import ref_plan, ref_problem_json
-from soncert.cover import simplex_cover
+from soncert.cover import simplex_cover, support_partition
 from soncert.generate import POLY_CLASSES, random_instance
 from soncert.mediated import MediatedSet, fraction_points, med_set
-from soncert.polyring import SparsePoly, support_partition
+from soncert.polyring import SparsePoly
 from soncert.socp import (
     UncoveredSupport,
     assemble,

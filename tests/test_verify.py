@@ -8,7 +8,9 @@ import dataclasses
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -58,15 +60,40 @@ RATIONALS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10
 
 
 def test_verify_imports_only_polyring_and_the_standard_library():
-    tree = ast.parse(Path(soncert.verify.__file__).read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            assert node.level == 1 and node.module == "polyring", ast.dump(node)
-        elif isinstance(node, ast.ImportFrom):
-            assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
+    # verify reads polyring, and polyring no other module of the package
+    for module, package_imports in ((soncert.verify, {"polyring"}), (soncert.polyring, set())):
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node.level == 1 and node.module in package_imports, ast.dump(node)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
+
+
+def test_library_verifier_runs_without_numpy_or_scipy(tmp_path):
+    poly_path, cert_path = tmp_path / "poly.json", tmp_path / "cert.json"
+    poly_path.write_text(soncert.polyring.poly_dumps(MOTZKIN))
+    cert_path.write_text(VALID[0][1].dumps())
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from soncert.polyring import poly_loads\n"
+        "from soncert.verify import Certificate, verify_certificate\n"
+        "with open(sys.argv[1]) as poly, open(sys.argv[2]) as cert:\n"
+        "    result = verify_certificate(poly_loads(poly.read()), Certificate.loads(cert))\n"
+        "print(result.reason, *sorted(m for m in sys.modules if m.startswith('soncert')))\n"
+    )
+    src = str(Path(soncert.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(poly_path), str(cert_path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["ok", "soncert", "soncert.polyring", "soncert.verify"]
 
 
 def test_moved_names_stay_importable_as_the_same_objects():
