@@ -260,10 +260,10 @@ def med_set(
 
     The inputs are validated here, not by any ``Circuit``: two or more
     trellis points of beta's dimension and weights (read off the trellis by
-    ``cover.circuit_weights`` when None) that are positive, sum to one and reproduce beta, and a tree
-    of k - 1 merges that merges each node at most once.  These checks run on
-    integers; integer points and Fraction weights, as a circuit holds them,
-    are taken as they are."""
+    ``cover.circuit_weights`` when None) that are positive, sum to one and
+    reproduce beta, and a tree of k - 1 merges that merges each node at
+    most once.  These checks run on integers; integer points and Fraction
+    weights, as a circuit holds them, are taken as they are."""
     den, pts, qs, _, _ = _prepare(trellis, beta, weights)
     k = len(pts)
     if tree is None:

@@ -90,7 +90,7 @@ def test_library_verifier_runs_without_numpy_or_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run(
         [sys.executable, "-c", script, str(poly_path), str(cert_path)],
-        capture_output=True, text=True, env=env, check=False,
+        capture_output=True, text=True, env=env, check=False, timeout=120,
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["ok", "soncert", "soncert.polyring", "soncert.verify"]
