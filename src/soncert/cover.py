@@ -130,26 +130,6 @@ class Circuit:
         return circuit
 
 
-def circuit_weights(
-    trellis: Sequence[Exponent], beta: Sequence[Fraction | int]
-) -> Tuple[Fraction, ...]:
-    """Exact barycentric weights of beta over an affinely independent trellis.
-
-    Raises ValueError when beta is not in the relative interior.
-    """
-    pts = list(trellis)
-    try:
-        solver = UniqueSolver(_barycentric(pts, len(beta)))
-        nums = solver.numerators([*beta, 1])
-    except ValueError:  # dependent columns: many solutions or none
-        nums = None
-    if nums is None:
-        raise ValueError(f"{tuple(beta)} has no barycentric representation over {pts}")
-    if any(v <= 0 for v in nums):
-        raise ValueError(f"{tuple(beta)} is not interior to the trellis {pts}")
-    return tuple(Fraction(v, solver.den) for v in nums)
-
-
 # ---------------------------------------------------------------------------
 # the cover
 

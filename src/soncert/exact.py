@@ -13,8 +13,8 @@ stay integers, minors of the input up to sign, and no gcd is ever taken.
   counts its pivots.  ``UniqueSolver`` eliminates a matrix with independent
   columns once and then solves each right-hand side with one integer
   matrix-vector product: the barycentric weights over an affinely
-  independent point set, for the cover, the generator's hull test and
-  ``cover.circuit_weights``.  No other barycentric system is solved.
+  independent point set, for the cover and the generator's hull test.  No
+  other barycentric system is solved.
 * ``Tableau`` is a two-phase primal simplex method with Bland's rule on the
   same rows (Edmonds' integer pivoting, as in Applegate, Cook, Dash &
   Espinoza, "Exact solutions to linear programming problems", Oper. Res.

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exact
 from .cover import affinely_independent, simplex_cover
-from .polyring import Exponent, SparsePoly, is_even
+from .polyring import MAX_VARIABLES, Exponent, SparsePoly, is_even
 
 POLY_CLASSES = ("standard-simplex", "general-simplex", "arbitrary-polytope")
 
@@ -81,6 +81,18 @@ def _arbitrary_polytope(rng: random.Random, n: int, d: int) -> List[Exponent]:
     if len(pts) < 2:
         return _standard_simplex(n, d)
     return sorted(pts)
+
+
+def _budget(terms: int, squares: int, interior: bool) -> int:
+    """The interior points a terms budget leaves next to the square points
+    (and the unit constant in interior mode); refuses a budget of none."""
+    budget = terms - squares - (1 if interior else 0)
+    if budget < 1:
+        raise ValueError(
+            f"terms budget {terms} leaves no room for interior points "
+            f"next to {squares} square points"
+        )
+    return budget
 
 
 def _affine_basis(lam: Sequence[Exponent]) -> List[Exponent]:
@@ -179,9 +191,15 @@ def random_instance(
         raise ValueError(f"unknown class {poly_class!r}; choose from {POLY_CLASSES}")
     if n < 1:
         raise ValueError("need at least one variable")
+    if n > MAX_VARIABLES:
+        raise ValueError(f"n = {n} exceeds the cap of {MAX_VARIABLES} variables")
     d = degree - degree % 2
     if d < 2:
         raise ValueError("degree must be at least 2")
+    if poly_class != "arbitrary-polytope":
+        # both simplex classes have n + 1 square points: refuse a budget
+        # before drawing them (O(n^2) work), taking nothing from rng
+        _budget(terms, n + 1, interior)
     rng = random.Random(seed)
 
     if poly_class == "standard-simplex":
@@ -191,12 +209,7 @@ def random_instance(
     else:
         lam = _arbitrary_polytope(rng, n, d)
 
-    budget = terms - len(lam) - (1 if interior else 0)
-    if budget < 1:
-        raise ValueError(
-            f"terms budget {terms} leaves no room for interior points "
-            f"next to {len(lam)} square points"
-        )
+    budget = _budget(terms, len(lam), interior)
     betas = _sample_betas(
         rng, lam, n, d, budget, standard=poly_class == "standard-simplex"
     )

@@ -100,10 +100,6 @@ class ConeSolve:
     iterations: int
     residuals: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 # A matrix as the raw arrays of its CSR form: (rows, cols, indptr, indices, data).
 _Csr = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]

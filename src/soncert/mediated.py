@@ -41,7 +41,6 @@ from itertools import chain
 from operator import add, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .cover import circuit_weights
 from .polyring import Point
 
 Triple = Tuple[int, int, int]  # (mid, lo, hi) with mid = (lo + hi) // 2
@@ -219,8 +218,6 @@ def _prepare(
     target = pts.pop()
     if any(len(pt) != len(target) for pt in pts):
         raise ValueError("dimension mismatch")
-    if weights is None:
-        weights = circuit_weights(trellis, beta)
     ws = [w if isinstance(w, (int, Fraction)) else Fraction(w) for w in weights]
     if len(ws) != len(pts):
         raise ValueError("one weight per trellis point")
@@ -243,7 +240,7 @@ def caterpillar(order: Sequence[int]) -> List[Tuple[int, int]]:
 
 
 def med_set(
-    trellis: Sequence[Sequence], beta: Sequence, weights=None, tree: Sequence[Tuple[int, int]] | None = None
+    trellis: Sequence[Sequence], beta: Sequence, weights: Sequence, tree: Sequence[Tuple[int, int]] | None = None
 ) -> MediatedSet:
     """Rational mediated set for beta over a trellis, by one segment lift
     per merge of a binary merge tree over the trellis points.
@@ -259,11 +256,10 @@ def med_set(
     that one segment.
 
     The inputs are validated here, not by any ``Circuit``: two or more
-    trellis points of beta's dimension and weights (read off the trellis by
-    ``cover.circuit_weights`` when None) that are positive, sum to one and
-    reproduce beta, and a tree of k - 1 merges that merges each node at
-    most once.  These checks run on integers; integer points and Fraction
-    weights, as a circuit holds them, are taken as they are."""
+    trellis points of beta's dimension and weights that are positive, sum
+    to one and reproduce beta, and a tree of k - 1 merges that merges each
+    node at most once.  These checks run on integers; integer points and
+    Fraction weights, as a circuit holds them, are taken as they are."""
     den, pts, qs, _, _ = _prepare(trellis, beta, weights)
     k = len(pts)
     if tree is None:
@@ -316,7 +312,7 @@ def _segment_odd(e1: IntPoint, d1: int, e2: IntPoint, d2: int, q: int, p: int) -
 
 
 def med_set_odd(
-    trellis: Sequence[Sequence], beta: Sequence, weights=None
+    trellis: Sequence[Sequence], beta: Sequence, weights: Sequence
 ) -> MediatedSet:
     """Rational mediated set with odd-denominator points throughout.
 

@@ -49,6 +49,10 @@ MAX_DECIMAL_EXPONENT = 4300
 _TOO_MANY_DIGITS = 10**MAX_DECIMAL_EXPONENT
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*\Z")
 _DIGIT = re.compile(r"\d")
+# Most variables a polynomial may have: every stage builds n-tuples, such as
+# the constant term's exponent, so an unchecked n is an unbounded allocation
+# however few terms the input has.  An n-tuple at the cap is 80 KB.
+MAX_VARIABLES = 10_000
 # The form format_parts writes: parse_parts reads it with int() alone.
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -173,6 +177,8 @@ class SparsePoly:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one variable")
+        if self.n > MAX_VARIABLES:
+            raise ValueError(f"n = {self.n} exceeds the cap of {MAX_VARIABLES} variables")
         clean: Dict[Exponent, Fraction] = {}
         for exp, coef in self.terms.items():
             tup = _check_exponent(exp, self.n)
@@ -183,9 +189,6 @@ class SparsePoly:
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items())
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
 
     def constant(self) -> Fraction:
         return self.terms.get((0,) * self.n, Fraction(0))

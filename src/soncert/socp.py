@@ -13,7 +13,7 @@ origin is dropped and minimized) and feasibility mode with it (that row
 is pinned to f0 - xi).
 
 The plan and the problem hold the mediated points as integer vectors over
-one plan-wide denominator; SocpProblem.to_json and the certificate turn
+one plan-wide denominator; SocpProblem.dump and the certificate turn
 them into Fractions, once each.
 """
 
@@ -229,10 +229,6 @@ def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
     )
 
 
-# the layout of SocpProblem.to_json and SocpProblem.dump
-_JSON_LAYOUT = {"indent": 2, "sort_keys": True}
-
-
 @dataclass
 class SocpProblem:
     """Standard-form data: min objective'slots s.t. rows, slots in cones.
@@ -261,21 +257,11 @@ class SocpProblem:
     def num_rows(self) -> int:
         return len(self.row_points)
 
-    @property
-    def num_slots(self) -> int:
-        return 3 * self.plan.num_triples
-
-    def to_json(self) -> str:
-        """The standard form as JSON in the json.dumps(indent=2,
-        sort_keys=True) layout."""
-
-        return json.dumps(self._data(), **_JSON_LAYOUT)
-
     def dump(self, handle: TextIO) -> None:
-        """Write to_json() to handle as json.dump encodes it, a token at a
-        time, without holding the text."""
+        """Write the standard form to handle in the json.dumps(indent=2,
+        sort_keys=True) layout, a token at a time, without holding the text."""
 
-        json.dump(self._data(), handle, **_JSON_LAYOUT)
+        json.dump(self._data(), handle, indent=2, sort_keys=True)
 
     def _data(self) -> dict:
         view = fraction_points(self.row_points, self.plan.den)

@@ -37,8 +37,7 @@ The writer (Certificate.pieces) gives either layout as a stream of text
 pieces, one triple each, so that a certificate can be written to a file
 or stdout without its text ever being held whole: it holds the texts of
 the slots and of the distinct points (a third of the file on the scale
-ladder's n = 40 rung) and the one piece it is writing.  dumps and
-dumps_compact join the pieces.
+ladder's n = 40 rung) and the one piece it is writing.
 
 The reader (Certificate.loads) takes the text whole or an open text
 stream, which it reads _READ characters at a time.  It walks the
@@ -162,7 +161,7 @@ class Certificate:
     circuits held in integers (cones).
 
     == is identity (eq=False), since _Cones has no value equality: two
-    certificates are the same when their dumps() are."""
+    certificates are the same when their pieces() join to the same text."""
 
     n: int
     xi: Fraction
@@ -187,21 +186,11 @@ class Certificate:
             + _bits([self.xi, *(coef for _, coef in self.passthrough)])
         )
 
-    def dumps(self) -> str:
-        """The certificate file: JSON in the json.dumps(indent=2,
-        sort_keys=True) layout, the join of pieces()."""
-
-        return "".join(self.pieces())
-
-    def dumps_compact(self) -> str:
-        """The certificate in the json.dumps(sort_keys=True) layout, on one
-        line, the join of pieces(compact=True)."""
-
-        return "".join(self.pieces(compact=True))
-
     def pieces(self, compact: bool = False) -> Iterator[str]:
-        """The certificate JSON with sorted keys, in the layout of dumps, or
-        of dumps_compact if compact, as pieces of text to write in turn.
+        """The certificate JSON with sorted keys, in the json.dumps(indent=2,
+        sort_keys=True) layout of the certificate file, or on one line in the
+        json.dumps(sort_keys=True) layout if compact, as pieces of text to
+        write in turn.
 
         Each triple is one piece, as is each passthrough term and each
         other field, with the brackets and separators around it; the

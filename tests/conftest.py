@@ -7,7 +7,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from soncert.cover import circuit_weights
 from soncert.mediated import med_seq
 from soncert.polyring import Exponent
 from soncert import socp
@@ -46,7 +45,9 @@ def random_simplex_circuit(
     d = rng.randint(n // 2 + 1, max(n // 2 + 1, d_max))
     trellis = random_simplex_trellis(rng, n, d)
     beta = random_interior_lattice_point(rng, n, d)
-    return trellis, beta, circuit_weights(trellis, beta)
+    # beta_i / 2d on 2d e_i, and the rest on the origin
+    weights = tuple(Fraction(b, 2 * d) for b in beta)
+    return trellis, beta, (1 - sum(weights), *weights)
 
 
 def random_segment_circuit(
@@ -66,8 +67,7 @@ def random_segment_circuit(
             continue
         k = rng.randint(1, g - 1)
         beta = tuple(x + (y - x) * k // g for x, y in zip(a, b))
-        trellis = (a, b)
-        return trellis, beta, circuit_weights(trellis, beta)
+        return (a, b), beta, (Fraction(g - k, g), Fraction(k, g))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def ref_reduce(rows: List[List[Fraction]], ncols: int) -> Tuple[List[List[Fracti
 
 # ---------------------------------------------------------------------------
 # Reference mediated sets: the Fraction lifts that soncert.mediated's integer
-# core replaced, and build_plan + assemble + SocpProblem.to_json on them,
+# core replaced, and build_plan + assemble + SocpProblem.dump on them,
 # kept to compare against.
 
 Point = Tuple[Fraction, ...]
@@ -322,8 +322,6 @@ def _ref_prepare(
     target = ref_as_point(beta)
     if len(pts) < 2:
         raise ValueError("need at least two trellis points")
-    if weights is None:
-        weights = circuit_weights(trellis, beta)
     ws = tuple(Fraction(w) for w in weights)
     if len(ws) != len(pts):
         raise ValueError("one weight per trellis point")
@@ -336,7 +334,7 @@ def _ref_prepare(
 
 
 def ref_med_set(
-    trellis: Sequence[Sequence], beta: Sequence, weights=None, tree=None
+    trellis: Sequence[Sequence], beta: Sequence, weights, tree=None
 ) -> List[PointTriple]:
     """Rational mediated set for beta over a trellis, by chaining segment
     lifts: without a tree, peel trellis points off one at a time, each step
@@ -428,7 +426,7 @@ def ref_l_med_set_odd(a1: Sequence, a2: Sequence, b: Sequence) -> List[PointTrip
 
 
 def ref_med_set_odd(
-    trellis: Sequence[Sequence], beta: Sequence, weights=None
+    trellis: Sequence[Sequence], beta: Sequence, weights
 ) -> List[PointTriple]:
     """Rational mediated set with odd-denominator points throughout.
 
@@ -573,8 +571,8 @@ def ref_plan(cover, odd_mode: bool = False):
 
 
 def ref_problem_json(plan, poly, mode: str = "bound", xi=None) -> str:
-    """SocpProblem.to_json of assemble on a ref_plan, computed with Fraction
-    points throughout."""
+    """The text SocpProblem.dump writes for assemble on a ref_plan, computed
+    with Fraction points throughout."""
     import json
 
     from soncert.polyring import format_rational

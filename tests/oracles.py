@@ -12,10 +12,12 @@ read them as CertTriples of Fractions: cones_of builds a certificate's
 integers from CertTriples, circuits_of and triples_of read them back,
 check_cone is the closed cone test on Fractions, and same_certificate
 compares two certificates by their files and their CertTriples.
+problem_text is the text a SocpProblem's dump writes.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -230,5 +232,12 @@ def same_certificate(a: Certificate, b: Certificate) -> bool:
     return (
         (a.n, a.xi, a.poly_sha256, a.passthrough) == (b.n, b.xi, b.poly_sha256, b.passthrough)
         and circuits_of(a) == circuits_of(b)
-        and a.dumps() == b.dumps()
+        and "".join(a.pieces()) == "".join(b.pieces())
     )
+
+
+def problem_text(problem) -> str:
+    """The text SocpProblem.dump writes."""
+    handle = io.StringIO()
+    problem.dump(handle)
+    return handle.getvalue()

@@ -123,7 +123,7 @@ def test_criterion_03_exact_rational_feasible_point():
         (Fraction(1), Fraction(2), Fraction(2)),
         (Fraction(1, 2), Fraction(1), Fraction(1)),
     ]
-    slots = [Fraction(0)] * problem.num_slots
+    slots = [Fraction(0)] * len(problem.objective)
     for pos, t in enumerate(order):
         slots[3 * t], slots[3 * t + 1], slots[3 * t + 2] = exact[pos]
     sums = [Fraction(0)] * problem.num_rows
@@ -270,7 +270,7 @@ def test_criterion_08_projection_exact_and_idempotent():
         for _ in range(40):
             slots = [
                 Fraction(rng.randint(-10**6, 10**6), rng.choice([1, 3, 7, 64, 4096]))
-                for _ in range(problem.num_slots)
+                for _ in range(len(problem.objective))
             ]
             fixed = project_fractions(problem, slots)
             sums = [Fraction(0)] * problem.num_rows

@@ -13,10 +13,10 @@ import pytest
 
 from soncert import cli, verify
 from soncert.certify import Certificate
-from soncert.polyring import SparsePoly, poly_dumps
+from soncert.polyring import MAX_VARIABLES, SparsePoly, poly_dumps
 from soncert.socp import lower_bound
 
-from oracles import circuits_of
+from oracles import circuits_of, problem_text
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 # unbounded below: no finite bound exists for its support
@@ -59,8 +59,11 @@ def test_bound_dump_socp(motzkin_file, tmp_path, capsys):
     data = json.loads(dump.read_text())
     assert data["mode"] == "bound"
     assert data["num_cones"] == 3
-    # written a token at a time, the file is still to_json's text
-    assert dump.read_text() == lower_bound(MOTZKIN).problem.to_json()
+    # the library problem's dump, in the json.dumps(indent=2, sort_keys=True)
+    # layout though written a token at a time
+    text = dump.read_text()
+    assert text == problem_text(lower_bound(MOTZKIN).problem)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
 
 
 def test_certify_then_verify(motzkin_file, tmp_path, capsys):
@@ -102,7 +105,7 @@ def test_certify_json_line_is_json_dumps_of_the_report(motzkin_file, tmp_path, c
     assert cli.main(["certify", *argv]) == cli.EXIT_OK
     (line,) = capsys.readouterr().out.splitlines()
     ((report, cert),) = emitted
-    text = cert.dumps() if batch else cert_path.read_text()
+    text = "".join(cert.pieces()) if batch else cert_path.read_text()
     assert line == json.dumps({**asdict(report), "certificate": json.loads(text)}, sort_keys=True)
 
 
@@ -119,7 +122,7 @@ def test_certify_prints_the_certificate_file_on_stdout(motzkin_file, capsys, mon
     assert cli.main(["certify", motzkin_file]) == cli.EXIT_OK
     captured = capsys.readouterr()
     (cert,) = emitted
-    assert captured.out == cert.dumps() + "\n"
+    assert captured.out == "".join(cert.pieces()) + "\n"
     assert "status=ok" in captured.err.splitlines()
 
 
@@ -221,10 +224,12 @@ def test_batch_refuses_dump_socp_and_output(tmp_path, capsys):
 def test_batch_reports_every_item_past_a_bad_line(tmp_path, capsys, command):
     batch = tmp_path / "batch.jsonl"
     bad_exponent = json.dumps({"n": 1, "terms": [{"exp": 5, "coef": "1"}]})
+    too_many_variables = json.dumps({"n": MAX_VARIABLES + 1, "terms": []})
     for bad, reason in (
         ("not json", "Expecting value"),
         ("[" * 200_000, "nested too deeply"),
         (bad_exponent, "exponent 5 is not a list"),
+        (too_many_variables, f"n = {MAX_VARIABLES + 1} exceeds the cap of {MAX_VARIABLES} variables"),
     ):
         batch.write_text(poly_dumps(MOTZKIN) + "\n" + bad + "\n" + poly_dumps(EX6) + "\n")
         code = cli.main([command, str(batch), "--batch"])

@@ -19,7 +19,6 @@ from conftest import (
 )
 from soncert import exact
 from soncert.exact import LpInfeasible, LpUnbounded
-from soncert.cover import circuit_weights
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -220,9 +219,3 @@ def test_rank_and_solve_edge_cases():
     assert exact.UniqueSolver([[1], [1]]).numerators([1, 2]) is None  # inconsistent
     solver = exact.UniqueSolver([[2, 0], [0, 3]])
     assert [Fraction(v, solver.den) for v in solver.numerators([1, 1])] == [Fraction(1, 2), Fraction(1, 3)]
-    # circuit_weights solves on UniqueSolver: the unique weights, and one
-    # refusal for an inconsistent system and for dependent columns
-    assert circuit_weights([(0,), (4,)], (1,)) == (Fraction(3, 4), Fraction(1, 4))
-    for trellis, beta in (([(0, 0), (4, 0)], (1, 1)), ([(0, 0), (2, 2), (4, 4)], (2, 2))):
-        with pytest.raises(ValueError, match="has no barycentric representation over"):
-            circuit_weights(trellis, beta)

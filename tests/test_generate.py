@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from soncert import generate
 from soncert.cover import support_partition
 from soncert.generate import POLY_CLASSES, GenInstance, random_instance
-from soncert.polyring import is_even, poly_dumps
+from soncert.polyring import MAX_VARIABLES, is_even, poly_dumps
 from soncert.socp import lower_bound
 
 
@@ -68,6 +69,22 @@ def test_rejects_impossible_budget():
         random_instance(n=2, degree=1, terms=10, seed=0)
     with pytest.raises(ValueError):
         random_instance(n=2, degree=6, terms=10, poly_class="no-such-class", seed=0)
+
+
+def test_refuses_a_simplex_budget_before_drawing_square_points(monkeypatch):
+    # both simplex classes have n + 1 square points, so a budget they leave
+    # no room in, or an n past the cap, is refused before any is drawn
+    def no_draw(*args):
+        raise AssertionError("square points drawn")
+
+    monkeypatch.setattr(generate, "_standard_simplex", no_draw)
+    monkeypatch.setattr(generate, "_general_simplex", no_draw)
+    for n, poly_class in ((4000, "standard-simplex"), (120, "general-simplex")):
+        message = f"terms budget 12 leaves no room for interior points next to {n + 1} square points"
+        with pytest.raises(ValueError, match=message):
+            random_instance(n=n, degree=6, terms=12, poly_class=poly_class, seed=0)
+    with pytest.raises(ValueError, match=f"n = {MAX_VARIABLES + 1} exceeds the cap"):
+        random_instance(n=MAX_VARIABLES + 1, degree=6, terms=10**5, seed=0)
 
 
 def test_coefficients_are_hundredths():

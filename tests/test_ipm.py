@@ -177,7 +177,7 @@ _STALL_B = [1.000001, 0.0, -3.0, 1.0, 0.0, 1.0]
 def test_stalled_solve_is_the_same_at_tighter_tolerances(monkeypatch):
     args = (_STALL_ROWS, list(range(9)), _STALL_VALS, _STALL_B, [0.0] * 9, 3)
     loose = solve_socp(*args)
-    assert loose.optimal
+    assert loose.status == "optimal"
     monkeypatch.setattr(ipm, "_TOL", 1e-10)
     stalled = solve_socp(*args)
     assert stalled.status == "max-iterations" and stalled.iterations > loose.iterations
@@ -189,14 +189,14 @@ def test_stalled_solve_is_the_same_at_tighter_tolerances(monkeypatch):
 def test_min_over_single_cone():
     # min c subject to 2a = 2, b = 3: optimum c = -sqrt(6)
     res = solve_socp([0, 1], [0, 1], [2.0, 1.0], [2.0, 3.0], [0.0, 0.0, 1.0], 1)
-    assert res.optimal
+    assert res.status == "optimal"
     assert abs(res.objective + np.sqrt(6.0)) < 1e-6
     assert abs(res.x[0] - 1.0) < 1e-6 and abs(res.x[1] - 3.0) < 1e-6
 
 
 def test_feasibility_interior_point():
     res = solve_socp([0, 1], [0, 1], [2.0, 1.0], [2.0, 3.0], [0.0, 0.0, 0.0], 1)
-    assert res.optimal
+    assert res.status == "optimal"
     a, b, c = res.x
     assert res.residuals["primal"] <= 1e-7
     assert 2 * a * b - c * c > 1e-3 and a > 0 and b > 0
@@ -213,7 +213,7 @@ def test_infeasible_certificate():
 
 def test_empty_problem():
     res = solve_socp([], [], [], [], [], 0)
-    assert res.optimal and res.x.size == 0
+    assert res.status == "optimal" and res.x.size == 0
     res2 = solve_socp([], [], [], [1.0], [], 0)
     assert res2.status == "infeasible"
 
@@ -246,7 +246,7 @@ def test_random_feasible_instances():
         c_vec = dense.T @ ystar + sstar
         rows, cols = np.nonzero(dense)
         res = solve_socp(rows, cols, dense[rows, cols], b_vec, c_vec, cones)
-        assert res.optimal, (trial, res.status, res.residuals)
+        assert res.status == "optimal", (trial, res.status, res.residuals)
         scale = 1.0 + float(np.max(np.abs(b_vec)))
         # the true residual of the returned x; residuals["primal"] is the
         # solver's estimate of it
@@ -587,6 +587,6 @@ def test_one_ordering_and_one_numeric_factor_per_iteration(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
     res = solve_problem(problem)
-    assert res.optimal and res.iterations > 5
+    assert res.status == "optimal" and res.iterations > 5
     # the last iteration converges before it factors
     assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (res.iterations - 1)

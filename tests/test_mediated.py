@@ -36,6 +36,10 @@ def pt(*coords):
     return tuple(Fraction(c) for c in coords)
 
 
+# the weights of the running example's beta (2, 2) over its three points
+THIRDS = (Fraction(1, 3),) * 3
+
+
 def fr(mediated):
     # the goldens are written in Fractions; the lifts return integer points
     # over a denominator
@@ -112,34 +116,35 @@ def test_brute_never_beats_algorithm_and_is_valid():
 
 def test_l_med_set_goldens():
     # on a two-point trellis med_set is the lift of that one segment
-    assert fr(med_set(((0, 0), (3, 3)), (2, 2))) == [
+    assert fr(med_set(((0, 0), (3, 3)), (2, 2), (F("1/3"), F("2/3")))) == [
         (pt(1, 1), pt(0, 0), pt(2, 2)),
         (pt(2, 2), pt(1, 1), pt(3, 3)),
     ]
-    assert fr(med_set(((2, 4), (4, 2)), (3, 3))) == [(pt(3, 3), pt(2, 4), pt(4, 2))]
+    assert fr(med_set(((2, 4), (4, 2)), (3, 3), (F("1/2"), F("1/2")))) == [(pt(3, 3), pt(2, 4), pt(4, 2))]
 
 
 def test_l_med_set_rejects_bad_points():
+    # the weights that would place each point on the segment
     with pytest.raises(ValueError):
-        med_set(((0, 0), (2, 2)), (1, 2))  # off the line
+        med_set(((0, 0), (2, 2)), (1, 2), (F("1/2"), F("1/2")))  # off the line
     with pytest.raises(ValueError):
-        med_set(((0, 0), (2, 2)), (2, 2))  # endpoint
+        med_set(((0, 0), (2, 2)), (2, 2), (F(0), F(1)))  # endpoint
     with pytest.raises(ValueError):
-        med_set(((0, 0), (2, 2)), (3, 3))  # outside
+        med_set(((0, 0), (2, 2)), (3, 3), (F("-1/2"), F("3/2")))  # outside
     with pytest.raises(ValueError):
-        med_set(((1, 1), (1, 1)), (1, 1))  # degenerate segment
+        med_set(((1, 1), (1, 1)), (1, 1), (F("1/2"), F("1/2")))  # degenerate segment
 
 
 def test_med_set_segment_and_chain_goldens():
     # the lex-ordered trellis of the running example
-    triples = fr(med_set(((0, 0), (2, 4), (4, 2)), (2, 2)))
+    triples = fr(med_set(((0, 0), (2, 4), (4, 2)), (2, 2), THIRDS))
     assert triples == [
         (pt(1, 1), pt(0, 0), pt(2, 2)),
         (pt(2, 2), pt(1, 1), pt(3, 3)),
         (pt(3, 3), pt(2, 4), pt(4, 2)),
     ]
     # alternative trellis order keeps the same contract, different points
-    alt = fr(med_set(((4, 2), (2, 4), (0, 0)), (2, 2)))
+    alt = fr(med_set(((4, 2), (2, 4), (0, 0)), (2, 2), THIRDS))
     assert alt == [
         (pt(3, 2), pt(4, 2), pt(2, 2)),
         (pt(2, 2), pt(3, 2), pt(1, 2)),
@@ -196,8 +201,8 @@ def test_caterpillar_peels_in_order():
     # the default tree, and a reordered trellis is the same tree over the
     # reordered indices
     trellis, beta = ((0, 0), (2, 4), (4, 2)), (2, 2)
-    assert med_set(trellis, beta, tree=caterpillar(range(3))) == med_set(trellis, beta)
-    assert med_set(trellis, beta, tree=caterpillar([2, 1, 0])) == med_set(trellis[::-1], beta)
+    assert med_set(trellis, beta, THIRDS, caterpillar(range(3))) == med_set(trellis, beta, THIRDS)
+    assert med_set(trellis, beta, THIRDS, caterpillar([2, 1, 0])) == med_set(trellis[::-1], beta, THIRDS)
 
 
 def test_med_set_rejects_bad_trees():
@@ -211,11 +216,11 @@ def test_med_set_rejects_bad_trees():
         [(1, 2), (0, -1)],  # nor a negative index
     ):
         with pytest.raises(ValueError):
-            med_set(trellis, beta, tree=tree)
+            med_set(trellis, beta, THIRDS, tree)
 
 
 def test_med_set_odd_goldens():
-    triples = med_set_odd(((0, 0), (2, 4), (4, 2)), (2, 2))
+    triples = med_set_odd(((0, 0), (2, 4), (4, 2)), (2, 2), THIRDS)
     assert len(triples) == 5
     mids = {trip[0] for trip in fr(triples)}
     assert mids == {
@@ -225,7 +230,7 @@ def test_med_set_odd_goldens():
         pt(F("10/3"), F("8/3")),
         pt(F("8/3"), F("10/3")),
     }
-    alt = med_set_odd(((4, 2), (2, 4), (0, 0)), (2, 2))
+    alt = med_set_odd(((4, 2), (2, 4), (0, 0)), (2, 2), THIRDS)
     assert len(alt) == 5
     alt_points = {p for trip in fr(alt) for p in trip}
     for expected in (
@@ -240,7 +245,7 @@ def test_med_set_odd_goldens():
 def test_l_med_set_odd_reflection_case():
     # target off the midpoint with an odd scaled numerator forces the
     # reflect-and-justify step
-    triples = med_set_odd(((0,), (4,)), (1,))
+    triples = med_set_odd(((0,), (4,)), (1,), (F("3/4"), F("1/4")))
     assert (pt(1), pt(0), pt(2)) in fr(triples)
     assert (pt(2), pt(0), pt(4)) in fr(triples)
     assert is_valid_mediated_set(triples, [(0,), (4,)], (1,))
@@ -297,7 +302,7 @@ def test_med_set_rejects_bad_weights():
     with pytest.raises(ValueError):
         med_set(trellis, (2, 2), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
     with pytest.raises(ValueError):
-        med_set_odd(((1, 1), (3, 3)), (2, 2))  # odd trellis point
+        med_set_odd(((1, 1), (3, 3)), (2, 2), (F("1/2"), F("1/2")))  # odd trellis point
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +355,21 @@ def circuits(draw, odd: bool):
 
 @st.composite
 def segments(draw, odd: bool):
-    """Two endpoints and a point q/p of the way from one to the other; now
-    and then moved off the line."""
+    """Two endpoints, a point t = q/p of the way from one to the other, now
+    and then moved off the line, and the weights (1 - t, t)."""
     n = draw(st.integers(1, 3))
     k = draw(st.sampled_from([1, 1, 3, 5]))
     a1 = rational_point(draw, n, k, 2 if odd else 1)
     a2 = rational_point(draw, n, k, 2 if odd else 1)
     p = draw(st.integers(2, 40))
     t = Fraction(draw(st.integers(1, p - 1)), p)
-    b = [Fraction(x1) + t * (Fraction(x2) - Fraction(x1)) for x1, x2 in zip(a1, a2)]
+    diff = [Fraction(x2) - Fraction(x1) for x1, x2 in zip(a1, a2)]
+    b = [Fraction(x1) + t * x for x1, x in zip(a1, diff)]
     if draw(st.integers(0, 9)) == 0:
         b[0] += Fraction(2, k)
-    return a1, a2, tuple(b)
+        if diff[0] and not any(diff[1:]):  # still on the line, at a new t
+            t += Fraction(2, k) / diff[0]
+    return a1, a2, tuple(b), (1 - t, t)
 
 
 @SETTINGS
@@ -387,15 +395,15 @@ def test_med_set_odd_matches_fraction_reference(circuit):
 @SETTINGS
 @given(segments(odd=False))
 def test_l_med_set_matches_fraction_reference(segment):
-    a1, a2, b = segment
-    assert outcome(med_set, (a1, a2), b) == outcome(ref_l_med_set, a1, a2, b)
+    a1, a2, b, weights = segment
+    assert outcome(med_set, (a1, a2), b, weights) == outcome(ref_l_med_set, a1, a2, b)
 
 
 @SETTINGS
 @given(segments(odd=True))
 def test_l_med_set_odd_matches_fraction_reference(segment):
-    a1, a2, b = segment
-    assert outcome(med_set_odd, (a1, a2), b) == outcome(ref_l_med_set_odd, a1, a2, b)
+    a1, a2, b, weights = segment
+    assert outcome(med_set_odd, (a1, a2), b, weights) == outcome(ref_l_med_set_odd, a1, a2, b)
 
 
 def merged_parts(lift, *args) -> list:
@@ -434,10 +442,10 @@ def test_parts_are_over_their_least_denominator(circuit, odd_circuit):
 @SETTINGS
 @given(segments(odd=False), segments(odd=True))
 def test_segment_parts_are_over_their_least_denominator(segment, odd_segment):
-    a1, a2, b = segment
-    assert_least_denominators(merged_parts(med_set, (a1, a2), b))
-    a1, a2, b = odd_segment
-    assert_least_denominators(merged_parts(med_set_odd, (a1, a2), b))
+    a1, a2, b, weights = segment
+    assert_least_denominators(merged_parts(med_set, (a1, a2), b, weights))
+    a1, a2, b, weights = odd_segment
+    assert_least_denominators(merged_parts(med_set_odd, (a1, a2), b, weights))
 
 
 @SETTINGS

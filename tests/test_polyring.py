@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from oracles import is_nonneg_circuit
 from soncert import polyring
-from soncert.cover import Circuit, affinely_independent, circuit_weights, support_partition
+from soncert.cover import Circuit, affinely_independent, support_partition
 from soncert.polyring import (
+    MAX_VARIABLES,
     SparsePoly,
     format_parts,
     format_rational,
@@ -151,7 +152,7 @@ def test_canonical_reading_is_the_general_parser(value):
 def test_sparse_poly_drops_zero_and_validates():
     f = SparsePoly(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert (1, 0) not in f.terms
-    assert f.coefficient((0, 1)) == 2
+    assert f.terms.get((0, 1), 0) == 2
     with pytest.raises(ValueError):
         SparsePoly(2, {(1,): Fraction(1)})
     with pytest.raises(ValueError):
@@ -188,9 +189,9 @@ def test_to_pn_flips_and_is_idempotent():
         {(0, 0): Fraction(1), (2, 0): Fraction(2), (1, 1): Fraction(5), (0, 2): Fraction(-1)},
     )
     g = pn_companion(f)
-    assert g.coefficient((1, 1)) == -5
-    assert g.coefficient((0, 2)) == -1
-    assert g.coefficient((2, 0)) == 2
+    assert g.terms.get((1, 1), 0) == -5
+    assert g.terms.get((0, 2), 0) == -1
+    assert g.terms.get((2, 0), 0) == 2
     assert pn_companion(g) == g
 
 
@@ -199,16 +200,6 @@ def test_affinely_independent():
     assert not affinely_independent([(0, 0), (2, 2), (4, 4)])
     assert affinely_independent([(0, 0)])
     assert not affinely_independent([(1, 1), (1, 1)])
-
-
-def test_circuit_weights_motzkin():
-    w = circuit_weights([(0, 0), (2, 4), (4, 2)], (2, 2))
-    assert w == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    # boundary point is rejected
-    with pytest.raises(ValueError):
-        circuit_weights([(0, 0), (4, 2), (2, 4)], (2, 1))
-    with pytest.raises(ValueError):
-        circuit_weights([(0, 0), (2, 2), (4, 4)], (2, 2))
 
 
 def test_circuit_validation():
@@ -310,6 +301,9 @@ def test_poly_json_rejects_garbage():
         poly_from_json({"n": 2})
     with pytest.raises(ValueError):
         poly_from_json({"n": 0, "terms": []})
+    # n alone sizes the pipeline's n-tuples, so it is capped
+    with pytest.raises(ValueError, match=f"n = {MAX_VARIABLES + 1} exceeds the cap of {MAX_VARIABLES} variables"):
+        poly_from_json({"n": MAX_VARIABLES + 1, "terms": []})
     with pytest.raises(ValueError):
         poly_from_json({"n": 2, "terms": [{"exp": [1], "coef": 1}]})
     # an exponent that is no list is refused by name, not by tuple()'s TypeError
