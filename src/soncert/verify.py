@@ -28,7 +28,7 @@ A certificate holds its circuits in one form, integers (_Cones): each
 distinct point once, as its coordinates in lowest terms, and each slot as
 a numerator and a positive denominator in lowest terms, as Fraction keeps
 them.  The reader builds that form straight from the JSON values, the
-writer renders each slot and distinct coordinate once per layout, and
+writer renders each slot and distinct coordinate once per call, and
 bit_size and the verifier read the integers.  The rational grammar is
 polyring's alone: the reader reads each value with parse_parts and the
 writer writes each with format_parts.
