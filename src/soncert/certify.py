@@ -168,13 +168,11 @@ def _projected_certificate(
     f: SparsePoly, problem: SocpProblem, slots: Tuple[List[int], List[int]], xi: Fraction, sha: str
 ) -> Certificate:
     """The certificate of f at xi from the exact slots p / q, once it has
-    verified; the plan's integer points and the slots go in as they are."""
+    verified; the plan's integer points, its triples as point indices
+    (refs, sizes) and the slots go in as they are."""
 
     plan = problem.plan
-    index = plan.index
-    refs = [index[pt] for t in plan.triples for pt in t]
-    sizes = [len(group) for group in plan.circuit_triples]
-    cones = _Cones.over(plan.den, plan.points, refs, sizes, *slots)
+    cones = _Cones.over(plan.den, plan.points, plan.refs, plan.sizes, *slots)
     return _certificate(f, xi, sha, cones, problem.passthrough_terms.items())
 
 

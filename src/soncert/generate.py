@@ -129,16 +129,18 @@ class _SimplexScreen:
         return w is not None and min(w) >= 0
 
 
-def _hull_proposal(rng: random.Random, lam: Sequence[Exponent]) -> Exponent:
+def _nonzero_columns(lam: Sequence[Exponent]) -> List[List[Tuple[int, int]]]:
+    """Per coordinate, (vertex index, entry) of each nonzero entry there."""
+    return [[(j, pt[i]) for j, pt in enumerate(lam) if pt[i]] for i in range(len(lam[0]))]
+
+
+def _hull_proposal(rng: random.Random, lam: Sequence[Exponent], columns: Sequence[Sequence[Tuple[int, int]]]) -> Exponent:
     # Round a uniform convex combination of the vertices to the lattice;
-    # exponential weights make the combination uniform over the hull.
+    # exponential weights make the combination uniform over the hull.  A
+    # zero entry would add an exact 0.0, so columns lists the others only.
     weights = [-math.log(rng.random()) for _ in lam]
     total = sum(weights)
-    n = len(lam[0])
-    coords = []
-    for i in range(n):
-        coords.append(round(sum(w * pt[i] for w, pt in zip(weights, lam)) / total))
-    return tuple(coords)
+    return tuple([round(sum(weights[j] * x for j, x in col) / total) for col in columns])
 
 
 def _sample_betas(
@@ -161,13 +163,14 @@ def _sample_betas(
         # it, then confirm membership exactly.
         basis = _affine_basis(lam)
         screen = _SimplexScreen(basis)
+    columns = _nonzero_columns(basis)
     attempts = 0
     limit = 120 * max(count, 1)
     while len(betas) < count and attempts < limit:
         if not betas and attempts >= 40 * max(count, 1):
             break
         attempts += 1
-        cand = _hull_proposal(rng, basis)
+        cand = _hull_proposal(rng, basis, columns)
         if sum(cand) > d or cand in taken:
             continue
         if screen is not None and not screen.contains(cand):

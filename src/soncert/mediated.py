@@ -24,12 +24,11 @@ point becomes an even lattice point and each binomial square is globally
 nonnegative, not only on the positive orthant.
 
 Both run in integers: a rational point is an integer vector over an
-explicit denominator, and each returns a ``MediatedSet``, its triples over
-one least common denominator.  A lift builds no point: it gives its
-segment's base point and direction over the segment's least denominator,
-found in closed form, with the scalar triples that sit on it.  Each point
-of a set is then built once, over the set's denominator.  Fractions appear
-only in ``fraction_points``.
+explicit denominator.  Each returns a ``MediatedSet``: its distinct points
+over one least common denominator, each built once, and its triples as
+point indices.  A lift builds no point: it gives its segment's base point
+and direction over its least denominator, found in closed form, with the
+scalar triples on it.  Fractions appear only in ``fraction_points``.
 """
 
 from __future__ import annotations
@@ -118,7 +117,6 @@ def med_seq(p: int, q: int) -> List[Triple]:
 # builds every point once, over the lcm of its parts' denominators.
 
 IntPoint = Tuple[int, ...]
-IntTriple = Tuple[IntPoint, IntPoint, IntPoint]  # (u, v, w) with 2u = v + w
 _Part = Tuple[int, List[int], List[int], List[Triple]]
 
 
@@ -137,26 +135,19 @@ def fraction_points(points: Iterable[IntPoint], den: int) -> Dict[IntPoint, Poin
 
 @dataclass(frozen=True)
 class MediatedSet:
-    """Triples (u, v, w) with u = (v + w)/2 as integer points over den.
+    """Triples (u, v, w) with u = (v + w)/2 on integer points over den.
 
-    The integer vector X stands for the point X / den, and den is the least
-    common denominator of all coordinates.  ``len`` counts the triples.
+    points lists each point of the triples once, X standing for X / den,
+    and den is the least common denominator of all coordinates.  refs holds
+    the indices of u, v and w of each triple; ``len`` counts the triples.
     """
 
     den: int
-    triples: Tuple[IntTriple, ...]
+    points: Tuple[IntPoint, ...]
+    refs: Tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.triples)
-
-    def over(self, den: int) -> Sequence[IntTriple]:
-        """The triples as integer points over den, a multiple of self.den."""
-        k = den // self.den
-        if k == 1:
-            return self.triples
-        points = {pt for t in self.triples for pt in t}
-        scaled = {pt: tuple(map(k.__mul__, pt)) for pt in points}
-        return [(scaled[u], scaled[v], scaled[w]) for u, v, w in self.triples]
+        return len(self.refs) // 3
 
 
 def _lattice(points: Sequence[Sequence]) -> Tuple[int, List[IntPoint]]:
@@ -187,11 +178,12 @@ def _lift(e1: IntPoint, d1: int, e2: IntPoint, d2: int, q: int, p: int) -> _Part
 
 def _merge(parts: Sequence[_Part]) -> MediatedSet:
     # every part over the lcm of the parts' least denominators, keeping
-    # only the first triple of each midpoint; scalars recur across a part's
-    # triples, so its points are cached per scalar
+    # only the first triple of each midpoint, whose points it indexes;
+    # scalars recur across a part's triples, so points are cached per scalar
     den = lcm(*(d for d, _, _, _ in parts))
-    seen = set()
-    out: List[IntTriple] = []
+    mids = set()
+    index: Dict[IntPoint, int] = {}
+    refs: List[int] = []
     for d, base, diff, scalars in parts:
         k = den // d
         base, diff = [k * x for x in base], [k * x for x in diff]
@@ -201,10 +193,10 @@ def _merge(parts: Sequence[_Part]) -> MediatedSet:
                 if s not in points:
                     points[s] = tuple(map(add, base, map(s.__mul__, diff)))
             u, v, w = map(points.__getitem__, trip)
-            if u not in seen:
-                seen.add(u)
-                out.append((u, v, w))
-    return MediatedSet(den, tuple(out))
+            if u not in mids:
+                mids.add(u)
+                refs += [index.setdefault(pt, len(index)) for pt in (u, v, w)]
+    return MediatedSet(den, tuple(index), tuple(refs))
 
 
 def _prepare(

@@ -12,9 +12,9 @@ coefficient there.  assemble builds bound mode without xi (the row at the
 origin is dropped and minimized) and feasibility mode with it (that row
 is pinned to f0 - xi).
 
-The plan and the problem hold the mediated points as integer vectors over
-one plan-wide denominator; SocpProblem.dump and the certificate turn
-them into Fractions, once each.
+The plan and the problem hold each mediated point once, as an integer
+vector over one plan-wide denominator, and a triple as three row indices;
+SocpProblem.dump and the certificate turn points into Fractions, once each.
 """
 
 from __future__ import annotations
@@ -28,15 +28,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .cover import CoverResult, affinely_independent, simplex_cover, support_partition
 from .ipm import ConeSolve, solve_socp
-from .mediated import (
-    IntPoint,
-    IntTriple,
-    caterpillar,
-    fraction_points,
-    med_seq,
-    med_set,
-    med_set_odd,
-)
+from .mediated import IntPoint, caterpillar, fraction_points, med_seq, med_set, med_set_odd
 from .polyring import Exponent, SparsePoly, format_rational, parse_rational, pn_companion
 
 
@@ -54,25 +46,25 @@ class ConeTriplePlan:
 
     The plan holds integer points only, over one plan-wide denominator den:
     the integer vector X stands for X / den, and den is the lcm of all
-    reduced coordinate denominators.  circuit_triples groups the triples
-    (u, v, w) with 2u = v + w by circuit, in cover order, each triple once
-    (see build_plan), and triples lists them flat in the same order; points
-    lists every distinct u/v/w in lex order (the order of the rational
-    points, as den > 0), and index maps each point to its row.  passthrough
+    reduced coordinate denominators.  points lists every distinct u/v/w in
+    lex order (the order of the rational points, as den > 0), one per row,
+    and index maps each point to its row.  refs holds the rows of u, v and
+    w of each triple (u, v, w) with 2u = v + w, each once (see build_plan),
+    and sizes the triple count of each circuit, in cover order.  passthrough
     lists square points outside every trellis: they never enter the conic
     system and their coefficients must stay nonnegative on their own.
     """
 
     den: int
-    circuit_triples: Tuple[Tuple[IntTriple, ...], ...]
-    triples: Tuple[IntTriple, ...]
     points: Tuple[IntPoint, ...]
     index: Dict[IntPoint, int]
+    refs: Tuple[int, ...]
+    sizes: Tuple[int, ...]
     passthrough: Tuple[Exponent, ...]
 
     @property
     def num_triples(self) -> int:
-        return len(self.triples)
+        return len(self.refs) // 3
 
     @property
     def max_denominator(self) -> int:
@@ -181,9 +173,10 @@ def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
     lifts in its common lexicographic order share inner points, where the
     rows let circuits cancel one another: there the cover's order stays
     (heaviest first loosened two of the 48 seeded criterion-6 bounds, by
-    up to 3.7e-3 relative).  A triple is kept once, in the first circuit
-    that lifts it, since two rotated cones on one triple sum to one; a
-    circuit left with no triple is dropped.
+    up to 3.7e-3 relative).  Each set's points are rescaled to the plan's
+    denominator once, and a triple, compared as its three rows, is kept
+    once, in the first circuit that lifts it, since two rotated cones on
+    one triple sum to one; a circuit left with no triple is dropped.
     """
 
     squares = sorted({pt for c in cover.circuits for pt in c.trellis})
@@ -204,12 +197,20 @@ def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
             tree = caterpillar(_peel_order(c.weights, lengths))
         sets.append(med_set(c.trellis, c.beta, c.weights, tree))
     den = lcm(*(ms.den for ms in sets))
-    seen: set = set()
-    groups = ([t for t in ms.over(den) if t not in seen and not seen.add(t)] for ms in sets)
-    circuit_triples = tuple(tuple(group) for group in groups if group)
-    triples = tuple(t for group in circuit_triples for t in group)
-    points = tuple(sorted({pt for t in triples for pt in t}))
+    scaled = []
+    for ms in sets:
+        k = den // ms.den
+        scaled.append(ms.points if k == 1 else [tuple([k * x for x in pt]) for pt in ms.points])
+    points = tuple(sorted({pt for pts in scaled for pt in pts}))
     index = {pt: i for i, pt in enumerate(points)}
+    seen: set = set()
+    refs, sizes = [], []
+    for ms, pts in zip(sets, scaled):
+        rows = map([index[pt] for pt in pts].__getitem__, ms.refs)
+        group = [t for t in zip(rows, rows, rows) if t not in seen and not seen.add(t)]
+        if group:
+            sizes.append(len(group))
+            refs += [r for t in group for r in t]
     for circuit in cover.circuits:
         for pt in (circuit.beta, *circuit.trellis):
             if tuple(x * den for x in pt) not in index:
@@ -221,10 +222,10 @@ def build_plan(cover: CoverResult, odd_mode: bool = False) -> ConeTriplePlan:
     )
     return ConeTriplePlan(
         den=den,
-        circuit_triples=circuit_triples,
-        triples=triples,
         points=points,
         index=index,
+        refs=tuple(refs),
+        sizes=tuple(sizes),
         passthrough=passthrough,
     )
 
@@ -293,8 +294,8 @@ def assemble(plan: ConeTriplePlan, poly: SparsePoly, xi: object = None) -> SocpP
     poly must carry nonpositive coefficients off its square points (the
     pointwise-negative companion), constant included.  Without xi (bound
     mode) the row at the origin is removed and its slot expression becomes
-    the objective; with xi (feasibility mode) the origin row is pinned to
-    constant - xi.
+    the objective, and every row after it moves up by one; with xi
+    (feasibility mode) the origin row is pinned to constant - xi.
     """
 
     zero = (0,) * poly.n
@@ -323,7 +324,6 @@ def assemble(plan: ConeTriplePlan, poly: SparsePoly, xi: object = None) -> SocpP
             )
 
     zero_row = plan.index.get(plan.int_point(zero))
-    drop = zero_row if xi_frac is None else None
     if xi_frac is not None:
         if zero_row is not None:
             rhs_full[zero_row] = f0 - xi_frac
@@ -336,32 +336,27 @@ def assemble(plan: ConeTriplePlan, poly: SparsePoly, xi: object = None) -> SocpP
             if f0 != xi_frac:
                 passthrough_terms[zero] = f0 - xi_frac
 
-    renumber: Dict[int, int] = {}
-    row_points: List[IntPoint] = []
-    rhs_exact: List[Fraction] = []
-    for i, pt in enumerate(plan.points):
-        if i == drop:
-            continue
-        renumber[i] = len(row_points)
-        row_points.append(pt)
-        rhs_exact.append(rhs_full[i])
+    # past the last row when no row is dropped
+    drop = len(plan.points) if zero_row is None or xi_frac is not None else zero_row
+    row_points = plan.points[:drop] + plan.points[drop + 1 :]
+    rhs_exact = rhs_full[:drop] + rhs_full[drop + 1 :]
 
     entries: List[Tuple[int, int, int]] = []
-    objective = [0] * (3 * plan.num_triples)
-    for t, (u, v, w) in enumerate(plan.triples):
-        for offset, pt, coef in ((0, v, 2), (1, w, 1), (2, u, -2)):
-            i = plan.index[pt]
+    objective = [0] * len(plan.refs)
+    refs = iter(plan.refs)
+    for t, (u, v, w) in enumerate(zip(refs, refs, refs)):
+        for offset, i, coef in ((0, v, 2), (1, w, 1), (2, u, -2)):
             col = 3 * t + offset
             if i == drop:
                 objective[col] = coef
             else:
-                entries.append((renumber[i], col, coef))
+                entries.append((i - (i > drop), col, coef))
 
     return SocpProblem(
         plan=plan,
         constant=f0,
         xi=xi_frac,
-        row_points=tuple(row_points),
+        row_points=row_points,
         rhs_exact=tuple(rhs_exact),
         entries=tuple(entries),
         objective=tuple(objective),

@@ -136,11 +136,11 @@ class _Cones:
 
     __slots__ = ("points", "refs", "slots", "sizes")
 
-    def __init__(self, points: List[Tuple[int, ...]], refs: List[int], slots: List[int], sizes: List[int]) -> None:
+    def __init__(self, points: List[Tuple[int, ...]], refs: Sequence[int], slots: List[int], sizes: Sequence[int]) -> None:
         self.points, self.refs, self.slots, self.sizes = points, refs, slots, sizes
 
     @classmethod
-    def over(cls, den: int, points: Sequence[Sequence[int]], refs: List[int], sizes: List[int],
+    def over(cls, den: int, points: Sequence[Sequence[int]], refs: Sequence[int], sizes: Sequence[int],
              p: Sequence[int], q: Sequence[int]) -> "_Cones":
         """From distinct integer points X / den, and slot s = p[s] / q[s]
         with q[s] > 0, three slots per triple."""

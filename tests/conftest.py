@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -786,3 +787,19 @@ def ref_verify_certificate(f, cert) -> Tuple[bool, str]:
     if _ref_reconstruct(cert) != _ref_companion_target(f, cert.xi):
         return False, "reconstruction-mismatch"
     return True, "ok"
+
+
+# ---------------------------------------------------------------------------
+# generator reference
+
+
+def ref_hull_proposal(rng: random.Random, lam: Sequence[Exponent]) -> Exponent:
+    """generate._hull_proposal summing every vertex for every coordinate,
+    zero entries included."""
+    weights = [-math.log(rng.random()) for _ in lam]
+    total = sum(weights)
+    n = len(lam[0])
+    coords = []
+    for i in range(n):
+        coords.append(round(sum(w * pt[i] for w, pt in zip(weights, lam)) / total))
+    return tuple(coords)

@@ -3,9 +3,10 @@ not need, kept to test it against.
 
 brute_min_med_seq finds a minimum-size mediated sequence by exhaustive
 search, is_mediated_sequence and is_valid_mediated_set check the
-definitions, fractions gives a MediatedSet's triples in Fractions, and
-is_nonneg_circuit decides a circuit polynomial's nonnegativity by its
-circuit number.
+definitions, point_triples reads the integer point triples of a
+MediatedSet or a ConeTriplePlan off its points and refs, fractions gives a
+MediatedSet's triples in Fractions, and is_nonneg_circuit decides a
+circuit polynomial's nonnegativity by its circuit number.
 
 A Certificate holds its circuits in integers only.  The tests build and
 read them as CertTriples of Fractions: cones_of builds a certificate's
@@ -20,7 +21,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -99,10 +100,22 @@ def _brute_search(p: int, q: int, budget: int) -> frozenset | None:
     return dfs(frozenset({0, q, p}), frozenset({q}))
 
 
+def point_triples(held):
+    """The triples (u, v, w) of a MediatedSet as integer points, in order,
+    from its points and refs; of a ConeTriplePlan, grouped by its sizes, one
+    tuple per circuit."""
+    points, refs = held.points, iter(held.refs)
+    triples = [(points[u], points[v], points[w]) for u, v, w in zip(refs, refs, refs)]
+    if not hasattr(held, "sizes"):
+        return triples
+    rest = iter(triples)
+    return tuple(tuple(islice(rest, size)) for size in held.sizes)
+
+
 def fractions(mediated: MediatedSet) -> List[PointTriple]:
     """The triples of a mediated set as tuples of Fractions."""
-    view = fraction_points((pt for trip in mediated.triples for pt in trip), mediated.den)
-    return [(view[u], view[v], view[w]) for u, v, w in mediated.triples]
+    view = fraction_points(mediated.points, mediated.den)
+    return [(view[u], view[v], view[w]) for u, v, w in point_triples(mediated)]
 
 
 def is_valid_mediated_set(
@@ -117,13 +130,14 @@ def is_valid_mediated_set(
         return tuple(int(x) for x in xs) if all(x.denominator == 1 for x in xs) else None
 
     anchor_set = {scaled(a) for a in anchors} - {None}
-    mids = [trip[0] for trip in mediated.triples]
+    triples = point_triples(mediated)
+    mids = [trip[0] for trip in triples]
     if len(set(mids)) != len(mids):
         return False
     mid_set = set(mids)
     if scaled(beta) not in mid_set:
         return False
-    for u, v, w in mediated.triples:
+    for u, v, w in triples:
         if v == w or not len(u) == len(v) == len(w):
             return False
         if any(2 * x != y + z for x, y, z in zip(u, v, w)):

@@ -30,7 +30,7 @@ from soncert.mediated import fraction_points, med_seq
 from soncert.polyring import SparsePoly, poly_sha256
 from soncert.socp import assemble, build_plan, pn_companion, lower_bound
 from conftest import project_fractions
-from oracles import CertTriple, brute_min_med_seq, cones_of, triples_of
+from oracles import CertTriple, brute_min_med_seq, cones_of, point_triples, triples_of
 
 MOTZKIN = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 1, (2, 2): -3})
 REPORTED = SparsePoly(
@@ -99,7 +99,7 @@ def test_criterion_02_transcribed_decompositions():
     plan = build_plan(cover, odd_mode=True)
     view = fraction_points(plan.points, plan.den)
     dens = {
-        x.denominator for (u, v, w) in plan.triples for ptx in (u, v, w) for x in view[ptx]
+        x.denominator for group in point_triples(plan) for trip in group for ptx in trip for x in view[ptx]
     }
     ok = (
         check.ok
@@ -117,7 +117,8 @@ def test_criterion_03_exact_rational_feasible_point():
     cover = simplex_cover([(0, 0), (4, 2), (2, 4)], [(2, 2)])
     plan = build_plan(cover)
     problem = assemble(plan, pn_companion(MOTZKIN), xi=0)
-    order = sorted(range(3), key=lambda t: plan.triples[t][0])
+    triples = [t for group in point_triples(plan) for t in group]
+    order = sorted(range(3), key=lambda t: triples[t][0])
     exact = [
         (Fraction(1, 2), Fraction(1), Fraction(1)),
         (Fraction(1), Fraction(2), Fraction(2)),

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ref_hull_proposal
 from soncert import generate
 from soncert.cover import support_partition
 from soncert.generate import POLY_CLASSES, GenInstance, random_instance
@@ -93,3 +96,34 @@ def test_coefficients_are_hundredths():
         assert isinstance(coef, Fraction)
         if exp != (0,) * 3:
             assert (coef * 100).denominator == 1
+
+
+@st.composite
+def vertex_sets(draw):
+    """Even lattice vertices with zero entries, or the standard simplex."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return generate._standard_simplex(n, 2 * draw(st.integers(1, 15)))
+    entry = st.integers(0, 15).map(lambda h: 2 * h) | st.just(0)
+    return draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=n + 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(vertex_sets(), st.integers(0, 2**64))
+def test_hull_proposal_skips_only_zero_entries(lam, seed):
+    columns = generate._nonzero_columns(lam)
+    assert generate._hull_proposal(random.Random(seed), lam, columns) == ref_hull_proposal(random.Random(seed), lam)
+
+
+@pytest.mark.parametrize("poly_class", POLY_CLASSES)
+def test_instances_are_the_reference_proposals(poly_class, monkeypatch):
+    # summing only the nonzero entries draws the same instances
+    def draw():
+        return [
+            poly_dumps(random_instance(n=n, degree=8, terms=3 * n + 6, poly_class=poly_class, seed=seed).poly)
+            for n, seed in ((2, 5), (4, 6), (7, 7))
+        ]
+
+    drawn = draw()
+    monkeypatch.setattr(generate, "_hull_proposal", lambda rng, lam, columns: ref_hull_proposal(rng, lam))
+    assert draw() == drawn

@@ -21,7 +21,14 @@ from conftest import (
     ref_med_set,
     ref_med_set_odd,
 )
-from oracles import brute_min_med_seq, fractions, is_mediated_sequence, is_valid_mediated_set, med_seq_elements
+from oracles import (
+    brute_min_med_seq,
+    fractions,
+    is_mediated_sequence,
+    is_valid_mediated_set,
+    med_seq_elements,
+    point_triples,
+)
 from soncert import mediated
 from soncert.mediated import MediatedSet, caterpillar, med_seq, med_set, med_set_odd
 from soncert.cover import CoverResult, affinely_independent
@@ -462,5 +469,19 @@ def test_plan_holds_each_triple_once(case):
     ]
     assume(kept)
     plan = build_plan(CoverResult(tuple(kept), ()), odd_mode=odd_mode)
-    assert len(set(plan.triples)) == plan.num_triples
-    assert all(plan.circuit_triples)
+    groups = point_triples(plan)
+    assert len({t for group in groups for t in group}) == plan.num_triples
+    assert all(groups)
+
+
+@SETTINGS
+@given(circuits(odd=False), circuits(odd=True))
+def test_sets_hold_each_point_once(circuit, odd_circuit):
+    # a set lists each point once, and only points its triples refer to
+    for lift, args in ((med_set, circuit), (med_set_odd, odd_circuit)):
+        try:
+            result = lift(*args)
+        except ValueError:
+            continue
+        assert len(set(result.points)) == len(result.points)
+        assert set(result.refs) == set(range(len(result.points)))

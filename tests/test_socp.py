@@ -11,7 +11,7 @@ import pytest
 
 import soncert.socp
 from conftest import ref_plan, ref_problem_json
-from oracles import problem_text
+from oracles import point_triples, problem_text
 from soncert.cover import simplex_cover, support_partition
 from soncert.generate import POLY_CLASSES, random_instance
 from soncert.mediated import MediatedSet, fraction_points, med_set
@@ -42,10 +42,23 @@ def _motzkin_plan(odd_mode: bool = False):
     return build_plan(cover, odd_mode=odd_mode)
 
 
-def _fractions(plan, triples):
-    """The plan's integer triples as triples of Fraction points."""
+def _fractions(plan):
+    """The plan's triples as triples of Fraction points, one tuple per
+    circuit."""
     view = fraction_points(plan.points, plan.den)
-    return tuple((view[u], view[v], view[w]) for u, v, w in triples)
+    return tuple(tuple((view[u], view[v], view[w]) for u, v, w in group) for group in point_triples(plan))
+
+
+def _flat(plan):
+    """The plan's triples as triples of Fraction points, circuit after
+    circuit."""
+    return tuple(t for group in _fractions(plan) for t in group)
+
+
+def _midpoint_order(plan):
+    """The plan's triple positions sorted by their integer midpoints."""
+    triples = [t for group in point_triples(plan) for t in group]
+    return sorted(range(len(triples)), key=lambda t: triples[t][0])
 
 
 def test_plan_motzkin_structure():
@@ -53,7 +66,7 @@ def test_plan_motzkin_structure():
     assert plan.num_triples == 3
     assert plan.passthrough == ()
     assert plan.max_denominator == 1
-    mids = [u for (u, v, w) in _fractions(plan, plan.triples)]
+    mids = [u for (u, v, w) in _flat(plan)]
     assert sorted(mids) == [(1, 1), (2, 2), (3, 3)]
     assert len(plan.points) == 6
 
@@ -64,7 +77,7 @@ def test_plan_motzkin_keeps_its_caterpillar_triples():
     # and then (0, 0) with their midpoint, as peeling in the cover's order did
     assert soncert.socp._merge_tree([Fraction(1, 3)] * 3, {}) == [(1, 2), (0, 3)]
     plan = _motzkin_plan()
-    assert _fractions(plan, plan.triples) == (
+    assert _flat(plan) == (
         ((1, 1), (0, 0), (2, 2)),
         ((2, 2), (1, 1), (3, 3)),
         ((3, 3), (2, 4), (4, 2)),
@@ -75,10 +88,10 @@ def test_plan_motzkin_odd_mode_denominator_three():
     plan = _motzkin_plan(odd_mode=True)
     assert plan.num_triples == 5
     assert plan.max_denominator == 3
-    for u, v, w in _fractions(plan, plan.triples):
+    for u, v, w in _flat(plan):
         for pt in (u, v, w):
             assert all(x.denominator in (1, 3) for x in pt)
-    mids = {u for (u, v, w) in _fractions(plan, plan.triples)}
+    mids = {u for (u, v, w) in _flat(plan)}
     assert (2, 2) in {tuple(map(Fraction, m)) for m in mids} or (
         Fraction(2),
         Fraction(2),
@@ -105,7 +118,7 @@ def test_assemble_feasibility_admits_exact_rational_solution():
     plan = _motzkin_plan()
     problem = assemble(plan, pn_companion(MOTZKIN), xi=0)
     assert problem.num_rows == 6
-    order = sorted(range(3), key=lambda t: plan.triples[t][0])
+    order = _midpoint_order(plan)
     slots = [Fraction(0)] * 9
     for pos, t in enumerate(order):
         a, b, c = [
@@ -137,7 +150,9 @@ def test_plan_raises_when_mediated_triples_miss_a_circuit_point(monkeypatch):
     def without_beta(trellis, beta, weights, tree):
         ms = med_set(trellis, beta, weights, tree)
         mid = tuple(ms.den * x for x in beta)
-        return MediatedSet(ms.den, tuple(t for t in ms.triples if mid not in t))
+        kept = [t for t in point_triples(ms) if mid not in t]
+        points = list(dict.fromkeys(pt for t in kept for pt in t))
+        return MediatedSet(ms.den, tuple(points), tuple(points.index(pt) for t in kept for pt in t))
 
     monkeypatch.setattr(soncert.socp, "med_set", without_beta)
     with pytest.raises(RuntimeError, match=r"miss its point \(2, 2\)"):
@@ -165,7 +180,7 @@ def test_lower_bound_reported_example():
 
 def test_lower_bound_decomposable_example_nonnegative():
     result = lower_bound(EX8)
-    assert len(result.problem.plan.circuit_triples) == 2
+    assert len(point_triples(result.problem.plan)) == 2
     assert result.xi >= -1e-4
 
 
@@ -275,7 +290,7 @@ def test_certify_c7_plans_stay_small(odd_mode, most):
     total = 0
     for cover in covers:
         plan = build_plan(cover, odd_mode=odd_mode)
-        assert len(set(plan.triples)) == plan.num_triples
+        assert len({t for group in point_triples(plan) for t in group}) == plan.num_triples
         total += plan.num_triples
     assert total <= most
 
@@ -316,8 +331,8 @@ def test_plan_and_assembly_match_fraction_reference(odd_mode):
         ref = ref_plan(cover, odd_mode)
         view = fraction_points(plan.points, plan.den)
         assert (
-            tuple(_fractions(plan, group) for group in plan.circuit_triples),
-            _fractions(plan, plan.triples),
+            _fractions(plan),
+            _flat(plan),
             tuple(view[pt] for pt in plan.points),
             plan.passthrough,
         ) == (ref[0], ref[1], ref[2], ref[4])
@@ -333,6 +348,23 @@ def test_plan_and_assembly_match_fraction_reference(odd_mode):
     assert checked == 22
 
 
+@pytest.mark.parametrize("odd_mode", [False, True])
+def test_plan_holds_each_point_and_triple_once(odd_mode):
+    # the rows are the distinct points in order, every row is some triple's
+    # point, and each triple's rows appear once, in one circuit
+    for poly in _seed0_sample():
+        lam, gamma = cover_points(poly)
+        if not gamma:
+            continue
+        plan = build_plan(simplex_cover(lam, gamma), odd_mode=odd_mode)
+        assert list(plan.points) == sorted(set(plan.points))
+        assert set(plan.refs) == set(range(len(plan.points)))
+        rows = iter(plan.refs)
+        triples = list(zip(rows, rows, rows))
+        assert len(set(triples)) == len(triples) == plan.num_triples
+        assert sum(plan.sizes) == plan.num_triples
+
+
 def test_plans_past_the_tree_size_match_fraction_reference(monkeypatch):
     # the long chain's trellises of 11 to 13 points peeled cheapest first,
     # those of 8 to 10 lifted along merge trees
@@ -342,7 +374,7 @@ def test_plans_past_the_tree_size_match_fraction_reference(monkeypatch):
     assert min(len(c.trellis) for c in cover.circuits) <= 10 < max(len(c.trellis) for c in cover.circuits)
     plan = build_plan(cover)
     ref = ref_plan(cover)
-    assert tuple(_fractions(plan, group) for group in plan.circuit_triples) == ref[0]
+    assert _fractions(plan) == ref[0]
     tilde = pn_companion(poly)
     assert problem_text(assemble(plan, tilde)) == ref_problem_json(ref, tilde)
 
