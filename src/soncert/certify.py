@@ -15,19 +15,22 @@ scaled by OBJECTIVE_SCALE, which keeps slack in every cone (Peyrl and
 Parrilo's remedy for rounding), rounded and projected as above.  Only when
 a cone of that point fails the strict check is a second solve made, of the
 feasibility problem at a bound backed off below the numeric one.  Every
-certificate returned has passed verify_certificate.
+polynomial takes this path: a support with no interior points has the
+empty cover, so its problem has no cone and its certificate is the
+companion's monomial squares.  Every certificate returned has passed
+verify_certificate.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cover import simplex_cover
-from .polyring import MAX_DECIMAL_EXPONENT, Exponent, SparsePoly, has_too_many_digits
+from .polyring import MAX_DECIMAL_EXPONENT, SparsePoly, has_too_many_digits
 from .polyring import parse_rational, pn_companion, poly_sha256
 from .socp import SocpProblem, SolverFailure, assemble, build_plan, cover_points
 # unused here, but perfbench's tracer wraps soncert.certify.lower_bound and
@@ -105,7 +108,9 @@ def grid_bits(problem: SocpProblem, x: Sequence[float]) -> int:
     while h is below its room (2ab - c^2) / (3(a + b + |c|)).  k is the least
     with 2^-k at most the smallest room, clamped to [MIN_GRID_BITS,
     MAX_GRID_BITS]; a cone with no room (outside, or all zero) gives
-    MAX_GRID_BITS.
+    MAX_GRID_BITS.  The smallest room is taken no larger than 1, which
+    leaves every clamped k as it is and gives a problem with no cone
+    MIN_GRID_BITS.
     """
 
     rows, cols, coefs = np.array(problem.entries, dtype=np.int64).reshape(-1, 3).T
@@ -117,7 +122,7 @@ def grid_bits(problem: SocpProblem, x: Sequence[float]) -> int:
     xp[cols] -= residual[rows] / (count[rows] * coefs)
     a, b, c = xp.reshape(-1, 3).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        room = np.min((2 * a * b - c * c) / (3 * (a + b + np.abs(c))), initial=np.inf)
+        room = np.min((2 * a * b - c * c) / (3 * (a + b + np.abs(c))), initial=1.0)
     if not room > 0:
         return MAX_GRID_BITS
     return min(max(math.ceil(-math.log2(room)), MIN_GRID_BITS), MAX_GRID_BITS)
@@ -131,22 +136,6 @@ def _strictly_inside(pa: int, qa: int, pb: int, qb: int, pc: int, qc: int) -> bo
     if pa < 0 or pb < 0:
         return False
     return pc == 0 or 2 * pa * pb * qc * qc > pc * pc * qa * qb
-
-
-def _trivial_certificate(f: SparsePoly, tilde: SparsePoly, xi: Fraction, sha: str) -> Certificate:
-    """The certificate of f at xi with no interior points: the companion's
-    monomial squares alone, once it has verified."""
-
-    zero = (0,) * tilde.n
-    constant = tilde.constant() - xi
-    if constant < 0:
-        raise BoundaryFailure(
-            f"bound {xi} exceeds the constant term with no interior points to trade"
-        )
-    passthrough = [(exp, coef) for exp, coef in tilde.terms.items() if exp != zero]
-    if constant:
-        passthrough.append((zero, constant))
-    return _certificate(f, xi, sha, _Cones([], [], [], []), passthrough)
 
 
 def _round_and_project(problem: SocpProblem, x: Sequence[float]) -> Optional[Tuple[List[int], List[int]]]:
@@ -167,22 +156,14 @@ def _round_and_project(problem: SocpProblem, x: Sequence[float]) -> Optional[Tup
 def _projected_certificate(
     f: SparsePoly, problem: SocpProblem, slots: Tuple[List[int], List[int]], xi: Fraction, sha: str
 ) -> Certificate:
-    """The certificate of f at xi from the exact slots p / q, once it has
-    verified; the plan's integer points, its triples as point indices
+    """The certificate of f at xi from the exact slots p / q, once
+    verify_certificate has passed it: every certificate exact_sobs returns
+    is built here.  The plan's integer points, its triples as point indices
     (refs, sizes) and the slots go in as they are."""
 
     plan = problem.plan
     cones = _Cones.over(plan.den, plan.points, plan.refs, plan.sizes, *slots)
-    return _certificate(f, xi, sha, cones, problem.passthrough_terms.items())
-
-
-def _certificate(
-    f: SparsePoly, xi: Fraction, sha: str, cones: _Cones, passthrough: Iterable[Tuple[Exponent, Fraction]]
-) -> Certificate:
-    """The certificate of f at xi, once verify_certificate has passed it:
-    every certificate exact_sobs returns is built here."""
-
-    cert = Certificate(f.n, xi, sha, cones, tuple(sorted(passthrough)))
+    cert = Certificate(f.n, xi, sha, cones, tuple(sorted(problem.passthrough_terms.items())))
     check = verify_certificate(f, cert)
     if check.reason == "too-large":
         raise ValueError(f"certificate denominators at bound {xi} are too large to verify")
@@ -207,11 +188,15 @@ def exact_sobs(
     check does it fall back to the feasibility solve at the numeric bound
     backed off by XI_BACKOFF * (1 + |bound|), rounded on the
     2^-MIN_GRID_BITS grid.  A given xi goes straight to that feasibility
-    solve, rounded and checked the same way; a bound that fails the check
-    there is a BoundaryFailure.  With no interior points (a constant f
-    included) the certificate is the companion's monomial squares alone.
-    A coefficient of f with more than MAX_DECIMAL_EXPONENT digits above or
-    below its fraction bar is a ValueError, as the parser's limit.
+    solve, rounded and checked the same way.  A BoundaryFailure is a
+    bound solve proven infeasible (no finite bound exists), a feasibility
+    system proven infeasible or failing the check, and a bound above f's
+    constant term when no circuit reaches the origin, where only that term
+    can pay for it.  A support with no interior points (a constant f
+    included) takes the same path with the empty cover: no cone, and the
+    companion's monomial squares as the certificate.  A coefficient of f
+    with more than MAX_DECIMAL_EXPONENT digits above or below its fraction
+    bar is a ValueError, as the parser's limit.
     """
 
     if has_too_many_digits(f):
@@ -221,20 +206,16 @@ def exact_sobs(
         # the numeric bound is read in floats: a constant outside their
         # range is a ValueError before any exact work
         f0 = to_float(f.constant())
-        target = f.constant()
     else:
         target = parse_rational(xi)
     tilde = pn_companion(f)
-    lam, gamma = cover_points(f)
-    if not gamma:
-        return _trivial_certificate(f, tilde, target, sha)
-    plan = build_plan(simplex_cover(lam, gamma), odd_mode=odd_mode)
+    plan = build_plan(simplex_cover(*cover_points(f)), odd_mode=odd_mode)
 
     if xi is None:
         problem = assemble(plan, tilde)
         solution = solve_problem(problem, objective_scale=OBJECTIVE_SCALE)
         if solution.status == "infeasible":
-            raise SolverFailure("no finite bound exists for this support")
+            raise BoundaryFailure("no finite bound exists for this support")
         slots = _round_and_project(problem, solution.x)
         if slots is not None:
             p, q = slots
@@ -249,6 +230,11 @@ def exact_sobs(
         den = 1 << MIN_GRID_BITS
         target = Fraction(round((bound - XI_BACKOFF * (1 + abs(bound))) * den), den)
 
+    if target > f.constant() and plan.int_point((0,) * f.n) not in plan.index:
+        # only the constant term pays for the bound at an origin no triple reaches
+        raise BoundaryFailure(
+            f"bound {target} exceeds the constant term {f.constant()}, and no circuit reaches the origin"
+        )
     problem = assemble(plan, tilde, xi=target)
     solution = solve_problem(problem)
     if solution.status == "infeasible":

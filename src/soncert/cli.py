@@ -1,8 +1,9 @@
 """Command line front end: bound, certify, verify, gen.
 
 Exit codes: 0 success, 2 boundary failure (no strict certificate at the
-requested precision), 3 solver failure (numeric solve did not converge),
-1 any other error, a usage error included.  bound and certify run each
+requested bound and precision, a conic system proven infeasible
+included), 3 solver failure (numeric solve did not converge), 1 any
+other error, a usage error included.  bound and certify run each
 item, the one input or every --batch item, through one path: a work
 function gives (report, certificate) and _emit prints it.  --batch treats
 the input as a directory of .json files, or as JSON lines with one
@@ -127,12 +128,11 @@ def _bound_work(text: str, odd_mode: bool, dump: Optional[str]) -> tuple:
     report.xi = result.xi
     if result.xi == float("-inf"):
         report.reason = "no finite bound exists for this support"
-    if result.problem is not None:
-        report.iterations = result.solution.iterations
-        report.num_triples = result.problem.plan.num_triples
-        if dump:
-            with open(dump, "w", encoding="utf-8") as handle:
-                result.problem.dump(handle)
+    report.iterations = result.solution.iterations
+    report.num_triples = result.problem.plan.num_triples
+    if dump:
+        with open(dump, "w", encoding="utf-8") as handle:
+            result.problem.dump(handle)
     return report, None
 
 

@@ -184,11 +184,13 @@ def simplex_cover(
     keeping the first whose maximized weight is positive; once all betas
     are covered, leftover Lambda points anchor extra circuits over recycled
     betas.  A leftover point that no beta can use is reported uncovered.
+    With no beta (a sum of monomial squares) the cover is empty and all of
+    Lambda is uncovered.
     """
     lam = sorted(set(map(tuple, lambda_set)))
     gam = sorted(set(map(tuple, gamma_set)))
     if not gam:
-        raise ValueError("no interior points to cover")
+        return CoverResult((), tuple(lam))
     if not lam:
         raise CoverInfeasible("no candidate square points at all")
     try:

@@ -402,14 +402,14 @@ class LowerBoundResult:
     behind it.
 
     xi is -inf when no coefficient match exists at any bound (the conic
-    system is infeasible even with a free constant).  When the support has
-    no interior points the bound is the constant term itself and the conic
-    stages are skipped (problem and solution stay None).
+    system is infeasible even with a free constant).  A support with no
+    interior points has the empty cover, so its problem has no rows and no
+    cones, the solve makes no iteration, and the bound is the constant term.
     """
 
     xi: float
-    problem: Optional[SocpProblem] = None
-    solution: Optional[ConeSolve] = None
+    problem: SocpProblem
+    solution: ConeSolve
 
 
 def cover_points(f: SparsePoly) -> Tuple[Tuple[Exponent, ...], Tuple[Exponent, ...]]:
@@ -427,15 +427,13 @@ def cover_points(f: SparsePoly) -> Tuple[Tuple[Exponent, ...], Tuple[Exponent, .
 def lower_bound(f: SparsePoly, odd_mode: bool = False) -> LowerBoundResult:
     """Best bound xi with the companion of f - xi matched by cone triples.
 
-    Raises SolverFailure when the numeric solver stalls, and propagates
-    CoverInfeasible when some interior point cannot be covered at all.
+    Every f takes this one path, a sum of monomial squares included (see
+    LowerBoundResult).  Raises SolverFailure when the numeric solver stalls,
+    and propagates CoverInfeasible when some interior point cannot be
+    covered at all.
     """
 
-    f0 = f.constant()
-    lam, gamma = cover_points(f)
-    if not gamma:
-        return LowerBoundResult(xi=to_float(f0))
-    plan = build_plan(simplex_cover(lam, gamma), odd_mode=odd_mode)
+    plan = build_plan(simplex_cover(*cover_points(f)), odd_mode=odd_mode)
     problem = assemble(plan, pn_companion(f))
     solution = solve_problem(problem)
     if solution.status == "infeasible":
@@ -446,5 +444,5 @@ def lower_bound(f: SparsePoly, odd_mode: bool = False) -> LowerBoundResult:
             f"(residuals {solution.residuals})"
         )
     else:
-        xi = to_float(f0) - solution.objective
+        xi = to_float(f.constant()) - solution.objective
     return LowerBoundResult(xi=xi, problem=problem, solution=solution)

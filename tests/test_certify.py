@@ -56,6 +56,10 @@ def test_cone_checks():
     assert check_cone_strict(Fraction(1), Fraction(1), Fraction(1))
     assert check_cone_strict(Fraction(0), Fraction(5), Fraction(0))  # pure square
     assert not check_cone_strict(Fraction(1), Fraction(1), Fraction(0) * 0 + 2)
+    # a negative a or b is refused, although 2ab > c^2 and c may be zero
+    assert not _strictly_inside(-1, 1, -1, 1, 1, 1)
+    assert not _strictly_inside(-1, 1, -1, 1, 0, 1)
+    assert not _strictly_inside(1, 1, -1, 1, 0, 1)
 
 
 def _motzkin_problem(xi=0):
@@ -141,8 +145,30 @@ def test_trivial_certificate_no_interior_points(monkeypatch):
     higher = exact_sobs(f, xi=-4)
     assert checked == [cert, higher]
     assert verify_certificate(f, higher).ok
-    with pytest.raises(BoundaryFailure):
+    with pytest.raises(BoundaryFailure, match="^bound -2 exceeds the constant term -3, and no circuit reaches the origin$"):
         exact_sobs(f, xi=-2)
+
+
+def test_origin_in_no_circuit_pays_the_bound_from_the_constant():
+    # x^4 + y^4 - x^2 y^2 + 1: the one circuit writes (2, 2) over (4, 0) and
+    # (0, 4), so only the constant term pays for the bound, up to 1
+    f = SparsePoly(2, {(4, 0): 1, (0, 4): 1, (2, 2): -1, (0, 0): 1})
+    assert exact_sobs(f).xi == 1
+    cert = exact_sobs(f, xi=1)
+    assert cert.xi == 1 and cert.passthrough == () and verify_certificate(f, cert).ok
+    with pytest.raises(BoundaryFailure, match="^bound 2 exceeds the constant term 1, and no circuit reaches the origin$"):
+        exact_sobs(f, xi=2)
+
+
+def test_no_finite_bound_is_a_boundary_failure():
+    # x^4 + y^4 - 9 x^2 y^2 + 1: the circuit at (2, 2) pays at most 1 for
+    # its coefficient, so the solve proves the system infeasible at every bound
+    f = SparsePoly(2, {(4, 0): 1, (0, 4): 1, (2, 2): -9, (0, 0): 1})
+    assert lower_bound(f).xi == float("-inf")
+    with pytest.raises(BoundaryFailure, match="^no finite bound exists for this support$"):
+        exact_sobs(f)
+    with pytest.raises(BoundaryFailure, match="^no decomposition exists at bound -1$"):
+        exact_sobs(f, xi=-1)
 
 
 @pytest.mark.parametrize("constant", ["5", "-7/3", "0"])
@@ -186,6 +212,8 @@ def test_verify_reason_codes():
     cert = exact_sobs(MOTZKIN)
     other = SparsePoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 2, (2, 2): -3})
     assert verify_certificate(other, cert).reason == "hash-mismatch"
+    three = SparsePoly(3, {(4, 2, 0): 1, (2, 4, 0): 1, (0, 0, 0): 1, (2, 2, 0): -3})
+    assert verify_certificate(three, cert).reason == "shape-mismatch"
 
     t = triples_of(cert)[0]
     broken = Certificate(
@@ -205,6 +233,16 @@ def test_verify_reason_codes():
         passthrough=(),
     )
     assert verify_certificate(MOTZKIN, negative).reason == "cone-violation"
+
+    # built in the library, past the reader: a triple's point of dimension 3
+    deep = Certificate(
+        n=2,
+        xi=cert.xi,
+        poly_sha256=cert.poly_sha256,
+        cones=cones_of(((CertTriple(u=(*t.u, Fraction(0)), v=t.v, w=t.w, a=t.a, b=t.b, c=t.c),),)),
+        passthrough=(),
+    )
+    assert verify_certificate(MOTZKIN, deep).reason == "shape-mismatch"
 
     odd_exp = Certificate(
         n=2,

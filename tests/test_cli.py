@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import sys
@@ -11,6 +12,7 @@ from unittest import mock
 
 import pytest
 
+import soncert.socp
 from soncert import cli, verify
 from soncert.certify import Certificate
 from soncert.polyring import MAX_VARIABLES, SparsePoly, poly_dumps
@@ -64,6 +66,46 @@ def test_bound_dump_socp(motzkin_file, tmp_path, capsys):
     text = dump.read_text()
     assert text == problem_text(lower_bound(MOTZKIN).problem)
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+def test_bound_without_interior_points_dumps_the_zero_row_form(tmp_path, capsys):
+    # x^4 + y^4 + 1 takes the one path: the empty cover, no row, no cone and
+    # a solve without an iteration
+    poly = tmp_path / "squares.json"
+    poly.write_text(poly_dumps(SparsePoly(2, {(4, 0): 1, (0, 4): 1, (0, 0): 1})))
+    dump = tmp_path / "socp.json"
+    assert cli.main(["bound", str(poly), "--json", "--dump-socp", str(dump)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["xi"], report["iterations"], report["num_triples"]) == (1.0, 0, 0)
+    text = dump.read_text()
+    squares = [{"exp": [0, 4], "coef": "1"}, {"exp": [4, 0], "coef": "1"}]
+    data = {"mode": "bound", "num_cones": 0, "cone_block": 3, "constant": "1", "xi": None,
+            "objective": [], "rows": [], "entries": [], "passthrough": squares}
+    assert text == json.dumps(data, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("coef, argv, reason", [
+    (-1, ["--xi=2"], "bound 2 exceeds the constant term 1, and no circuit reaches the origin"),
+    (-9, [], "no finite bound exists for this support"),
+], ids=["above-the-constant", "no-finite-bound"])
+def test_certify_refusals_are_boundary_failures(tmp_path, capsys, coef, argv, reason):
+    # x^4 + y^4 + coef x^2 y^2 + 1, whose origin is in no circuit
+    poly = tmp_path / "poly.json"
+    poly.write_text(poly_dumps(SparsePoly(2, {(4, 0): 1, (0, 4): 1, (2, 2): coef, (0, 0): 1})))
+    assert cli.main(["certify", str(poly), "--json", *argv]) == cli.EXIT_BOUNDARY
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["reason"]) == ("boundary-failure", reason)
+
+
+def test_bound_stalled_solve_is_a_solver_failure(motzkin_file, capsys, monkeypatch):
+    solve = soncert.socp.solve_problem
+    monkeypatch.setattr(
+        soncert.socp, "solve_problem", lambda problem: dataclasses.replace(solve(problem), status="max-iterations")
+    )
+    assert cli.main(["bound", motzkin_file]) == cli.EXIT_SOLVER
+    status, reason = capsys.readouterr().out.splitlines()[:2]
+    assert status == "status=solver-failure"
+    assert reason.startswith("reason=conic solver stopped with status max-iterations (residuals {")
 
 
 def test_certify_then_verify(motzkin_file, tmp_path, capsys):
@@ -266,7 +308,8 @@ def test_constant_polynomial_bounds_and_certifies(tmp_path, capsys, constant):
     poly.write_text(json.dumps({"n": 1, "terms": terms}))
     xi = Fraction(constant or 0)
     assert cli.main(["bound", str(poly), "--json"]) == cli.EXIT_OK
-    assert json.loads(capsys.readouterr().out)["xi"] == float(xi)
+    report = json.loads(capsys.readouterr().out)
+    assert (report["xi"], report["iterations"], report["num_triples"]) == (float(xi), 0, 0)
 
     cert_path = tmp_path / "cert.json"
     assert cli.main(["certify", str(poly), "-o", str(cert_path), "--json"]) == cli.EXIT_OK

@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import ref_simplex_cover
-from soncert.cover import Circuit, CoverInfeasible, _AnchorSolver, simplex_cover, support_partition
+from soncert.cover import Circuit, CoverInfeasible, CoverResult, _AnchorSolver, simplex_cover, support_partition
 from soncert.exact import LpInfeasible, LpUnbounded, Tableau
 from soncert.generate import POLY_CLASSES, random_instance
 from soncert.polyring import SparsePoly
@@ -160,8 +160,8 @@ def test_simplex_cover_outside_hull():
     with pytest.raises(CoverInfeasible):
         # on the affine hull of an independent Lambda, with a negative weight
         simplex_cover([(0, 0), (2, 0), (0, 2)], [(2, 2)])
-    with pytest.raises(ValueError):
-        simplex_cover([(0, 0)], [])
+    # no beta: a sum of monomial squares is the empty cover, all of Lambda uncovered
+    assert simplex_cover([(2, 0), (0, 0)], []) == CoverResult((), ((0, 0), (2, 0)))
 
 
 @pytest.mark.parametrize("lam, gam, message", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from soncert.generate import POLY_CLASSES, random_instance
 from soncert.mediated import MediatedSet, fraction_points, med_set
 from soncert.polyring import SparsePoly
 from soncert.socp import (
+    SolverFailure,
     UncoveredSupport,
     assemble,
     build_plan,
@@ -200,9 +202,24 @@ def test_lower_bound_shift_monotone():
 
 def test_lower_bound_no_interior_points():
     f = SparsePoly(2, {(0, 0): -3, (2, 0): 1, (2, 2): 4})
+    # the empty cover: a problem with no rows and no cones, solved without
+    # an iteration, whose bound is the constant term
     result = lower_bound(f)
     assert result.xi == -3.0
-    assert result.problem is None and result.solution is None
+    assert result.problem.num_rows == 0 and result.problem.plan.num_triples == 0
+    assert result.problem.passthrough_terms == {(2, 0): 1, (2, 2): 4}
+    assert (result.solution.status, result.solution.iterations) == ("optimal", 0)
+
+
+def test_lower_bound_names_a_stalled_solve(monkeypatch):
+    # a solve that stops at max-iterations gives no bound: SolverFailure
+    # names the status and the residuals
+    def stalled(problem):
+        return dataclasses.replace(solve_problem(problem), status="max-iterations", residuals={"primal": 2e-6})
+
+    monkeypatch.setattr(soncert.socp, "solve_problem", stalled)
+    with pytest.raises(SolverFailure, match=r"status max-iterations \(residuals \{'primal': 2e-06\}\)"):
+        lower_bound(MOTZKIN)
 
 
 def test_lower_bound_odd_mode_agrees():

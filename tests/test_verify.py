@@ -409,10 +409,12 @@ def _recurring_point(value):
 
 
 # each damage with the field its error names; int() would read every one
+# but the word
 INTEGER_DAMAGES = {
     "quarter-numerators": (_quarter_numerators, "coordinates"),
     "n-float": (lambda data: data.update(n=2.9), "'n'"),
     "n-true": (lambda data: data.update(n=True), "'n'"),
+    "n-word": (lambda data: data.update(n="two"), "'n' must be an integer, got 'two'"),
     "float-exponent": (lambda data: data["passthrough"][0].update(exp=[0.5, 0]), "exponent"),
     "recurring-float": (_recurring_point(1.0), "coordinates"),
     "recurring-true": (_recurring_point(True), "coordinates"),
@@ -427,6 +429,17 @@ def test_reader_refuses_floats_and_bools_for_integers(name):
     damage(data)
     with pytest.raises(ValueError, match=field):
         Certificate.loads(json.dumps(data))
+
+
+def test_reader_drops_the_points_of_a_triple_outside_the_circuits():
+    # a triple-shaped object met before the circuits has its points read
+    # first; they are dropped and the circuits' points renumbered
+    data = json.loads("".join(MOTZKIN_XI.pieces()))
+    third = [["1", "3"], ["2", "3"]]
+    stray = {"u": third, "v": [["5", "7"], ["0", "1"]], "w": third, "a": "1", "b": "1", "c": "1"}
+    text = json.dumps({"stray": stray, **data})
+    assert text.index('"stray"') < text.index('"circuits"')
+    assert "".join(Certificate.loads(text).pieces()) == "".join(MOTZKIN_XI.pieces())
 
 
 def test_reader_reads_json_integers_as_the_writer_strings():
@@ -573,6 +586,7 @@ TRUNCATED = {
     "trailing-comma-in-triples": lambda text: text.replace("}\n      ]\n    }", "},\n      ]\n    }"),
     "trailing-comma-in-a-triple": lambda text: text.replace("]\n        }", "],\n        }", 1),
     "trailing-comma-alone": lambda text: '{"n": 2,}',
+    "member-without-a-colon": lambda text: text.replace('"n": 2', '"n" 2'),
 }
 
 
@@ -663,6 +677,15 @@ def test_work_bound_refuses_too_large_certificates():
         result = verify_certificate(MOTZKIN, cert)
         assert time.perf_counter() - start < 1.0
         assert (result.ok, result.reason) == (False, "too-large")
+
+
+def test_lcm_below_the_limit_is_built_to_its_end():
+    # 2^1 ... 2^200 pass the bit-sum screen (20,100 bits), but their lcm
+    # 2^200 stays below 10^4300
+    dens = [2**k for k in range(1, 201)]
+    assert sum((d - 1).bit_length() for d in dens) >= (10**4300).bit_length() - 1
+    assert not soncert.verify._lcm_reaches(dens, 10**4300)
+    assert soncert.verify._lcm_reaches(dens, 2**200)
 
 
 def test_work_bound_refuses_too_large_polynomials():
